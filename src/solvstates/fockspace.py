@@ -9,6 +9,11 @@ alpha phase twists
 
 so that a+ a- = H exactly and [a-, a+] = G = diag(E_{n+1} - E_n) on every
 component except the top band, which a truncated a+ cannot reach.
+
+Both ladder operators live on one band, so a :class:`LadderRep` stores only
+that band and the H and G diagonals.  Moments are shifted-vector products,
+O(n) in time and memory; dense matrices exist only on request, through
+``a_minus`` / ``a_plus`` and :func:`quadratures`.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .spectrum import SpectrumModel
 
 _IMAG_TOL = 1e-10
 _TAIL_CERT = 1e-10
+_INV_RT2 = 1.0 / math.sqrt(2.0)
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -64,7 +70,7 @@ class FockVector:
         return complex(np.vdot(a[:n], b[:n]))
 
     def energy_mean(self) -> float:
-        energies = np.array([self.model.energy(n) for n in range(self.coeffs.size)])
+        energies = self.model.energies(self.n_max)
         weights = np.abs(self.coeffs) ** 2
         total = weights.sum()
         if total == 0.0:
@@ -108,45 +114,49 @@ class FockVector:
 
 @dataclasses.dataclass(frozen=True)
 class LadderRep:
-    """Dense truncated ladder pair with its diagonal bookkeeping."""
+    """Truncated ladder pair held as its one band plus the H and G diagonals.
+
+    ``lower_band[m]`` is the entry a-[m, m+1] (alpha phase twist included),
+    m = 0 .. n_max-1; a+ is its conjugate transpose.
+    """
 
     model: SpectrumModel
     n_max: int
     alpha: float
-    a_minus: np.ndarray
-    a_plus: np.ndarray
+    lower_band: np.ndarray
     h_diag: np.ndarray
     g_diag: np.ndarray
 
     @property
-    def lower_band(self) -> np.ndarray:
-        """Entries a_minus[m, m+1], m = 0 .. n_max-1."""
-        return np.diagonal(self.a_minus, 1)
+    def a_minus(self) -> np.ndarray:
+        """Dense (n_max+1)^2 lowering matrix, built on each access."""
+        out = np.zeros((self.n_max + 1, self.n_max + 1), dtype=complex)
+        idx = np.arange(self.n_max)
+        out[idx, idx + 1] = self.lower_band
+        return out
+
+    @property
+    def a_plus(self) -> np.ndarray:
+        """Dense (n_max+1)^2 raising matrix, built on each access."""
+        return self.a_minus.conj().T.copy()
 
 
 def build_ladder(model: SpectrumModel, n_max: int) -> LadderRep:
-    """Materialize a-, a+, H, G on the first ``n_max + 1`` levels."""
+    """Band of a- plus the H, G diagonals on the first ``n_max + 1`` levels."""
     if n_max < 2:
         raise DomainError("ladder truncation needs n_max >= 2")
     # the top commutator band needs E_{n_max + 1}
-    energies = np.array([model.energy(n) for n in range(n_max + 2)])
+    energies = model.energies(n_max + 1)
     alpha = model.alpha
-    h_diag = energies[: n_max + 1]
     g_diag = energies[1:] - energies[:-1]
     phases = np.exp(1j * alpha * g_diag[:n_max])
-    lower = np.sqrt(energies[1 : n_max + 1]) * phases
-    a_minus = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    idx = np.arange(n_max)
-    a_minus[idx, idx + 1] = lower
-    a_plus = a_minus.conj().T.copy()
     return LadderRep(
         model=model,
         n_max=n_max,
         alpha=alpha,
-        a_minus=a_minus,
-        a_plus=a_plus,
-        h_diag=h_diag,
-        g_diag=g_diag[: n_max + 1],
+        lower_band=np.sqrt(energies[1 : n_max + 1]) * phases,
+        h_diag=energies[: n_max + 1],
+        g_diag=g_diag,
     )
 
 
@@ -156,20 +166,34 @@ def quadratures(rep: LadderRep):
     X = (a+ + a-)/sqrt(2), P = i (a+ - a-)/sqrt(2); then [X, P] = i G on all
     components below the truncation band.
     """
-    inv_rt2 = 1.0 / math.sqrt(2.0)
-    x = (rep.a_plus + rep.a_minus) * inv_rt2
-    p = 1j * (rep.a_plus - rep.a_minus) * inv_rt2
+    a_minus = rep.a_minus
+    a_plus = a_minus.conj().T
+    x = (a_plus + a_minus) * _INV_RT2
+    p = 1j * (a_plus - a_minus) * _INV_RT2
     h = np.diag(rep.h_diag.astype(complex))
     g = np.diag(rep.g_diag.astype(complex))
     return x, p, h, g
 
 
-def _expect(matrix: np.ndarray, vec: np.ndarray) -> complex:
-    return complex(np.vdot(vec, matrix @ vec))
+def _apply_x(rep: LadderRep, vec: np.ndarray) -> np.ndarray:
+    """X vec = (a+ + a-) vec / sqrt(2) from the band alone."""
+    out = np.zeros_like(vec)
+    out[1:] = rep.lower_band.conj() * vec[:-1]
+    out[:-1] += rep.lower_band * vec[1:]
+    return out * _INV_RT2
 
 
-def _real_expect(matrix: np.ndarray, vec: np.ndarray, label: str) -> float:
-    value = _expect(matrix, vec)
+def _apply_p(rep: LadderRep, vec: np.ndarray) -> np.ndarray:
+    """P vec = i (a+ - a-) vec / sqrt(2) from the band alone."""
+    out = np.zeros_like(vec)
+    out[1:] = rep.lower_band.conj() * vec[:-1]
+    out[:-1] -= rep.lower_band * vec[1:]
+    return out * (1j * _INV_RT2)
+
+
+def _real_expect(vec: np.ndarray, op_vec: np.ndarray, label: str) -> float:
+    """<vec | op vec> given op vec; the imaginary part must vanish."""
+    value = complex(np.vdot(vec, op_vec))
     if abs(value.imag) > _IMAG_TOL * max(1.0, abs(value.real)):
         raise ConvergenceError(
             f"<{label}> has imaginary part {value.imag:.3e}; truncation too aggressive"
@@ -181,8 +205,8 @@ def f_operator(rep: LadderRep, state: FockVector) -> np.ndarray:
     """Symmetrized covariance operator F = {X - <X>, P - <P>} for the state."""
     vec = _prepare(rep, state)
     x, p, _, _ = quadratures(rep)
-    mx = _real_expect(x, vec, "X")
-    mp = _real_expect(p, vec, "P")
+    mx = _real_expect(vec, _apply_x(rep, vec), "X")
+    mp = _real_expect(vec, _apply_p(rep, vec), "P")
     dx = x - mx * np.eye(rep.n_max + 1)
     dp = p - mp * np.eye(rep.n_max + 1)
     return dx @ dp + dp @ dx
@@ -246,17 +270,22 @@ def _prepare(rep: LadderRep, state: FockVector) -> np.ndarray:
 
 
 def uncertainty(rep: LadderRep, state: FockVector) -> UncertaintyReport:
-    """Means and variances of X, P plus <G> and <F> in the given state."""
+    """Means and variances of X, P plus <G> and <F> in the given state.
+
+    Every moment is <v| A B v>, taken by applying the banded X or P twice.
+    """
     vec = _prepare(rep, state)
-    x, p, _, g = quadratures(rep)
-    mx = _real_expect(x, vec, "X")
-    mp = _real_expect(p, vec, "P")
-    var_x = _real_expect(x @ x, vec, "X^2") - mx * mx
-    var_p = _real_expect(p @ p, vec, "P^2") - mp * mp
-    mg = _real_expect(g, vec, "G")
-    dx = x - mx * np.eye(rep.n_max + 1)
-    dp = p - mp * np.eye(rep.n_max + 1)
-    mf = _real_expect(dx @ dp + dp @ dx, vec, "F")
+    xv = _apply_x(rep, vec)
+    pv = _apply_p(rep, vec)
+    mx = _real_expect(vec, xv, "X")
+    mp = _real_expect(vec, pv, "P")
+    var_x = _real_expect(vec, _apply_x(rep, xv), "X^2") - mx * mx
+    var_p = _real_expect(vec, _apply_p(rep, pv), "P^2") - mp * mp
+    mg = _real_expect(vec, rep.g_diag * vec, "G")
+    dxv = xv - mx * vec
+    dpv = pv - mp * vec
+    fv = (_apply_x(rep, dpv) - mx * dpv) + (_apply_p(rep, dxv) - mp * dxv)
+    mf = _real_expect(vec, fv, "F")
     return UncertaintyReport(
         mean_x=mx, mean_p=mp, var_x=var_x, var_p=var_p, mean_g=mg, mean_f=mf
     )
@@ -274,7 +303,9 @@ def eigenvalue_residual(rep: LadderRep, vec: FockVector, z: complex, drop: int =
     state = vec.padded(rep.n_max) if vec.n_max < rep.n_max else vec
     if state.n_max != rep.n_max:
         raise DomainError("state is longer than the ladder truncation")
-    resid = rep.a_minus @ state.coeffs - z * state.coeffs
+    c = state.coeffs
+    resid = -z * c
+    resid[:-1] += rep.lower_band * c[1:]  # (a- c)[m] = lower[m] c[m+1]
     return float(np.linalg.norm(resid[: rep.n_max + 1 - drop]))
 
 
@@ -295,7 +326,7 @@ def gis_recurrence_oracle(
         n_max = rep.n_max
     if n_max > rep.n_max:
         raise DomainError("oracle length exceeds the ladder truncation")
-    lower = np.diagonal(rep.a_minus, 1)  # lower[m] = a_minus[m, m+1]
+    lower = rep.lower_band  # lower[m] = a_minus[m, m+1]
     d = np.zeros(n_max + 1, dtype=complex)
     d[0] = 1.0
     for m in range(n_max):

@@ -127,7 +127,7 @@ def gk_state(
         n_max = _auto_n_max(model, r)
     log_s = gk_log_normalization(model, r, n_max if r > 0 else None)
     logs = model.log_products(n_max)
-    energies = np.array([model.energy(n) for n in range(n_max + 1)])
+    energies = model.energies(n_max)
     ns = np.arange(n_max + 1)
     if r > 0:
         log_mag = ns * math.log(r) - 0.5 * logs - 0.5 * log_s
@@ -153,7 +153,7 @@ def gk_state(
 
 def evolve(state: GKState, t: float) -> GKState:
     """Time evolution acts as a shift of the phase parameter: alpha -> alpha + t."""
-    energies = np.array([state.model.energy(n) for n in range(state.vector.n_max + 1)])
+    energies = state.model.energies(state.vector.n_max)
     twisted = state.vector.coeffs * np.exp(-1j * t * energies)
     return GKState(
         z=state.z,
@@ -186,7 +186,7 @@ def bargmann_eval(coeffs: FockVector, z: complex, alpha: float) -> complex:
     model = coeffs.model
     n_top = coeffs.n_max
     logs = model.log_products(n_top)
-    energies = np.array([model.energy(n) for n in range(n_top + 1)])
+    energies = model.energies(n_top)
     ns = np.arange(n_top + 1)
     z = complex(z)
     if z == 0:

@@ -98,18 +98,6 @@ def _pi_log_table(model: SpectrumModel, n_top: int, j_top: int) -> np.ndarray:
     return table
 
 
-def pi_nested(model: SpectrumModel, n: int, j: int) -> float:
-    """The nested sum pi(n, j); pi(m, 0) = 1 and pi(0, j >= 1) = 0."""
-    if n < 0 or j < 0:
-        raise DomainError("pi indices must be nonnegative")
-    if j == 0:
-        return 1.0
-    if n == 0:
-        return 0.0
-    table = _pi_log_table(model, n - 1, j)
-    return float(np.exp(table[n - 1, j]))
-
-
 @functools.lru_cache(maxsize=512)
 def _series_profile(model: SpectrumModel, n: int, j_cap: int) -> np.ndarray:
     """log of pi(n+1, j) n! / (n+2j)! for j = 0..j_cap; the r-independent part."""
@@ -168,15 +156,6 @@ def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = 160) -> float
     )
 
 
-def series_radius(model: SpectrumModel) -> float | None:
-    """Radius of convergence of the c_n series in r; None when unknown."""
-    if model.kind == HARMONIC:
-        return math.inf
-    if model.kind in (POSCHL_TELLER, SQUARE_WELL):
-        return math.pi / 2.0
-    return None
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -213,13 +192,6 @@ def cn_closed(model: SpectrumModel, n_max: int, r: float) -> DisplacementCoeffs:
     raise DomainError("no closed displacement coefficients for tabulated spectra")
 
 
-def cn_series_block(
-    model: SpectrumModel, n_max: int, r: float, j_cap: int = 160
-) -> DisplacementCoeffs:
-    vals = np.array([cn_series(model, n, r, j_cap) for n in range(n_max + 1)])
-    return DisplacementCoeffs(model, r, vals, METHOD_SERIES)
-
-
 # ---------------------------------------------------------------------------
 # the coefficient ODE
 
@@ -231,7 +203,7 @@ def _ode_run(model: SpectrumModel, r_target: float, n_sys: int, step: float) -> 
     once the series gives up (finite radius) the closure freezes to zero and
     the caller's doubling monitor is responsible for catching the fallout.
     """
-    energies = np.array([model.energy(k) for k in range(1, n_sys + 2)])
+    energies = model.energies(n_sys + 1)[1:]
     ns = np.arange(n_sys + 1)
     state = {"alive": True}
 
@@ -358,7 +330,7 @@ def _auto_state_n_max(model: SpectrumModel, r: float) -> int:
 
 
 def _state_phases(model: SpectrumModel, z: complex, alpha: float, n_top: int) -> np.ndarray:
-    energies = np.array([model.energy(n) for n in range(n_top + 1)])
+    energies = model.energies(n_top)
     return np.exp(1j * (np.arange(n_top + 1) * np.angle(z) - alpha * energies))
 
 
@@ -444,7 +416,7 @@ def disk_coefficients(
         + 0.5 * (nu + 1.0) * math.log1p(-rho * rho)
         + 0.5 * _log_gamma_ratio(nu, n_max)
     )
-    energies = np.array([model.energy(n) for n in range(n_max + 1)])
+    energies = model.energies(n_max)
     phases = np.exp(1j * (ns * np.angle(zeta) - alpha * energies))
     return FockVector(model, np.exp(log_mag) * phases)
 

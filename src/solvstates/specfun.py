@@ -180,50 +180,6 @@ def hyp1f1(a, b, z) -> complex:
     raise ConvergenceError("hyp1f1 series did not converge")
 
 
-def hyp2f1(a, b, c, z) -> complex:
-    """Gauss hypergeometric 2F1(a, b; c; z).
-
-    Terminating cases (a or b a nonpositive integer) are summed exactly for
-    any z.  Otherwise the series needs |z| < 1; the single boundary point
-    z = 1 with real parameters and c - a - b > 0 is evaluated through the
-    Gamma-ratio closed form.
-    """
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    terminating = _near_nonpositive_int(a) or _near_nonpositive_int(b)
-    if not terminating and abs(z) >= 1.0:
-        if abs(z - 1.0) < 1e-14:
-            return _hyp2f1_at_one(a, b, c)
-        raise ConvergenceError("hyp2f1 series needs |z| < 1 unless terminating")
-    small = 0
-    for k in range(MAX_TERMS):
-        if abs(complex(a + k)) < 1e-13 or abs(complex(b + k)) < 1e-13:
-            return total
-        if abs(complex(c + k)) < 1e-13:
-            raise DomainError(f"hyp2f1 pole at c={c}")
-        term = term * (a + k) * (b + k) * z / ((c + k) * (k + 1))
-        total += term
-        small = small + 1 if abs(term) <= REL_TAIL * max(abs(total), 1e-300) else 0
-        if small >= 2:
-            return total
-    raise ConvergenceError("hyp2f1 series did not converge")
-
-
-def _hyp2f1_at_one(a, b, c) -> complex:
-    for value in (a, b, c):
-        if abs(complex(value).imag) > 1e-13:
-            raise ConvergenceError("hyp2f1 at z=1 supports real parameters only")
-    a, b, c = complex(a).real, complex(b).real, complex(c).real
-    s = c - a - b
-    if s <= 0:
-        raise ConvergenceError("hyp2f1 diverges at z=1 for c - a - b <= 0")
-    args = (c, s, c - a, c - b)
-    if any(v <= 0 for v in args):
-        raise ConvergenceError("hyp2f1 at z=1 needs positive Gamma arguments")
-    return complex(math.exp(log_gamma(c) + log_gamma(s)
-                            - log_gamma(c - a) - log_gamma(c - b)))
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre nodes and weights on (-1, 1); immutable once built."""

@@ -124,6 +124,17 @@ class SpectrumModel:
                 f"custom spectrum has {len(self.table)} levels, index {n} out of range")
         return self.table[n]
 
+    def energies(self, n_max: int) -> np.ndarray:
+        """E_0 .. E_{n_max} as a float64 array, bitwise equal to ``energy(n)``."""
+        if self.kind == CUSTOM:
+            if n_max >= len(self.table):
+                self.energy(len(self.table))  # raises the out-of-range DomainError
+            return np.array(self.table[: n_max + 1], dtype=float)
+        ns = np.arange(n_max + 1, dtype=float)
+        if self.kind == HARMONIC:
+            return ns
+        return ns * (ns + self.nu)
+
     def level_gap(self, n: int) -> float:
         """E_{n+1} - E_n, the eigenvalue of the commutator operator at level n."""
         return self.energy(n + 1) - self.energy(n)
@@ -139,8 +150,7 @@ class SpectrumModel:
 
     def log_products(self, n_max: int) -> np.ndarray:
         """Array of log E(n) for n = 0 .. n_max."""
-        logs = [math.log(self.energy(k)) for k in range(1, n_max + 1)]
-        return np.concatenate([[0.0], np.cumsum(logs)]) if logs else np.zeros(1)
+        return np.concatenate([[0.0], np.cumsum(np.log(self.energies(n_max)[1:]))])
 
     def radius_estimate(self, n_max: int = 200) -> float:
         """Numerical estimate of lim E(n)^(1/n), the convergence radius of

@@ -127,14 +127,14 @@ def _suite_ladder(model: SpectrumModel, tol) -> list[CaseResult]:
     rep = build_ladder(model, n_max)
     a_minus = rep.a_minus
     a_plus = a_minus.conj().T
-    energies = np.array([model.energy(n) for n in range(n_max + 1)])
+    energies = model.energies(n_max)
 
     def number_operator():
         return np.max(np.abs(a_plus @ a_minus - np.diag(energies)))
 
     def commutator():
         comm = a_minus @ a_plus - a_plus @ a_minus
-        gaps = np.array([model.level_gap(n) for n in range(n_max + 1)])
+        gaps = np.diff(model.energies(n_max + 1))
         # the top diagonal entry is a truncation artifact, not an identity
         return np.max(np.abs((comm - np.diag(gaps))[:-1, :-1]))
 

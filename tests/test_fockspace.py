@@ -1,14 +1,26 @@
 """Truncated ladder algebra: matrices, tail certificates, uncertainty."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvstates import (DomainError, FockVector, TruncationError, build_ladder,
-                        eigenvalue_residual, f_operator, gis_recurrence_oracle,
-                        quadratures, uncertainty)
+from solvstates import (DomainError, FockVector, SpectrumModel, TruncationError,
+                        build_ladder, eigenvalue_residual, f_operator,
+                        gis_recurrence_oracle, quadratures, uncertainty)
+from solvstates.gazeau_klauder import gk_state
+
+# the banded core against dense matrices: one model per spectrum kind, with
+# a nonzero phase twist and a table long enough for the largest truncation
+BANDED_MODELS = {
+    "harmonic": SpectrumModel.harmonic(),
+    "pt22_twisted": SpectrumModel.poschl_teller(2.0, 2.0, alpha=0.37),
+    "custom": SpectrumModel.custom(
+        np.concatenate(([0.0], np.cumsum(1.0 + 0.35 * np.sin(np.arange(420)) ** 2)))),
+}
 
 
 def dense_lowering(model, n_max):
@@ -154,3 +166,87 @@ def test_recurrence_oracle_satisfies_defining_relation(pt22):
 def test_recurrence_oracle_normalized(pt22):
     vec = gis_recurrence_oracle(build_ladder(pt22, 50), 0.5j, 1.5)
     assert vec.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def spread_state(model, n_max):
+    """Gaussian envelope over the lower band with a momentum twist; its top
+    decays fast enough to certify the tail at every truncation."""
+    k = np.arange(n_max + 1)
+    env = np.exp(-((k - n_max / 3) / (n_max / 12)) ** 2)
+    return FockVector(model, env * np.exp(0.3j * k)).normalized()
+
+
+@pytest.mark.parametrize("name", sorted(BANDED_MODELS))
+@pytest.mark.parametrize("n_max", [12, 90, 400])
+def test_banded_uncertainty_matches_dense_moments(name, n_max):
+    model = BANDED_MODELS[name]
+    rep = build_ladder(model, n_max)
+    state = spread_state(model, n_max)
+    a = rep.a_minus
+    x = (a.conj().T + a) / math.sqrt(2.0)
+    p = 1j * (a.conj().T - a) / math.sqrt(2.0)
+    c = state.coeffs
+    mean = lambda op: complex(c.conj() @ op @ c).real
+    mx, mp = mean(x), mean(p)
+    eye = np.eye(n_max + 1)
+    dx, dp = x - mx * eye, p - mp * eye
+    # second moments set the scale of every entry of the report
+    scale = math.sqrt(mean(x @ x) * mean(p @ p))
+    out = uncertainty(rep, state)
+    want = {
+        "mean_x": mx,
+        "mean_p": mp,
+        "var_x": mean(x @ x) - mx * mx,
+        "var_p": mean(p @ p) - mp * mp,
+        "mean_g": float(np.dot(rep.g_diag, np.abs(c) ** 2)),
+        "mean_f": mean(dx @ dp + dp @ dx),
+    }
+    for field, value in want.items():
+        got = getattr(out, field)
+        assert abs(got - value) <= 1e-12 * max(abs(value), scale), (field, got, value)
+
+
+@pytest.mark.parametrize("name", sorted(BANDED_MODELS))
+@pytest.mark.parametrize("drop", [1, 2, 5])
+def test_banded_residual_matches_dense(name, drop):
+    model = BANDED_MODELS[name]
+    rep = build_ladder(model, 90)
+    state = spread_state(model, 60)
+    z = 0.8 - 0.4j
+    c = state.padded(90).coeffs
+    want = np.linalg.norm((rep.a_minus @ c - z * c)[: 91 - drop])
+    assert eigenvalue_residual(rep, state, z, drop=drop) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(BANDED_MODELS))
+def test_banded_oracle_matches_dense_substitution(name):
+    model = BANDED_MODELS[name]
+    z, lam = 0.9 + 0.3j, 2.0 - 0.5j
+    rep = build_ladder(model, 60)
+    a_minus, a_plus = rep.a_minus, rep.a_plus
+    d = [1.0 + 0.0j]
+    for m in range(60):
+        back = (1.0 - lam) * a_plus[m, m - 1] * d[m - 1] if m else 0.0
+        d.append((2.0 * z * d[m] - back) / ((1.0 + lam) * a_minus[m, m + 1]))
+    want = np.array(d) / np.linalg.norm(d)
+    got = gis_recurrence_oracle(rep, z, lam).coeffs
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_ladder_stores_no_matrix(pt22):
+    rep = build_ladder(pt22, 50)
+    for field in dataclasses.fields(rep):
+        assert np.ndim(getattr(rep, field.name)) <= 1, field.name
+
+
+def test_uncertainty_memory_stays_linear(harmonic):
+    # a dense (n+1)^2 complex matrix at n = 1600 is 41 MB
+    rep = build_ladder(harmonic, 1600)
+    state = gk_state(harmonic, 30).vector.padded(1600)
+    tracemalloc.start()
+    try:
+        uncertainty(rep, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
