@@ -58,9 +58,13 @@ class FockVector:
         return float(np.linalg.norm(self.coeffs))
 
     def normalized(self) -> "FockVector":
-        nrm = self.norm()
+        with np.errstate(over="ignore"):
+            nrm = self.norm()
         if nrm == 0.0:
             raise DomainError("cannot normalize the zero vector")
+        if not math.isfinite(nrm):
+            # dividing by an overflowed norm would return zeros that pass the tail check
+            raise ConvergenceError("coefficient norm overflows; cannot normalize")
         return FockVector(self.model, self.coeffs / nrm)
 
     def inner(self, other: "FockVector") -> complex:

@@ -9,8 +9,10 @@ ratio var_x / var_p = |lam|^2 ("squeezed").
 
 Three equivalent descriptions are implemented and cross-checked:
 
-* closed-form ladder coefficients built from the nested energy sums
-  Delta(n, h),
+* ladder coefficients from the closed form built on the nested energy
+  sums Delta(n, h), evaluated through the three-term recurrence that
+  form obeys (the sums themselves, via delta_nh, back the small-n
+  cross-check in the gis verify suite),
 * an entire analytic function exp(s z) 1F1(...) in the plane picture
   whose Taylor coefficients reproduce the same state,
 * a product of two binomial branch factors on the unit disk whose
@@ -26,8 +28,8 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
+# unused here, but perfbench/tracing.py wraps intelligent.mpmath, so the name stays bound
 import mpmath
 import numpy as np
 
@@ -43,6 +45,8 @@ SQUEEZED = "squeezed"
 _UNIT_TOL = 1e-12
 _TAIL_CERT = 1e-10
 _CHECK_GATE = 1e-8
+# coefficient size at which the recurrence prefix is divided down
+_RESCALE = 1e150
 
 # Reference grids for cross-validating the closed form against the
 # recurrence oracle.  Every lam here passes validate_lambda.
@@ -108,34 +112,13 @@ def _branch_root(lam: complex) -> tuple[complex, complex]:
     return s, s * (lam + 1.0)
 
 
-def _table_shape(model: SpectrumModel, n: int) -> tuple[int, int]:
-    # round the table size up so neighboring n share one cached table;
-    # custom spectra stay inside their tabulated range when possible
-    m_top = ((max(n - 1, 1) + 63) // 64) * 64
-    if model.n_levels is not None:
-        m_top = max(min(m_top, model.n_levels - 1), n - 1)
-    h_top = min((m_top + 1) // 2, ((n // 2 + 31) // 32) * 32)
-    return m_top, h_top
-
-
-@lru_cache(maxsize=64)
-def _gap2_products(model: SpectrumModel, m_top: int, h_top: int) -> tuple:
-    # table[m + 1][h]: sum over h-subsets of {1..m} with pairwise index
-    # gaps >= 2 of the products E_{j1}...E_{jh}; row 0 is m = -1.
-    table = np.zeros((m_top + 2, h_top + 1))
-    table[:, 0] = 1.0
-    for m in range(1, m_top + 1):
-        e_m = model.energy(m)
-        for h in range(1, h_top + 1):
-            table[m + 1, h] = table[m, h] + e_m * table[m - 1, h - 1]
-    return tuple(map(tuple, table))
-
-
 def delta_nh(model: SpectrumModel, n: int, h: int) -> float:
     """Nested energy sum Delta(n, h): products of h energies E_{j} with
     indices strictly inside [1, n-1] and pairwise gaps >= 2.
 
-    Delta(n, 0) = 1 by the empty-product convention.
+    Delta(n, 0) = 1 by the empty-product convention.  Filled row by row
+    from Delta(m+1, k) = Delta(m, k) + E_m Delta(m-1, k-1) on every call;
+    meant for the small n of the closed-form cross-check.
     """
     if n < 0:
         raise DomainError("delta_nh needs n >= 0")
@@ -143,65 +126,30 @@ def delta_nh(model: SpectrumModel, n: int, h: int) -> float:
         raise DomainError(f"h={h} outside [0, floor(n/2)] for n={n}")
     if h == 0:
         return 1.0
-    table = _gap2_products(model, *_table_shape(model, n))
-    return table[n][h]
-
-
-_MP_DPS = 120
-
-
-@lru_cache(maxsize=16)
-def _gap2_products_mp(model: SpectrumModel, m_top: int, h_top: int) -> tuple:
-    # extended-precision twin of _gap2_products, for re-summing the
-    # alternating coefficient series when float cancellation is severe
-    with mpmath.workdps(_MP_DPS):
-        zero, one = mpmath.mpf(0), mpmath.mpf(1)
-        table = [[one if h == 0 else zero for h in range(h_top + 1)]
-                 for _ in range(m_top + 2)]
-        for m in range(1, m_top + 1):
-            e_m = mpmath.mpf(model.energy(m))
-            for h in range(1, h_top + 1):
-                table[m + 1][h] = table[m][h] + e_m * table[m - 1][h - 1]
-    return tuple(tuple(row) for row in table)
-
-
-def _alternating_sum(model: SpectrumModel, n: int, two_z: complex, squeeze: complex) -> complex:
-    """sum_h (-1)^h squeeze^h (2z)^{n-2h} Delta(n, h), cancellation-safe.
-
-    The terms alternate and can exceed the result by many orders of
-    magnitude once |2z| and n grow; if the float pass loses more than a
-    few digits the sum is repeated in extended precision, including the
-    Delta table itself (its own rounding would otherwise survive).
-    """
-    h_top = n // 2
-    terms = [
-        (-1.0) ** h * squeeze**h * two_z ** (n - 2 * h) * delta_nh(model, n, h)
-        for h in range(h_top + 1)
-    ]
-    acc = sum(terms)
-    peak = max(abs(t) for t in terms)
-    if peak == 0.0:
-        return 0.0 + 0.0j
-    if math.isfinite(peak) and abs(acc) > 1e-3 * peak:
-        return complex(acc)
-    with mpmath.workdps(_MP_DPS):
-        table = _gap2_products_mp(model, *_table_shape(model, n))
-        mz, ms = mpmath.mpc(two_z), mpmath.mpc(squeeze)
-        total = mpmath.mpc(0)
-        for h in range(h_top + 1):
-            delta = table[n][h] if n >= 1 else mpmath.mpf(1)
-            total += (-1) ** h * ms**h * mz ** (n - 2 * h) * delta
-        return complex(total)
+    # rows Delta(m-1, .) and Delta(m, .), starting from the empty sets at m = 1
+    prev = cur = [1.0] + [0.0] * h
+    for m in range(1, n):
+        e_m = model.energy(m)
+        prev, cur = cur, [1.0] + [cur[k] + e_m * prev[k - 1] for k in range(1, h + 1)]
+    return cur[h]
 
 
 def gis_coefficients(model: SpectrumModel, params: GISParameters, n_max: int) -> FockVector:
-    """Closed-form state coefficients, normalized.
+    """State coefficients of the eigenvalue equation, normalized.
+
+    The closed form
 
     d_n = e^{-i alpha E_n} / ((1+lam)^n sqrt(E(n)))
-          * sum_h (-1)^h (1-lam^2)^h (2z)^{n-2h} Delta(n, h).
+          * sum_h (-1)^h (1-lam^2)^h (2z)^{n-2h} Delta(n, h)
 
-    The (2z)^{n-2h} grouping keeps z = 0 regular; for z != 0 it is
-    algebraically identical to pulling (2z)^n out front.
+    obeys, through Delta(n, h) = Delta(n-1, h) + E_{n-1} Delta(n-2, h-1),
+    the three-term recurrence of the eigenvalue equation
+
+    (1+lam) sqrt(E_n) d_n = 2z d_{n-1} - (1-lam) sqrt(E_{n-1}) d_{n-2},
+
+    which is run here in O(n_max) floats before the e^{-i alpha E_n}
+    phases are attached.  The prefix is divided down whenever a
+    coefficient passes _RESCALE, so large displacements cannot overflow.
     """
     validate_lambda(params.lam)
     if n_max < 0:
@@ -210,13 +158,20 @@ def gis_coefficients(model: SpectrumModel, params: GISParameters, n_max: int) ->
         model = dataclasses.replace(model, alpha=params.alpha)
     lam = complex(params.lam)
     two_z = 2.0 * complex(params.z)
-    squeeze = 1.0 - lam * lam
-    log_prod = model.log_products(n_max)
-    coeffs = np.zeros(n_max + 1, dtype=complex)
-    for n in range(n_max + 1):
-        acc = _alternating_sum(model, n, two_z, squeeze)
-        phase = cmath.exp(-1j * model.alpha * model.energy(n))
-        coeffs[n] = acc * phase / (1.0 + lam) ** n * math.exp(-0.5 * log_prod[n])
+    energies = model.energies(n_max)
+    roots = np.sqrt(energies)
+    up = ((1.0 + lam) * roots).tolist()
+    back = ((1.0 - lam) * roots).tolist()
+    d = [1.0 + 0.0j] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        acc = two_z * d[n - 1]
+        if n >= 2:
+            acc -= back[n - 1] * d[n - 2]
+        d[n] = acc / up[n]
+        if abs(d[n]) > _RESCALE:
+            scale = abs(d[n])
+            d[: n + 1] = [c / scale for c in d[: n + 1]]
+    coeffs = np.array(d) * np.exp(-1j * model.alpha * energies)
     out = FockVector(model, coeffs).normalized()
     tail = out.tail_bound()
     if not (tail < _TAIL_CERT):

@@ -281,18 +281,10 @@ def cn_ode(
 # states
 
 
-@functools.lru_cache(maxsize=64)
-def _log_gamma_ratio_cached(nu: float, n_top: int) -> tuple:
-    base = specfun.log_gamma(nu + 1.0)
-    return tuple(
-        specfun.log_gamma(n + nu + 1.0) - specfun.log_gamma(n + 1.0) - base
-        for n in range(n_top + 1)
-    )
-
-
 def _log_gamma_ratio(nu: float, n_top: int) -> np.ndarray:
-    """log of Gamma(n+nu+1) / (n! Gamma(nu+1)) for n = 0..n_top."""
-    return np.array(_log_gamma_ratio_cached(nu, n_top))
+    """log of Gamma(n+nu+1) / (n! Gamma(nu+1)) = sum_{k<=n} log(1 + nu/k), n = 0..n_top."""
+    ks = np.arange(1, n_top + 1, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(np.log1p(nu / ks))])
 
 
 def plane_to_disk(z: complex) -> complex:
@@ -308,8 +300,8 @@ def _amp_logs(model: SpectrumModel, r: float, n_top: int) -> np.ndarray:
     """log |coefficient_n| of the normalized displacement state at radius r."""
     ns = np.arange(n_top + 1)
     if model.kind == HARMONIC:
-        lg = np.array([specfun.log_gamma(n + 1.0) for n in range(n_top + 1)])
-        return ns * math.log(r) - 0.5 * r * r - 0.5 * lg
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(ns[1:]))])
+        return ns * math.log(r) - 0.5 * r * r - 0.5 * log_fact
     nu = model.nu
     rho = math.tanh(r)
     return (

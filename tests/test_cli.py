@@ -1,9 +1,15 @@
 """Command line surface: subcommands, formats, exit codes."""
+import contextlib
 import csv
+import io
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solvstates.cli import main
 
@@ -178,3 +184,91 @@ def test_sweep_is_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "--model", "pt:2,2", "--family", "gis", "--z", "1,0",
+     "--lambda", "2,0", "--nmax", "200"),
+    ("state", "--model", "pt:2,2", "--family", "gis", "--z", "0,2",
+     "--lambda", "0.5,0.5", "--nmax", "200"),
+    ("sweep", "--family", "gis", "--grid", "lambda-mod:0.1:0.3:3", "--z", "3,0"),
+    ("sweep", "--family", "gis", "--grid", "lambda-mod:0.1:0.3:3", "--z", "3,0",
+     "--model", "harmonic"),
+])
+def test_large_gis_requests_succeed(capsys, argv):
+    # these once overflowed the nested-sum tables (exit 3 or a traceback)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
+def test_verify_gis_on_long_custom_table(capsys, tmp_path):
+    rng = np.random.default_rng(280)
+    table = tmp_path / "levels.txt"
+    levels = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, 279))))
+    table.write_text("\n".join(repr(float(e)) for e in levels) + "\n")
+    code, out, _ = run(capsys, "verify", "--suite", "gis", "--model", f"custom:{table}")
+    assert code == 0
+    assert json.loads(out)["summary"]["fail"] == 0
+
+
+def _run_quiet(argv):
+    """Exit code of main(argv), with SystemExit read as its code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def _inadmissible(lams, strengths) -> bool:
+    return any(lam == -1 or lam.real <= 0 for lam in lams) or any(k <= 1 for k in strengths)
+
+
+_strength = st.floats(min_value=0.5, max_value=4.0, exclude_min=True, exclude_max=True)
+_models = st.one_of(
+    st.sampled_from([("harmonic", ()), ("well", ())]),
+    st.tuples(_strength, _strength).map(lambda k: (f"pt:{k[0]!r},{k[1]!r}", k)),
+)
+_coord = st.floats(min_value=-60.0, max_value=60.0)
+# mostly admissible, so that most examples reach the numerics
+_lambda = st.builds(complex, st.floats(min_value=-2.0, max_value=5.0),
+                    st.floats(min_value=-5.0, max_value=5.0))
+
+
+def _flag(value: complex) -> str:
+    return f"{value.real!r},{value.imag!r}"
+
+
+@settings(max_examples=300)
+@example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(1.0, 0.0), lam=-1.0 + 0.0j, nmax=30)
+@given(model=_models, z=st.tuples(_coord, _coord), lam=_lambda,
+       nmax=st.integers(min_value=0, max_value=800))
+def test_state_gis_exit_code_contract(model, z, lam, nmax):
+    name, strengths = model
+    argv = ["state", "--model", name, "--family", "gis", "--z", _flag(complex(*z)),
+            "--lambda", _flag(lam), "--nmax", str(nmax)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = _run_quiet(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 3:
+        assert _inadmissible([lam], strengths), argv
+
+
+@settings(max_examples=300)
+@given(model=_models, z=st.tuples(_coord, _coord),
+       kind=st.sampled_from(["lambda-mod", "lambda-theta"]),
+       bounds=st.tuples(st.floats(-1.0, 4.0), st.floats(-1.0, 4.0)),
+       steps=st.integers(min_value=1, max_value=3))
+def test_sweep_gis_exit_code_contract(model, z, kind, bounds, steps):
+    name, strengths = model
+    argv = ["sweep", "--family", "gis", "--grid", f"{kind}:{bounds[0]!r}:{bounds[1]!r}:{steps}",
+            "--model", name, "--z", _flag(complex(*z))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = _run_quiet(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 3:
+        values = np.linspace(bounds[0], bounds[1], steps)
+        lams = [np.exp(1j * v) if kind == "lambda-theta" else complex(v) for v in values]
+        assert _inadmissible(lams, strengths), argv

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvstates import (DomainError, FockVector, SpectrumModel, TruncationError,
+from solvstates import (ConvergenceError, DomainError, FockVector, SpectrumModel, TruncationError,
                         build_ladder, eigenvalue_residual, f_operator,
                         gis_recurrence_oracle, quadratures, uncertainty)
 from solvstates.gazeau_klauder import gk_state
@@ -70,6 +70,19 @@ def test_fockvector_norm_and_inner(harmonic):
     w = v.normalized()
     assert w.norm() == pytest.approx(1.0)
     assert w.inner(w) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("coeffs", [np.full(4, 1e200), np.array([1e200, 3e199j, 1.0]),
+                                    np.full(8, 1e160 - 1e160j)])
+def test_normalized_refuses_overflowed_norm(harmonic, coeffs):
+    # dividing by an infinite norm would give zeros whose tail bound reads 0
+    with pytest.raises(ConvergenceError):
+        FockVector(harmonic, coeffs).normalized()
+
+
+def test_normalized_keeps_large_finite_norm(harmonic):
+    w = FockVector(harmonic, np.full(4, 1e150)).normalized()
+    assert np.allclose(w.coeffs, 0.5, rtol=1e-15)
 
 
 def test_energy_mean_matches_dense(pt22):

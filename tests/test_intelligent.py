@@ -14,6 +14,7 @@ from solvstates import (LambdaRejected, TruncationError, build_ladder,
 from solvstates import gazeau_klauder as gk
 from solvstates import intelligent as it
 from solvstates.analytic import taylor_coefficients
+from solvstates.verify import _gis_closed_form
 
 
 def brute_delta(model, n, h):
@@ -60,6 +61,17 @@ def test_closed_coefficients_match_high_precision_recurrence(pt22, lam, z):
     assert np.max(np.abs(state.coeffs - want)) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["harmonic", "pt22", "pt_soft", "well", "custom"])
+def test_delta_sum_closed_form_matches_recurrence(all_models, name):
+    # the independent route the gis verify suite keeps for n <= 15
+    model = all_models[name]
+    start = 90 if model.n_levels is None else model.n_levels - 2
+    for lam, z in ((2.0, 1.0), (2.0 + 1.0j, 2.0j), (1.5, -1.0 + 0.5j), (1.0, 1.0)):
+        state = it.gis_coefficients(model, it.GISParameters(z, lam), start)
+        closed = _gis_closed_form(state.model, z, lam, 15) * state.coeffs[0]
+        assert np.max(np.abs(closed - state.coeffs[:16])) < 1e-12
+
+
 def test_closed_matches_float_recurrence_oracle(pt_soft):
     z, lam = 1.0, 2.0
     state = it.gis_state(pt_soft, it.GISParameters(z, lam))
@@ -78,6 +90,42 @@ def test_cancellation_rescue_at_large_argument(pt22):
     want = mp_recurrence(pt22, z, lam, state.n_max)
     want *= state.coeffs[0] / want[0]
     assert np.max(np.abs(state.coeffs - want)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [90, 200, 400])
+@pytest.mark.parametrize("z", [3.0, -2.5 + 1.0j, 2.0j])
+@pytest.mark.parametrize("lam", [0.05, 0.3, 0.1 + 0.05j, 2.0])
+@pytest.mark.parametrize("name", ["harmonic", "well", "pt22"])
+def test_recurrence_matches_high_precision_oracle(all_models, name, lam, z, n):
+    # small |lam| decays slowly; where n cannot certify the tail the
+    # adaptive builder grows it and the grown state is compared instead
+    model, params = all_models[name], it.GISParameters(z, lam)
+    try:
+        state = it.gis_coefficients(model, params, n)
+    except TruncationError:
+        state = it.gis_state(model, params, n, attempts=6)
+    want = mp_recurrence(model, z, lam, state.n_max)
+    assert np.max(np.abs(state.coeffs - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("z", [40.0, 80.0])
+def test_large_displacement_never_returns_zeros(harmonic, z):
+    # the coefficients peak near e^{|z|^2/2}, far beyond float range, before
+    # they decay; the rescaled recurrence must certify or refuse, not overflow
+    try:
+        state = it.gis_coefficients(harmonic, it.GISParameters(z, 2.0), 800)
+    except TruncationError:
+        return
+    assert np.all(np.isfinite(state.coeffs))
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rescaled_recurrence_matches_oracle_past_float_range(harmonic):
+    z, lam = 40.0, 2.0
+    state = it.gis_state(harmonic, it.GISParameters(z, lam), 800)
+    assert state.tail_bound() < 1e-10
+    want = mp_recurrence(harmonic, z, lam, state.n_max)
+    assert np.max(np.abs(state.coeffs - want)) <= 1e-12
 
 
 def test_defining_relation_holds(pt22):

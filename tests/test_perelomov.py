@@ -2,6 +2,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -126,3 +127,19 @@ def test_disk_label_must_stay_inside():
     from solvstates import DomainError
     with pytest.raises(DomainError):
         pe.disk_coefficients(SpectrumModel.poschl_teller(2.0, 2.0), 1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("nu", [2.0, 2.2, 4.0, 7.9])
+def test_log_gamma_ratio_matches_mpmath(nu):
+    got = pe._log_gamma_ratio(nu, 1500)
+    want = np.array([float(mpmath.loggamma(n + nu + 1) - mpmath.loggamma(n + 1)
+                           - mpmath.loggamma(nu + 1)) for n in range(1501)])
+    assert np.max(np.abs(got - want)) < 5e-12
+
+
+def test_harmonic_amplitude_logs_match_mpmath(harmonic):
+    r, top = 1.3, 1500
+    got = pe._amp_logs(harmonic, r, top)
+    want = np.array([float(n * mpmath.log(r) - r * r / 2 - mpmath.loggamma(n + 1) / 2)
+                     for n in range(top + 1)])
+    assert np.max(np.abs(got - want)) < 1e-11
