@@ -281,10 +281,18 @@ def cn_ode(
 # states
 
 
+@functools.lru_cache(maxsize=64)
+def _log_gamma_ratio_cached(nu: float, n_top: int) -> tuple:
+    base = specfun.log_gamma(nu + 1.0)
+    return tuple(
+        specfun.log_gamma(n + nu + 1.0) - specfun.log_gamma(n + 1.0) - base
+        for n in range(n_top + 1)
+    )
+
+
 def _log_gamma_ratio(nu: float, n_top: int) -> np.ndarray:
-    """log of Gamma(n+nu+1) / (n! Gamma(nu+1)) = sum_{k<=n} log(1 + nu/k), n = 0..n_top."""
-    ks = np.arange(1, n_top + 1, dtype=float)
-    return np.concatenate([[0.0], np.cumsum(np.log1p(nu / ks))])
+    """log of Gamma(n+nu+1) / (n! Gamma(nu+1)) for n = 0..n_top."""
+    return np.array(_log_gamma_ratio_cached(nu, n_top))
 
 
 def plane_to_disk(z: complex) -> complex:
