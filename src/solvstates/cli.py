@@ -44,11 +44,11 @@ def _build_model(text: str, parser: argparse.ArgumentParser) -> SpectrumModel:
     if text.startswith("custom:"):
         path = text[len("custom:"):]
         try:
-            with open(path) as handle:
-                energies = [float(line) for line in handle if line.strip()]
+            return SpectrumModel.from_file(path)
         except (OSError, ValueError) as err:
+            if isinstance(err, DomainError) and err.__cause__ is None:
+                raise  # every line parsed, but the levels are inadmissible
             parser.error(f"cannot read energy table {path!r}: {err}")
-        return SpectrumModel.custom(energies)
     parser.error(f"unknown model {text!r}; use harmonic, pt:K,K', well, or custom:FILE")
     raise AssertionError("unreachable")
 

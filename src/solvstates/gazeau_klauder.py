@@ -111,11 +111,9 @@ def gk_state(
 ) -> GKState:
     """Construct the normalized eigenstate of a- with eigenvalue z."""
     z = complex(z)
-    if alpha is None:
-        alpha = model.alpha
-    elif alpha != model.alpha:
-        # keep the carried model consistent with the phases actually used
-        model = dataclasses.replace(model, alpha=alpha)
+    # keep the carried model consistent with the phases actually used
+    model = model.with_alpha(alpha)
+    alpha = model.alpha
     r = abs(z)
     radius = model.radius_estimate()
     # the normalization series lives in u = |z|^2; outside u < radius it diverges

@@ -154,8 +154,7 @@ def gis_coefficients(model: SpectrumModel, params: GISParameters, n_max: int) ->
     validate_lambda(params.lam)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    if params.alpha != model.alpha:
-        model = dataclasses.replace(model, alpha=params.alpha)
+    model = model.with_alpha(params.alpha)
     lam = complex(params.lam)
     two_z = 2.0 * complex(params.z)
     energies = model.energies(n_max)
@@ -317,8 +316,7 @@ def gis_disk_expansion(
         model = _nu_model(nu)
     elif abs(model.nu - nu) > 1e-12:
         raise DomainError("model strength disagrees with nu")
-    if alpha != model.alpha:
-        model = dataclasses.replace(model, alpha=alpha)
+    model = model.with_alpha(alpha)
     lam = complex(lam)
     zp = complex(zeta_prime)
     coeffs = np.zeros(n_max + 1, dtype=complex)

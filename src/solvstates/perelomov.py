@@ -3,7 +3,7 @@
 Three independent routes to the same radial coefficients c_n(r):
 
   * series   sum_j (-r^2)^j pi(n+1, j) / (n+2j)!  (nested energy sums)
-  * ode      dc_n/dr = c_{n-1}/r - n c_n/r - E_{n+1} c_{n+1} r, integrated RK4
+  * ode      dc_n/dr = c_{n-1}/r - n c_n/r - E_{n+1} c_{n+1} r, adaptive Dormand-Prince 5(4)
   * closed   e^{-r^2/2}/n!  or  (cosh r)^{-(nu+1)} (tanh r / r)^n / n!
 
 The series has a finite radius for the trigonometric well family (pi/2, set by
@@ -78,17 +78,39 @@ class DiskPoint:
 # nested energy sums
 
 
-@functools.lru_cache(maxsize=32)
+_BAND_BLOCK = 32
+
+
+def _room(model: SpectrumModel, n: int) -> int:
+    """Series depth a tabulated spectrum supports for band n: depth j needs E up to n + 2j + 2."""
+    return (model.n_levels - n - 3) // 2
+
+
+def _table_shape(model: SpectrumModel, n: int, depth: int) -> tuple[int, int]:
+    """(n_top, j_top) of the shared nested-sum table holding band n to ``depth`` terms.
+
+    Row n of the table does not depend on how many rows it has, so one table
+    per model and depth serves a whole block of bands; a tabulated spectrum's
+    table stops at its last level instead.
+    """
+    n_top = (n // _BAND_BLOCK + 1) * _BAND_BLOCK - 1
+    if model.kind != CUSTOM:
+        return n_top, depth
+    j_top = min(depth, _room(model, 0))
+    return min(n_top, model.n_levels - 3 - 2 * j_top), j_top
+
+
+@functools.lru_cache(maxsize=8)
 def _pi_log_table(model: SpectrumModel, n_top: int, j_top: int) -> np.ndarray:
     """log pi(n+1, j) for 0 <= n <= n_top, 0 <= j <= j_top.
 
     Filled column by column from pi(n+1, j) = pi(n, j) + E_{n+1} pi(n+2, j-1);
     all summands are positive so log-domain accumulation is cancellation-free.
     Rows extend beyond n_top because column j at row n consumes column j-1 at
-    row n+1.
+    row n+1; column j is filled on its first rows - 2j rows only.
     """
     rows = n_top + 2 * j_top + 2
-    log_e = np.array([math.log(model.energy(k)) for k in range(1, rows + 1)])
+    log_e = np.log(model.energies(rows)[1:])
     table = np.full((rows, j_top + 1), -math.inf)
     table[:, 0] = 0.0
     for j in range(1, j_top + 1):
@@ -99,13 +121,16 @@ def _pi_log_table(model: SpectrumModel, n_top: int, j_top: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=512)
-def _series_profile(model: SpectrumModel, n: int, j_cap: int) -> np.ndarray:
-    """log of pi(n+1, j) n! / (n+2j)! for j = 0..j_cap; the r-independent part."""
-    table = _pi_log_table(model, n, j_cap)
-    js = np.arange(j_cap + 1)
+def _series_profile(model: SpectrumModel, n: int, depth: int) -> np.ndarray:
+    """log of pi(n+1, j) n! / (n+2j)! for j = 0..depth; the r-independent part.
+
+    A tabulated spectrum cuts the depth to what its levels support.
+    """
+    j_cap = min(depth, _room(model, n)) if model.kind == CUSTOM else depth
+    table = _pi_log_table(model, *_table_shape(model, n, depth))
     lg_n = specfun.log_gamma(n + 1.0)
-    lg = np.array([specfun.log_gamma(n + 2 * j + 1.0) for j in js])
-    return table[n, :] + lg_n - lg
+    lg = np.array([specfun.log_gamma(n + 2 * j + 1.0) for j in range(j_cap + 1)])
+    return table[n, : j_cap + 1] + lg_n - lg
 
 
 def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = 160) -> float:
@@ -121,19 +146,18 @@ def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = 160) -> float
     if r < 0:
         raise DomainError("radial argument must be nonnegative")
     if model.kind == CUSTOM:
-        # the recursion table for band n at depth j consumes energies up to n + 2j + 2
-        room = (model.n_levels - n - 3) // 2
+        room = _room(model, n)
         if room < 4:
             raise TruncationError(
                 f"energy table too short for the band-{n} series (room for {max(room, 0)} terms)"
             )
-        j_cap = min(j_cap, room)
     if j_cap < 4:
         raise DomainError("j_cap too small to certify a tail")
     inv_fact = math.exp(-specfun.log_gamma(n + 1.0))
     if r == 0.0:
         return inv_fact
     profile = _series_profile(model, n, j_cap)
+    j_cap = profile.size - 1
     js = np.arange(j_cap + 1)
     with np.errstate(over="ignore"):
         mags = np.exp(profile + 2.0 * js * math.log(r) - specfun.log_gamma(n + 1.0))
@@ -196,51 +220,95 @@ def cn_closed(model: SpectrumModel, n_max: int, r: float) -> DisplacementCoeffs:
 # the coefficient ODE
 
 
-def _ode_run(model: SpectrumModel, r_target: float, n_sys: int, step: float) -> np.ndarray:
-    """Integrate the banded system on bands 0..n_sys with series closure above.
+# Dormand-Prince 5(4) tableau (J. R. Dormand & P. J. Prince, J. Comput. Appl.
+# Math. 6 (1980) 19-26).  The seventh stage is the derivative at the accepted
+# point, reused as the first stage of the next step (first same as last).
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+# fifth- minus fourth-order weights over all seven stages: the local error estimate
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_ODE_RTOL = 1e-11
+_ODE_ATOL = 1e-14
 
-    The closure value c_{n_sys+1}(r) comes from the series while it converges;
-    once the series gives up (finite radius) the closure freezes to zero and
-    the caller's doubling monitor is responsible for catching the fallout.
+
+def _ode_run(model: SpectrumModel, r_target: float, tops: tuple, step: float) -> np.ndarray:
+    """Integrate the banded systems on bands 0..top, one per top, as one stacked state.
+
+    Each system's closure value c_{top+1}(r) comes from the series while it
+    converges; once the series gives up (finite radius) that closure freezes
+    to zero and the caller's doubling monitor is responsible for catching the
+    fallout.  The systems share their adaptive steps, starting from ``step``,
+    and the error norm.
     """
-    energies = model.energies(n_sys + 1)[1:]
-    ns = np.arange(n_sys + 1)
-    state = {"alive": True}
+    sizes = np.array([top + 1 for top in tops])
+    ends = np.cumsum(sizes)
+    ns = np.concatenate([np.arange(size, dtype=float) for size in sizes])
+    e_up = np.concatenate([model.energies(top + 1)[1:] for top in tops])
+    alive = [True] * len(tops)
 
-    @functools.lru_cache(maxsize=8)
-    def closure(radius: float) -> float:
-        if not state["alive"]:
-            return 0.0
-        try:
-            return cn_series(model, n_sys + 1, radius, j_cap=400)
-        except TruncationError:
-            state["alive"] = False
-            return 0.0
+    @functools.lru_cache(maxsize=2)
+    def closure(radius: float) -> tuple:
+        values = []
+        for i, top in enumerate(tops):
+            if alive[i]:
+                try:
+                    values.append(cn_series(model, top + 1, radius, j_cap=400))
+                    continue
+                except TruncationError:
+                    alive[i] = False
+            values.append(0.0)
+        return tuple(values)
 
     def rhs(radius: float, c: np.ndarray) -> np.ndarray:
-        out = np.empty_like(c)
-        out[0] = -energies[0] * c[1] * radius if n_sys >= 1 else -energies[0] * closure(radius) * radius
-        if n_sys >= 1:
-            out[1:] = c[:-1] / radius - ns[1:] * c[1:] / radius
-            if n_sys >= 2:
-                out[1:-1] -= energies[1:-1] * c[2:] * radius
-            out[-1] -= energies[-1] * closure(radius) * radius
-        return out
+        lower = np.empty_like(c)
+        lower[1:] = c[:-1]
+        lower[ends - sizes] = 0.0
+        upper = np.empty_like(c)
+        upper[:-1] = c[1:]
+        upper[ends - 1] = closure(radius)
+        return (lower - ns * c) / radius - e_up * upper * radius
 
-    c = np.array([cn_series(model, n, _ODE_R0) for n in range(n_sys + 1)])
-    r = _ODE_R0
-    while r < r_target - 1e-15:
-        h = min(step, r_target - r)
-        k1 = rhs(r, c)
-        k2 = rhs(r + 0.5 * h, c + 0.5 * h * k1)
-        k3 = rhs(r + 0.5 * h, c + 0.5 * h * k2)
-        k4 = rhs(r + h, c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        r += h
-        if not np.all(np.isfinite(c)) or np.max(np.abs(c)) > 1e12:
+    start = [cn_series(model, n, _ODE_R0) for n in range(max(tops) + 1)]
+    c = np.concatenate([start[:size] for size in sizes])
+    r, h = _ODE_R0, step
+    k = np.empty((7, c.size))
+    k[0] = rhs(r, c)
+    while r < r_target:
+        h = min(h, r_target - r)
+        for i in range(1, 6):
+            k[i] = rhs(r + _DP_C[i] * h, c + h * (_DP_A[i, :i] @ k[:i]))
+        c_new = c + h * (_DP_B @ k[:6])
+        k[6] = rhs(r + h, c_new)
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = _ODE_ATOL + _ODE_RTOL * np.maximum(np.abs(c), np.abs(c_new))
+            err = float(np.sqrt(np.mean(np.square(h * (_DP_E @ k) / scale))))
+        if not math.isfinite(err):
+            factor = 0.2
+        elif err > 1.0:
+            factor = max(0.2, 0.9 * err**-0.2)
+        else:
+            r = r_target if h == r_target - r else r + h
+            c = c_new
+            k[0] = k[6]
+            if not np.all(np.isfinite(c)) or np.max(np.abs(c)) > 1e12:
+                raise ConvergenceError(
+                    f"coefficient blow-up at r={r:.4f} (bands 0..{max(tops)}); "
+                    "the truncation closure is not stable at this radius"
+                )
+            factor = min(10.0, 0.9 * max(err, 1e-10) ** -0.2)
+        h *= factor
+        if r < r_target and h <= 16.0 * np.spacing(r):
             raise ConvergenceError(
-                f"coefficient blow-up at r={r:.4f} (bands 0..{n_sys}); "
-                "the truncation closure is not stable at this radius"
+                f"ODE step size collapsed to h={h:.3e} at r={r:.6g}; "
+                "the coefficient system cannot be integrated to the requested radius"
             )
     return c
 
@@ -250,9 +318,10 @@ def cn_ode(
 ) -> DisplacementCoeffs:
     """Integrate the coefficient ODE out to r_target with a doubling self-check.
 
-    Runs the banded integration at n_max and again at 2 n_max + 4 and demands
-    band-wise agreement; disagreement means the top closure contaminated the
-    requested bands, which is reported instead of returned.
+    Integrates the banded system at n_max and at 2 n_max + 4 as one stacked
+    state by an adaptive Dormand-Prince 5(4) pair starting from ``step``, and
+    demands band-wise agreement; disagreement means the top closure
+    contaminated the requested bands, which is reported instead of returned.
     """
     if r_target > 5.0:
         raise DomainError("r_target above 5 is outside the supported range")
@@ -265,16 +334,16 @@ def cn_ode(
     if r_target <= _ODE_R0:
         vals = np.array([cn_series(model, n, r_target) for n in range(n_max + 1)])
         return DisplacementCoeffs(model, r_target, vals, METHOD_ODE)
-    base = _ode_run(model, r_target, n_max, step)
-    wide = _ode_run(model, r_target, 2 * n_max + 4, step)
-    scale = np.max(np.abs(wide[: n_max + 1]))
-    defect = float(np.max(np.abs(base - wide[: n_max + 1])) / max(scale, 1e-300))
+    stacked = _ode_run(model, r_target, (n_max, 2 * n_max + 4), step)
+    base, wide = stacked[: n_max + 1], stacked[n_max + 1 : 2 * n_max + 2]
+    scale = np.max(np.abs(wide))
+    defect = float(np.max(np.abs(base - wide)) / max(scale, 1e-300))
     if defect > 1e-8:
         raise ConvergenceError(
             f"closure defect {defect:.3e} after doubling the band count; "
             f"the integration is unreliable at r={r_target:.4g}"
         )
-    return DisplacementCoeffs(model, r_target, wide[: n_max + 1], METHOD_ODE)
+    return DisplacementCoeffs(model, r_target, wide, METHOD_ODE)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +398,9 @@ def _auto_state_n_max(model: SpectrumModel, r: float) -> int:
     return n
 
 
-def _state_phases(model: SpectrumModel, z: complex, alpha: float, n_top: int) -> np.ndarray:
+def _state_phases(model: SpectrumModel, z: complex, n_top: int) -> np.ndarray:
     energies = model.energies(n_top)
-    return np.exp(1j * (np.arange(n_top + 1) * np.angle(z) - alpha * energies))
+    return np.exp(1j * (np.arange(n_top + 1) * np.angle(z) - model.alpha * energies))
 
 
 def perelomov_state(
@@ -347,10 +416,7 @@ def perelomov_state(
     the series route and carry tail diagnostics instead.
     """
     z = complex(z)
-    if alpha is None:
-        alpha = model.alpha
-    elif alpha != model.alpha:
-        model = dataclasses.replace(model, alpha=alpha)
+    model = model.with_alpha(alpha)
     r = abs(z)
     if r == 0.0:
         vec = np.zeros((n_max or 0) + 1, dtype=complex)
@@ -374,7 +440,7 @@ def perelomov_state(
         used = len(values) - 1
         logs = model.log_products(used)
         mags = np.array(values) * np.exp(0.5 * logs + np.arange(used + 1) * math.log(r))
-        out = FockVector(model, mags * _state_phases(model, z, alpha, used))
+        out = FockVector(model, mags * _state_phases(model, z, used))
         tail = out.tail_bound()
         if not (tail < 1e-10):
             raise TruncationError(
@@ -384,7 +450,7 @@ def perelomov_state(
     if n_max is None:
         n_max = _auto_state_n_max(model, r)
     log_mag = _amp_logs(model, r, n_max)
-    return FockVector(model, np.exp(log_mag) * _state_phases(model, z, alpha, n_max))
+    return FockVector(model, np.exp(log_mag) * _state_phases(model, z, n_max))
 
 
 def disk_coefficients(
@@ -398,10 +464,7 @@ def disk_coefficients(
         raise DomainError("the disk picture needs a nu-type spectrum")
     point = DiskPoint(zeta)
     zeta = point.zeta
-    if alpha is None:
-        alpha = model.alpha
-    elif alpha != model.alpha:
-        model = dataclasses.replace(model, alpha=alpha)
+    model = model.with_alpha(alpha)
     rho = abs(zeta)
     if rho == 0.0:
         vec = np.zeros((n_max or 0) + 1, dtype=complex)
@@ -417,7 +480,7 @@ def disk_coefficients(
         + 0.5 * _log_gamma_ratio(nu, n_max)
     )
     energies = model.energies(n_max)
-    phases = np.exp(1j * (ns * np.angle(zeta) - alpha * energies))
+    phases = np.exp(1j * (ns * np.angle(zeta) - model.alpha * energies))
     return FockVector(model, np.exp(log_mag) * phases)
 
 

@@ -8,7 +8,7 @@ in the log domain to keep large levels representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,6 +95,12 @@ class SpectrumModel:
                 except ValueError as exc:
                     raise DomainError(f"{path}:{lineno}: not a number: {text!r}") from exc
         return cls.custom(values, alpha=alpha)
+
+    def with_alpha(self, alpha: float | None) -> SpectrumModel:
+        """The same spectrum with phase parameter alpha; None keeps this model's own."""
+        if alpha is None or alpha == self.alpha:
+            return self
+        return replace(self, alpha=alpha)
 
     # -- spectral data ---------------------------------------------------
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from solvstates import SpectrumModel, verify
 from solvstates.cli import main
 
 
@@ -209,6 +211,37 @@ def test_verify_gis_on_long_custom_table(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--suite", "gis", "--model", f"custom:{table}")
     assert code == 0
     assert json.loads(out)["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize("content", ["0\n1.5\nabc\n3\n", None], ids=["non-numeric", "missing"])
+def test_unreadable_energy_table_is_usage_error(capsys, tmp_path, content):
+    table = tmp_path / "levels.txt"
+    if content is not None:
+        table.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "ladder", "--model", f"custom:{table}"])
+    assert exc.value.code == 2
+    assert "cannot read energy table" in capsys.readouterr().err
+
+
+def test_inadmissible_energy_table_is_domain_rejection(capsys, tmp_path):
+    table = tmp_path / "levels.txt"
+    table.write_text("0\n2\n1\n")
+    code, _, err = run(capsys, "verify", "--suite", "ladder", "--model", f"custom:{table}")
+    assert code == 3
+    assert "strictly increasing" in err
+
+
+def test_energy_table_file_verifies_like_the_levels_it_holds(capsys, tmp_path, monkeypatch):
+    levels = [0.5 * n * (n + 3) for n in range(40)]
+    table = tmp_path / "levels.txt"
+    table.write_text("\n".join(f" {e!r} " for e in levels) + "\n\n")
+    # freeze the case timer so the two reports can be compared byte for byte
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    code, out, _ = run(capsys, "verify", "--suite", "perelomov", "--model", f"custom:{table}")
+    assert code == 0
+    report = verify.run_suite("perelomov", SpectrumModel.custom(levels))
+    assert out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def _run_quiet(argv):

@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.special as sp
 
-from solvstates import ConvergenceError, SpectrumModel, TruncationError
+from solvstates import ConvergenceError, DomainError, SpectrumModel, TruncationError
 from solvstates import perelomov as pe
 
 
@@ -31,6 +31,82 @@ def test_series_refuses_beyond_its_radius(pt22):
 def test_ode_refuses_when_monitor_detects_blowup(pt22):
     with pytest.raises(ConvergenceError):
         pe.cn_ode(pt22, 2.5, 10)
+
+
+@pytest.mark.parametrize("model", [
+    SpectrumModel.harmonic(),
+    SpectrumModel.square_well(),
+    SpectrumModel.poschl_teller(2.0, 2.0),
+    SpectrumModel.poschl_teller(2.7, 3.1),
+], ids=["harmonic", "well", "pt:2,2", "pt:2.7,3.1"])
+@pytest.mark.parametrize("r", [0.3, 0.5, 1.0])
+def test_adaptive_ode_matches_closed_form(model, r):
+    for n_max in (8, 10):
+        closed = pe.cn_closed(model, n_max, r).values
+        ode = pe.cn_ode(model, r, n_max).values
+        assert np.max(np.abs(ode - closed)) < 1e-10 * np.max(np.abs(closed))
+
+
+def test_adaptive_ode_matches_series_on_tabulated_spectrum(custom_table):
+    r, n_max = 0.5, 8
+    ode = pe.cn_ode(custom_table, r, n_max).values
+    series = np.array([pe.cn_series(custom_table, n, r) for n in range(n_max + 1)])
+    assert np.max(np.abs(ode - series)) < 1e-10 * np.max(np.abs(series))
+
+
+def test_ode_refuses_a_collapsing_step(monkeypatch, harmonic):
+    series = pe.cn_series
+
+    def poisoned_closure(model, n, r, j_cap=160):
+        # only the ODE's truncation closure asks for 400 terms
+        return math.nan if j_cap == 400 else series(model, n, r, j_cap)
+
+    monkeypatch.setattr(pe, "cn_series", poisoned_closure)
+    with pytest.raises(ConvergenceError, match=r"collapsed to h=.* at r=0\.001"):
+        pe.cn_ode(harmonic, 0.5, 8)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, 1.0000001e-3, 0.01])
+def test_ode_step_outside_its_range_is_a_domain_error(harmonic, step):
+    with pytest.raises(DomainError):
+        pe.cn_ode(harmonic, 0.5, 8, step=step)
+
+
+def test_ode_initial_step_is_only_a_start(harmonic):
+    coarse = pe.cn_ode(harmonic, 0.5, 8, step=1e-3).values
+    fine = pe.cn_ode(harmonic, 0.5, 8, step=1e-6).values
+    assert np.max(np.abs(coarse - fine)) < 1e-10 * np.max(np.abs(fine))
+
+
+def test_shared_nested_sum_table_rows_equal_per_band_tables(all_models):
+    for name in ("harmonic", "well", "pt_soft", "custom"):
+        model = all_models[name]
+        for depth in (160, 400):
+            # every band a cn_ode(.., 10) call asks for; all of them on the 40-level table
+            bands = range(30) if name == "custom" else (0, 1, 2, 9, 10, 11, 24, 25, 26)
+            shapes = {pe._table_shape(model, n, depth) for n in bands}
+            assert len(shapes) == 1, f"{name}: one table serves every band of an ODE call"
+            shared = pe._pi_log_table(model, *shapes.pop())
+            for n in bands:
+                j_cap = min(depth, pe._room(model, n)) if name == "custom" else depth
+                own = pe._pi_log_table.__wrapped__(model, n, j_cap)
+                assert np.array_equal(shared[n, : j_cap + 1], own[n]), (name, depth, n)
+
+
+def test_displacement_route_refusals_are_pinned(harmonic, pt22):
+    refusals = []
+    for name, model in (("harmonic", harmonic), ("pt(2,2)", pt22)):
+        for r in (0.3, 1.0, 2.0, 3.0):
+            try:
+                [pe.cn_series(model, n, r) for n in range(11)]
+            except TruncationError:
+                refusals.append(f"{name} series r={r:g}")
+            try:
+                pe.cn_ode(model, r, 10)
+            except ConvergenceError:
+                refusals.append(f"{name} ode r={r:g}")
+    assert refusals == ["pt(2,2) series r=2", "pt(2,2) ode r=2",
+                        "pt(2,2) series r=3", "pt(2,2) ode r=3"]
 
 
 def test_closed_route_covers_large_radius(pt22):

@@ -83,3 +83,12 @@ def test_alpha_carried(pt22):
     shifted = SpectrumModel.poschl_teller(2.0, 2.0, alpha=0.7)
     assert shifted.alpha == pytest.approx(0.7)
     assert pt22.alpha == 0.0
+
+
+def test_with_alpha_keeps_the_spectrum(pt22, custom_table):
+    assert pt22.with_alpha(None) is pt22
+    assert pt22.with_alpha(0.0) is pt22
+    shifted = pt22.with_alpha(0.7)
+    assert shifted == SpectrumModel.poschl_teller(2.0, 2.0, alpha=0.7)
+    assert shifted.with_alpha(0.0) == pt22
+    assert custom_table.with_alpha(0.3).table == custom_table.table
