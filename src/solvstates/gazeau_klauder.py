@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .errors import ConvergenceError, DomainError, TruncationError
+from .errors import DomainError, TruncationError
 from .fockspace import FockVector
 from .spectrum import CUSTOM, HARMONIC, SpectrumModel
 
@@ -243,19 +243,19 @@ def pt_measure(kappa: float, kappa_prime: float, n_ref: int = 20) -> RadialMeasu
 
 
 @functools.lru_cache(maxsize=64)
-def _moment_nodes(cutoff: float, order: int):
-    return specfun.gauss_legendre(order).scaled(0.0, cutoff)
+def _moment_nodes(nu: float, cutoff: float, order: int):
+    """Nodes log r and log(weight * K_nu(2r) r^{nu+1}) on (0, cutoff)."""
+    r, w = specfun.panel_rule([0.0, cutoff], order)
+    log_r = np.log(r)
+    log_base = np.log(w) + np.log(specfun.bessel_k(nu, 2.0 * r)) + (nu + 1.0) * log_r
+    log_r.flags.writeable = log_base.flags.writeable = False
+    return log_r, log_base
 
 
 def _moment(measure: RadialMeasure, n: int, log_rho: float, order: int) -> float:
-    nodes, weights = _moment_nodes(measure.r_cutoff, order)
-    nu = measure.nu
     # moment_n = 4 / rho(n) * int K_nu(2r) r^{2n+nu+1} dr with rho-scaled integrand
-    total = 0.0
-    for r, w in zip(nodes, weights):
-        log_k = math.log(specfun.bessel_k(nu, 2.0 * r))
-        total += w * math.exp(log_k + (2 * n + nu + 1) * math.log(r) - log_rho)
-    return 4.0 * total
+    log_r, log_base = _moment_nodes(measure.nu, measure.r_cutoff, order)
+    return 4.0 * float(np.sum(np.exp(log_base + 2 * n * log_r - log_rho)))
 
 
 def identity_moment_check(model: SpectrumModel, measure: RadialMeasure, n: int) -> float:
@@ -271,10 +271,6 @@ def identity_moment_check(model: SpectrumModel, measure: RadialMeasure, n: int) 
     if n < 0:
         raise DomainError("moment order must be nonnegative")
     log_rho = specfun.log_gamma(n + 1.0) + specfun.log_gamma(n + measure.nu + 1.0)
-    coarse = _moment(measure, n, log_rho, 200)
-    fine = _moment(measure, n, log_rho, 400)
-    if abs(coarse - fine) > 1e-9:
-        raise ConvergenceError(
-            f"moment quadrature unsettled: order 200 gives {coarse!r}, order 400 gives {fine!r}"
-        )
+    fine = specfun.settled(f"identity moment n={n}", _moment(measure, n, log_rho, 200),
+                           _moment(measure, n, log_rho, 400), 1e-9)
     return abs(fine - 1.0)

@@ -488,18 +488,19 @@ def disk_coefficients(
 # disk kernel and measure
 
 
-def _kernel_series(nu: float, w: np.ndarray, tol: float = 1e-16, hard_cap: int = 200000):
-    """sum_n G_n w^n over an array of disk products w = conj(zeta1) zeta2."""
+def _kernel_series(nu: float, w: np.ndarray, twist: float = 0.0):
+    """sum_n G_n e^{i twist n (n + nu)} w^n over an array of disk products
+    w = conj(zeta1) zeta2, where twist is the phase-label difference."""
     w = np.asarray(w, dtype=complex)
     total = np.ones_like(w)
     term = np.ones_like(w)
     n = 0
     quiet = 0
-    while n < hard_cap:
+    while n < 200000:
         n += 1
         term = term * w * ((n + nu) / n)
-        total = total + term
-        if np.all(np.abs(term) <= tol * np.maximum(np.abs(total), 1e-300)):
+        total = total + term * np.exp(1j * twist * n * (n + nu))
+        if np.all(np.abs(term) <= 1e-16 * np.maximum(np.abs(total), 1e-300)):
             quiet += 1
             if quiet >= 3:
                 return total
@@ -523,24 +524,7 @@ def disk_kernel(
         1.0 - abs(p2.zeta) ** 2
     ) ** (0.5 * (nu + 1.0))
     w = np.conj(p1.zeta) * p2.zeta
-    if alpha1 == alpha2:
-        return complex(pref * _kernel_series(nu, np.array([w]))[0])
-    # distinct phase labels twist term n by e^{i (alpha1 - alpha2) n (n + nu)}
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    n = 0
-    quiet = 0
-    while n < 200000:
-        n += 1
-        term = term * w * ((n + nu) / n)
-        total += term * np.exp(1j * (alpha1 - alpha2) * n * (n + nu))
-        if abs(term) <= 1e-16 * max(abs(total), 1e-300):
-            quiet += 1
-            if quiet >= 3:
-                return complex(pref * total)
-        else:
-            quiet = 0
-    raise ConvergenceError("kernel series did not settle; |zeta| too close to 1")
+    return complex(pref * _kernel_series(nu, np.array([w]), alpha1 - alpha2)[0])
 
 
 def disk_kernel_closed(nu: float, zeta1: complex, zeta2: complex) -> complex:
@@ -556,19 +540,11 @@ def disk_kernel_closed(nu: float, zeta1: complex, zeta2: complex) -> complex:
 
 def _disk_moment(nu: float, n: int, log_g: float, n_panels: int) -> float:
     """nu G_n int_0^1 t^n (1-t)^{nu-1} dt by graded composite quadrature."""
-    rule = specfun.gauss_legendre(24)
     # panels graded toward t=1 where (1-t)^{nu-1} has its endpoint kink
-    edges = 1.0 - np.logspace(0.0, -12.0, n_panels + 1)
-    edges[0] = 0.0
-    edges[-1] = 1.0
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs, ws = rule.scaled(float(a), float(b))
-        for t, w in zip(xs, ws):
-            if t <= 0.0 or t >= 1.0:
-                continue
-            total += w * math.exp(log_g + n * math.log(t) + (nu - 1.0) * math.log1p(-t))
-    return nu * total
+    t, w = specfun.panel_rule(specfun.graded_edges(1.0, 0.0, n_panels), 24)
+    inside = (t > 0.0) & (t < 1.0)
+    t, w = t[inside], w[inside]
+    return nu * float(np.sum(w * np.exp(log_g + n * np.log(t) + (nu - 1.0) * np.log1p(-t))))
 
 
 def disk_identity_check(nu: float, n: int) -> float:
@@ -586,10 +562,8 @@ def disk_identity_check(nu: float, n: int) -> float:
         - specfun.log_gamma(n + 1.0)
         - specfun.log_gamma(nu + 1.0)
     )
-    coarse = _disk_moment(nu, n, log_g, 24)
-    fine = _disk_moment(nu, n, log_g, 48)
-    if abs(coarse - fine) > 1e-10:
-        raise ConvergenceError(f"disk moment quadrature unsettled: {coarse!r} vs {fine!r}")
+    fine = specfun.settled(f"disk moment n={n}", _disk_moment(nu, n, log_g, 24),
+                           _disk_moment(nu, n, log_g, 48), 1e-10)
     return abs(fine - 1.0)
 
 
@@ -606,26 +580,20 @@ def kernel_reproducing_residual(
     trapezoid (periodic analytic integrand, spectrally accurate).
     """
     pa, pb = DiskPoint(zeta_a), DiskPoint(zeta_b)
-    rule = specfun.gauss_legendre(32)
+    rhos, ws = specfun.panel_rule(np.linspace(0.0, 1.0, radial_panels + 1), 32)
+    inside = rhos < 1.0
+    rhos, ws = rhos[inside], ws[inside]
     phis = np.linspace(0.0, 2.0 * math.pi, angular_n, endpoint=False)
-    ring = np.exp(1j * phis)
+    zetas = rhos[:, None] * np.exp(1j * phis)
     p = 0.5 * (nu + 1.0)
-    total = 0.0 + 0.0j
-    edges = np.linspace(0.0, 1.0, radial_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        rhos, ws = rule.scaled(float(a), float(b))
-        for rho, w in zip(rhos, ws):
-            if rho >= 1.0:
-                continue
-            zetas = rho * ring
-            # kernel factors against the fixed endpoints, phase labels at 0
-            left = _kernel_series(nu, np.conj(pa.zeta) * zetas)
-            right = _kernel_series(nu, np.conj(zetas) * pb.zeta)
-            pref = (
-                (1.0 - abs(pa.zeta) ** 2) ** p
-                * (1.0 - abs(pb.zeta) ** 2) ** p
-                * (1.0 - rho * rho) ** (nu + 1.0)
-            )
-            angular = np.mean(left * right) * 2.0 * math.pi
-            total += w * (nu / math.pi) * pref * angular * rho / (1.0 - rho * rho) ** 2
+    # kernel factors against the fixed endpoints, phase labels at 0
+    left = _kernel_series(nu, np.conj(pa.zeta) * zetas)
+    right = _kernel_series(nu, np.conj(zetas) * pb.zeta)
+    pref = (
+        (1.0 - abs(pa.zeta) ** 2) ** p
+        * (1.0 - abs(pb.zeta) ** 2) ** p
+        * (1.0 - rhos * rhos) ** (nu + 1.0)
+    )
+    angular = np.mean(left * right, axis=1) * 2.0 * math.pi
+    total = np.sum(ws * (nu / math.pi) * pref * angular * rhos / (1.0 - rhos * rhos) ** 2)
     return abs(complex(total) - disk_kernel(nu, pa.zeta, pb.zeta))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .specfun import gauss_legendre, jacobi_p, log_gamma
+from .errors import DomainError
+from .specfun import jacobi_p, log_gamma, panel_rule, settled
 
 #: central-difference step for all finite-difference residuals
 H_STEP = 1e-5
@@ -248,7 +248,7 @@ def rayleigh_quotient(p: PTParameters, n: int) -> float:
 
 def _quad_nodes(p: PTParameters, order: int):
     margin = QUAD_MARGIN * p.box
-    return gauss_legendre(order).scaled(margin, p.box - margin)
+    return panel_rule([margin, p.box - margin], order)
 
 
 def gram_matrix(p: PTParameters, n_max: int, order: int = 200):
@@ -275,9 +275,6 @@ def overlap_matrix(p: PTParameters, n_max: int):
     """
     if not 0 <= n_max <= 20:
         raise DomainError("overlap_matrix covers 0 <= n_max <= 20")
-    coarse = _overlap_at(p, n_max, 200)
-    fine = _overlap_at(p, n_max, 260)
-    drift = float(np.max(np.abs(fine - coarse)))
-    if drift > 1e-9:
-        raise ConvergenceError(f"overlap quadrature drift {drift:.3e} at n_max={n_max}")
+    fine = settled(f"overlap n_max={n_max}", _overlap_at(p, n_max, 200),
+                   _overlap_at(p, n_max, 260), 1e-9)
     return fine.astype(complex)

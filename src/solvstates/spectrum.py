@@ -73,6 +73,9 @@ class SpectrumModel:
     def custom(cls, energies, alpha=0.0):
         """Finite table of energies, one per level, starting at exactly 0."""
         table = tuple(float(e) for e in energies)
+        bad = next((k for k, e in enumerate(table) if not math.isfinite(e)), None)
+        if bad is not None:
+            raise DomainError(f"custom spectrum level {bad} is not finite: {table[bad]!r}")
         if len(table) < 2:
             raise DomainError("custom spectrum needs at least two levels")
         if table[0] != 0.0:
@@ -149,10 +152,7 @@ class SpectrumModel:
         """E(n) = E_1 ... E_n accumulated as a sum of logs."""
         if n < 0:
             raise DomainError("level index must be >= 0")
-        total = 0.0
-        for k in range(1, n + 1):
-            total += math.log(self.energy(k))
-        return EnergyProduct(n=n, log_value=total)
+        return EnergyProduct(n=n, log_value=float(self.log_products(n)[n]))
 
     def log_products(self, n_max: int) -> np.ndarray:
         """Array of log E(n) for n = 0 .. n_max."""
@@ -170,8 +170,9 @@ class SpectrumModel:
         if self.kind == CUSTOM:
             n_max = min(n_max, len(self.table) - 1)
         half = n_max // 2
-        s_half = math.exp(self.energy_product(half).log_value / half)
-        s_full = math.exp(self.energy_product(n_max).log_value / n_max)
+        logs = self.log_products(n_max)
+        s_half = math.exp(logs[half] / half)
+        s_full = math.exp(logs[n_max] / n_max)
         if s_full / s_half > _DIVERGENCE_RATIO:
             return math.inf
         return s_full

@@ -122,6 +122,13 @@ def test_verify_json_and_exit_zero(capsys):
     assert doc["summary"]["fail"] == 0
 
 
+def test_verify_gis_on_soft_poschl_teller(capsys):
+    # nu = 2.4: the Laplace bridge integrand has a z^2.4 kink at 0
+    code, out, _ = run(capsys, "verify", "--suite", "gis", "--model", "pt:1.2,1.2")
+    assert code == 0
+    assert json.loads(out)["summary"]["fail"] == 0
+
+
 def test_verify_custom_skips_unmeasured_identity(capsys, tmp_path):
     table = tmp_path / "levels.txt"
     table.write_text("\n".join(str(0.5 * n * (n + 3)) for n in range(40)) + "\n")
@@ -230,6 +237,11 @@ def test_inadmissible_energy_table_is_domain_rejection(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--suite", "ladder", "--model", f"custom:{table}")
     assert code == 3
     assert "strictly increasing" in err
+    table.write_text("0\n1\nnan\n3\n")
+    code, _, err = run(capsys, "state", "--model", f"custom:{table}", "--family", "gk",
+                       "--z", "0.5,0", "--nmax", "2")
+    assert code == 3
+    assert "level 2 is not finite: nan" in err
 
 
 def test_energy_table_file_verifies_like_the_levels_it_holds(capsys, tmp_path, monkeypatch):

@@ -195,6 +195,17 @@ def test_kernel_unit_diagonal():
         assert abs(pe.disk_kernel_closed(nu, z, z) - 1.0) < 1e-12
 
 
+def test_twisted_kernel_against_direct_sum():
+    # distinct phase labels twist term n by e^{i (alpha1 - alpha2) n (n + nu)}
+    nu, z1, z2, a1, a2 = 4.0, 0.3 + 0.2j, -0.1 + 0.5j, 0.4, -0.3
+    ns = np.arange(400)
+    g_n = np.exp(sp.gammaln(ns + nu + 1.0) - sp.gammaln(ns + 1.0) - sp.gammaln(nu + 1.0))
+    series = np.sum(g_n * (np.conj(z1) * z2) ** ns * np.exp(1j * (a1 - a2) * ns * (ns + nu)))
+    pref = ((1.0 - abs(z1) ** 2) * (1.0 - abs(z2) ** 2)) ** ((nu + 1.0) / 2.0)
+    assert abs(pe.disk_kernel(nu, z1, z2, a1, a2) - pref * series) < 1e-13
+    assert abs(pe.disk_kernel(nu, z1, z2) - pe.disk_kernel_closed(nu, z1, z2)) < 1e-13
+
+
 def test_kernel_reproduces_itself():
     assert pe.kernel_reproducing_residual(4.0, 0.3 + 0.1j, 0.2 - 0.4j) < 1e-8
 

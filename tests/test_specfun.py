@@ -8,7 +8,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvstates import DomainError
+from solvstates import ConvergenceError, DomainError
 from solvstates import specfun
 
 
@@ -97,6 +97,12 @@ def test_bessel_k_against_scipy(nu):
     xs = np.array([0.3, 1.0, 2.5, 6.0])
     got = np.array([specfun.bessel_k(nu, x) for x in xs])
     assert np.allclose(got, sp.kv(nu, xs), rtol=1e-11)
+    # one array call (x spanning several truncation points) matches the scalar calls
+    grid = np.array([[0.3, 1.0], [2.5, 6.0], [1e-3, 40.0]])
+    scalar = np.array([[specfun.bessel_k(nu, x) for x in row] for row in grid])
+    assert isinstance(specfun.bessel_k(nu, 1.0), float)
+    assert specfun.bessel_k(nu, grid).shape == grid.shape
+    assert np.max(np.abs(specfun.bessel_k(nu, grid) / scalar - 1.0)) < 1e-14
 
 
 @pytest.mark.parametrize("nu", [2.0, 5.4])
@@ -115,18 +121,46 @@ def test_gauss_legendre_nodes_match_numpy():
 
 
 def test_gauss_legendre_exactness():
-    # order m integrates monomials up to degree 2m-1 exactly
-    rule = specfun.gauss_legendre(12)
-    for k in range(24):
-        got = rule.integrate(lambda x: x ** k, -1.0, 1.0)
-        want = 0.0 if k % 2 else 2.0 / (k + 1)
-        assert got == pytest.approx(want, abs=1e-13)
+    # order m integrates monomials up to degree 2m-1 exactly, on one panel or several
+    for edges in ([-1.0, 1.0], [-1.0, -0.2, 0.5, 1.0]):
+        x, w = specfun.panel_rule(edges, 12)
+        assert x.shape == w.shape == (12 * (len(edges) - 1),)
+        for k in range(24):
+            want = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert np.dot(w, x ** k) == pytest.approx(want, abs=1e-13)
 
 
 def test_gauss_legendre_scaled_interval():
-    rule = specfun.gauss_legendre(40)
-    got = rule.integrate(np.exp, 0.0, 2.0)
-    assert got == pytest.approx(math.e ** 2 - 1.0, rel=1e-14)
+    x, w = specfun.panel_rule([0.0, 2.0], 40)
+    assert np.all((x > 0.0) & (x < 2.0))
+    assert np.dot(w, np.exp(x)) == pytest.approx(math.e ** 2 - 1.0, rel=1e-14)
+    x, w = specfun.panel_rule([0.0, 0.3, 1.1, 2.0], 40)
+    assert np.dot(w, np.exp(x)) == pytest.approx(math.e ** 2 - 1.0, rel=1e-14)
+
+
+def test_graded_edges_shrink_geometrically_toward_the_endpoint():
+    up = specfun.graded_edges(1.0, 0.0, 24)
+    assert up[0] == 0.0 and up[-1] == 1.0 and np.all(np.diff(up) > 0)
+    assert np.allclose((1.0 - up[1:-1]) / (1.0 - up[:-2]), 10.0 ** -0.5)
+    down = specfun.graded_edges(0.0, 2.0, 12)
+    assert down[0] == 0.0 and down[1] == pytest.approx(2e-11) and down[-1] == 2.0
+    # x^2.4 has its kink at 0; the graded rule integrates it where one panel cannot
+    x, w = specfun.panel_rule(down, 16)
+    assert np.dot(w, x ** 2.4) == pytest.approx(2.0 ** 3.4 / 3.4, rel=1e-14)
+
+
+def test_settled_refuses_disagreeing_resolutions():
+    assert specfun.settled("case", 1.0, 1.0 + 1e-12, 1e-9) == 1.0 + 1e-12
+    with pytest.raises(ConvergenceError, match=r"moment n=3 quadrature unsettled: "
+                       r"coarse 1\.0, fine 1\.5 \(gap 5\.000e-01 > 1\.0e-09\)"):
+        specfun.settled("moment n=3", 1.0, 1.5, 1e-9)
+    coarse = np.zeros((2, 3))
+    fine = coarse.copy()
+    fine[1, 2] = 2e-9
+    with pytest.raises(ConvergenceError, match=r"coarse 0\.0, fine 2e-09"):
+        specfun.settled("overlap", coarse, fine, 1e-9)
+    with pytest.raises(ConvergenceError):
+        specfun.settled("nan", 1.0, math.nan, 1e-9)
 
 
 def test_gauss_legendre_order_guard():

@@ -64,12 +64,31 @@ def test_custom_guards():
         SpectrumModel.custom([0.5, 1.0, 2.0])  # ground level must be zero
     with pytest.raises(DomainError):
         SpectrumModel.custom([0.0])  # too short
+    with pytest.raises(DomainError, match="level 2 is not finite: nan"):
+        SpectrumModel.custom([0.0, 1.0, math.nan, 3.0, 4.0])  # NaN compares false
+    with pytest.raises(DomainError, match="level 2 is not finite: inf"):
+        SpectrumModel.custom([0.0, 1.0, math.inf])
 
 
 def test_pt_guards():
     for bad in ((1.0, 2.0), (2.0, 0.5), (0.0, 0.0)):
         with pytest.raises(DomainError):
             SpectrumModel.poschl_teller(*bad)
+
+
+def test_products_and_radius_match_a_per_level_loop(custom_table):
+    models = [SpectrumModel.harmonic(), SpectrumModel.square_well(),
+              SpectrumModel.poschl_teller(3.5, 1.2), custom_table]
+    for model in models:
+        n_max = min(200, model.n_levels - 1) if model.n_levels else 200
+        logs = [0.0]
+        for k in range(1, n_max + 1):
+            logs.append(logs[-1] + math.log(model.energy(k)))
+        half = n_max // 2
+        assert model.energy_product(n_max).log_value == pytest.approx(logs[-1], rel=1e-14)
+        s_half, s_full = math.exp(logs[half] / half), math.exp(logs[-1] / n_max)
+        want = math.inf if s_full / s_half > 1.2 else s_full
+        assert model.radius_estimate(n_max) == pytest.approx(want, rel=1e-14)
 
 
 def test_custom_radius_finite():
