@@ -8,9 +8,11 @@ Three independent routes to the same radial coefficients c_n(r):
 
 The series has a finite radius for the trigonometric well family (pi/2, set by
 the poles of sech); both the series and the ODE report their own breakdown
-instead of returning drifted numbers.  For the well family the same states
-live on the unit disk via zeta = z tanh|z| / |z|, where the overlap kernel
-and the resolving measure are elementary.
+instead of returning drifted numbers.  One kernel evaluates the series for an
+array of (band, radius) pairs; ``cn_series`` wraps it for one pair, and the
+ODE calls it once per step for both closures at every stage radius.  For the
+well family the same states live on the unit disk via zeta = z tanh|z| / |z|,
+where the overlap kernel and the resolving measure are elementary.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ _METHODS = (METHOD_SERIES, METHOD_ODE, METHOD_CLOSED_PT, METHOD_CLOSED_HO)
 
 _ODE_R0 = 1e-3
 _SERIES_TOL = 1e-15
+# first cut of every series; up to r = 0.7 every Poschl-Teller band to 25 settles inside it
+_SHALLOW_DEPTH = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,6 +124,12 @@ def _pi_log_table(model: SpectrumModel, n_top: int, j_top: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=4096)
+def _log_factorial(m: int) -> float:
+    """log m!, shared by every model's series profiles."""
+    return specfun.log_gamma(m + 1.0)
+
+
 @functools.lru_cache(maxsize=512)
 def _series_profile(model: SpectrumModel, n: int, depth: int) -> np.ndarray:
     """log of pi(n+1, j) n! / (n+2j)! for j = 0..depth; the r-independent part.
@@ -128,9 +138,84 @@ def _series_profile(model: SpectrumModel, n: int, depth: int) -> np.ndarray:
     """
     j_cap = min(depth, _room(model, n)) if model.kind == CUSTOM else depth
     table = _pi_log_table(model, *_table_shape(model, n, depth))
-    lg_n = specfun.log_gamma(n + 1.0)
-    lg = np.array([specfun.log_gamma(n + 2 * j + 1.0) for j in range(j_cap + 1)])
-    return table[n, : j_cap + 1] + lg_n - lg
+    lg = np.array([_log_factorial(n + 2 * j) for j in range(j_cap + 1)])
+    return table[n, : j_cap + 1] + _log_factorial(n) - lg
+
+
+def _series_pass(model: SpectrumModel, bands: list, radii: list, depths: list):
+    """One cut of the series for the pairs (bands[i], radii[i]), each cut at depths[i].
+
+    Rows are the pairs, padded past their depth with nan terms, which never
+    settle; returns the settled partial sums and the mask of the pairs that
+    settled inside their cut.
+    """
+    keys = list(zip(bands, depths))
+    unique = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    profiles = [_series_profile(model, n, depth) for n, depth in unique]
+    rows = np.array([unique[key] for key in keys])
+    stack = np.full((len(profiles), max(profile.size for profile in profiles)), math.nan)
+    for row, profile in zip(stack, profiles):
+        row[: profile.size] = profile
+    lg_n = np.array([_log_factorial(n) for n, _ in unique])
+    js = np.arange(stack.shape[1])
+    log_r = np.array([math.log(r) for r in radii])
+    # an overflowing term leaves its row unsettled (inf, then nan partial sums)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.exp(stack[rows] + 2.0 * js * log_r[:, None] - lg_n[rows, None])
+        terms = mags.copy()
+        terms[:, 1::2] *= -1.0  # the series alternates
+        partial = np.cumsum(terms, axis=1)
+        small = mags <= _SERIES_TOL * np.maximum(np.abs(partial), 1e-300)
+    settled = small[:, 1:] & small[:, :-1]
+    first = np.argmax(settled, axis=1)
+    return partial[np.arange(rows.size), first + 1], settled.any(axis=1)
+
+
+def _series_kernel(model: SpectrumModel, bands, radii, j_caps):
+    """c_n(r) for the 1-d pairs (bands[i], radii[i]), r > 0, capped at j_caps (one or per pair).
+
+    Returns (values, failed); failed marks the pairs whose tail did not
+    certify, tabulated bands without room for four terms included, and their
+    values are nan.  Pairs that do not settle inside _SHALLOW_DEPTH terms are
+    redone at their cap; a settled pair gets the same bits from both cuts,
+    because the nested sums and the partial sums are prefix accumulations.
+    """
+    bands = np.asarray(bands, dtype=int)
+    radii = np.asarray(radii, dtype=float)
+    j_caps = np.zeros(bands.size, dtype=int) + j_caps
+    values = np.full(bands.size, math.nan)
+    failed = np.ones(bands.size, dtype=bool)
+    todo = np.arange(bands.size)
+    if model.kind == CUSTOM:
+        todo = todo[_room(model, bands) >= 4]
+    depths = np.minimum(j_caps, _SHALLOW_DEPTH)
+    while todo.size:
+        got, ok = _series_pass(model, bands[todo].tolist(), radii[todo].tolist(),
+                               depths[todo].tolist())
+        values[todo[ok]] = got[ok]
+        failed[todo[ok]] = False
+        todo = todo[~ok & (depths[todo] < j_caps[todo])]
+        depths = j_caps
+    return values, failed
+
+
+def _refusal(model: SpectrumModel, n: int, r: float, j_cap: int) -> TruncationError:
+    """The error for band n, whose series at radius r did not certify by j_cap."""
+    if model.kind == CUSTOM and _room(model, n) < 4:
+        return TruncationError(
+            f"energy table too short for the band-{n} series "
+            f"(room for {max(_room(model, n), 0)} terms)"
+        )
+    profile = _series_profile(model, n, j_cap)
+    j_top = profile.size - 1
+    message = f"series tail not below 1e-15 by j_cap={j_top} at r={r:.6g} (band {n})"
+    # geometric estimate of the series depth that would certify the tail
+    log_ratio = profile[-1] - profile[-2] + 2.0 * math.log(r)
+    if j_top < j_cap:
+        message += "; the energy table has room for no more terms"
+    elif log_ratio < 0.0:
+        message += f"; about j_cap >= {int(j_top + math.log(1e-15) / log_ratio) + 4} needed"
+    return TruncationError(message)
 
 
 def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = 160) -> float:
@@ -139,45 +224,23 @@ def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = 160) -> float
     Terms are assembled in the log domain, so the nested sums never overflow.
     The terms alternate in sign; once they drop below 1e-15 of the running
     sum (two j in a row) the tail is certified, and if that does not happen
-    by j_cap the series is declared unusable at this radius.
+    by j_cap the series is declared unusable at this radius; the error names
+    the j_cap a geometric extrapolation of the last terms would need.
     """
     if n < 0:
         raise DomainError("band index must be nonnegative")
     if r < 0:
         raise DomainError("radial argument must be nonnegative")
-    if model.kind == CUSTOM:
-        room = _room(model, n)
-        if room < 4:
-            raise TruncationError(
-                f"energy table too short for the band-{n} series (room for {max(room, 0)} terms)"
-            )
+    if model.kind == CUSTOM and _room(model, n) < 4:
+        raise _refusal(model, n, r, j_cap)
     if j_cap < 4:
         raise DomainError("j_cap too small to certify a tail")
-    inv_fact = math.exp(-specfun.log_gamma(n + 1.0))
     if r == 0.0:
-        return inv_fact
-    profile = _series_profile(model, n, j_cap)
-    j_cap = profile.size - 1
-    js = np.arange(j_cap + 1)
-    with np.errstate(over="ignore"):
-        mags = np.exp(profile + 2.0 * js * math.log(r) - specfun.log_gamma(n + 1.0))
-    terms = np.where(js % 2 == 0, mags, -mags)
-    partial = np.cumsum(terms)
-    floor = np.maximum(np.abs(partial), 1e-300)
-    small = np.abs(terms) <= _SERIES_TOL * floor
-    settled = small[1:] & small[:-1]
-    hits = np.nonzero(settled)[0]
-    if hits.size:
-        return float(partial[hits[0] + 1])
-    suggestion = None
-    last_ratio = mags[-1] / mags[-2] if mags[-2] > 0 and math.isfinite(mags[-1]) else None
-    if last_ratio is not None and 0.0 < last_ratio < 1.0:
-        # geometric estimate of the j needed to certify the tail
-        suggestion = int(j_cap + math.log(1e-15) / math.log(last_ratio)) + 4
-    raise TruncationError(
-        f"series tail not below 1e-15 by j_cap={j_cap} at r={r:.6g} (band {n})",
-        suggested_n_max=suggestion,
-    )
+        return math.exp(-_log_factorial(n))
+    values, failed = _series_kernel(model, [n], [r], j_cap)
+    if failed[0]:
+        raise _refusal(model, n, r, j_cap)
+    return float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +302,26 @@ _ODE_RTOL = 1e-11
 _ODE_ATOL = 1e-14
 
 
+def _closures(model: SpectrumModel, bands: np.ndarray, alive: np.ndarray, radii) -> np.ndarray:
+    """Closure values c_{top+1} at each stage radius (rows) for each system (columns).
+
+    One kernel call covers every live system at every radius of a step.  A
+    closure freezes to 0 at its first uncertified stage, in stage order, and
+    stays frozen: ``alive`` is cleared in place, so later steps, retries of a
+    rejected step included, no longer evaluate it.
+    """
+    tails = np.zeros((len(radii), bands.size))
+    live = np.nonzero(alive)[0]
+    if live.size:
+        values, failed = _series_kernel(
+            model, np.repeat(bands[live], len(radii)), np.concatenate([radii] * live.size), 400
+        )
+        frozen = np.logical_or.accumulate(failed.reshape(live.size, -1), axis=1)
+        tails[:, live] = np.where(frozen, 0.0, values.reshape(live.size, -1)).T
+        alive[live] = ~frozen[:, -1]
+    return tails
+
+
 def _ode_run(model: SpectrumModel, r_target: float, tops: tuple, step: float) -> np.ndarray:
     """Integrate the banded systems on bands 0..top, one per top, as one stacked state.
 
@@ -246,47 +329,49 @@ def _ode_run(model: SpectrumModel, r_target: float, tops: tuple, step: float) ->
     converges; once the series gives up (finite radius) that closure freezes
     to zero and the caller's doubling monitor is responsible for catching the
     fallout.  The systems share their adaptive steps, starting from ``step``,
-    and the error norm.
+    and the error norm.  The start vector and the first closures take one
+    series kernel call, and each attempted step one more for all its stages.
     """
     sizes = np.array([top + 1 for top in tops])
     ends = np.cumsum(sizes)
     ns = np.concatenate([np.arange(size, dtype=float) for size in sizes])
     e_up = np.concatenate([model.energies(top + 1)[1:] for top in tops])
-    alive = [True] * len(tops)
+    bands = sizes  # the closure band of each system, top + 1
+    alive = np.ones(len(tops), dtype=bool)
 
-    @functools.lru_cache(maxsize=2)
-    def closure(radius: float) -> tuple:
-        values = []
-        for i, top in enumerate(tops):
-            if alive[i]:
-                try:
-                    values.append(cn_series(model, top + 1, radius, j_cap=400))
-                    continue
-                except TruncationError:
-                    alive[i] = False
-            values.append(0.0)
-        return tuple(values)
+    heads, lasts = ends - sizes, ends - 1
 
-    def rhs(radius: float, c: np.ndarray) -> np.ndarray:
+    def rhs(radius: float, c: np.ndarray, tail: np.ndarray) -> np.ndarray:
         lower = np.empty_like(c)
         lower[1:] = c[:-1]
-        lower[ends - sizes] = 0.0
+        lower[heads] = 0.0
         upper = np.empty_like(c)
         upper[:-1] = c[1:]
-        upper[ends - 1] = closure(radius)
+        upper[lasts] = tail
         return (lower - ns * c) / radius - e_up * upper * radius
 
-    start = [cn_series(model, n, _ODE_R0) for n in range(max(tops) + 1)]
+    # c_0 .. c_top to 160 terms, and the widest closure band to 400 terms
+    top = max(tops)
+    caps = np.full(top + 2, 160)
+    caps[-1] = 400
+    start, failed = _series_kernel(model, np.arange(top + 2), np.full(top + 2, _ODE_R0), caps)
+    if failed[:-1].any():
+        raise _refusal(model, int(np.argmax(failed)), _ODE_R0, 160)
+    # every other closure band settled inside 160 terms, which are its first 160 of 400
+    alive &= ~failed[bands]
     c = np.concatenate([start[:size] for size in sizes])
     r, h = _ODE_R0, step
     k = np.empty((7, c.size))
-    k[0] = rhs(r, c)
+    k[0] = rhs(r, c, np.where(alive, start[bands], 0.0))
     while r < r_target:
         h = min(h, r_target - r)
+        radii = r + _DP_C[1:] * h
+        tails = _closures(model, bands, alive, radii)
         for i in range(1, 6):
-            k[i] = rhs(r + _DP_C[i] * h, c + h * (_DP_A[i, :i] @ k[:i]))
+            k[i] = rhs(radii[i - 1], c + h * (_DP_A[i, :i] @ k[:i]), tails[i - 1])
         c_new = c + h * (_DP_B @ k[:6])
-        k[6] = rhs(r + h, c_new)
+        # the last stage sits at r + h, where the derivative is taken next
+        k[6] = rhs(r + h, c_new, tails[4])
         with np.errstate(invalid="ignore", over="ignore"):
             scale = _ODE_ATOL + _ODE_RTOL * np.maximum(np.abs(c), np.abs(c_new))
             err = float(np.sqrt(np.mean(np.square(h * (_DP_E @ k) / scale))))
@@ -300,7 +385,7 @@ def _ode_run(model: SpectrumModel, r_target: float, tops: tuple, step: float) ->
             k[0] = k[6]
             if not np.all(np.isfinite(c)) or np.max(np.abs(c)) > 1e12:
                 raise ConvergenceError(
-                    f"coefficient blow-up at r={r:.4f} (bands 0..{max(tops)}); "
+                    f"coefficient blow-up at r={r:.4f} (bands 0..{top}); "
                     "the truncation closure is not stable at this radius"
                 )
             factor = min(10.0, 0.9 * max(err, 1e-10) ** -0.2)

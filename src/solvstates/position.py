@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import jacobi_p, log_gamma, panel_rule, settled
+from .specfun import jacobi_rows, log_gamma, panel_rule, settled
 
 #: central-difference step for all finite-difference residuals
 H_STEP = 1e-5
@@ -153,22 +153,35 @@ def _log_norm(p: PTParameters, n: int) -> float:
             - math.log(2.0 * n + k + kp))
 
 
-def eigenfunction(p: PTParameters, n: int, x):
-    """Normalized bound state psi_n, vanishing like x^kappa at the left wall."""
-    if not 0 <= n <= 50:
+def eigenfunctions(p: PTParameters, n_max: int, x):
+    """Normalized bound states psi_0 .. psi_{n_max} at x, one row each.
+
+    One pass of the Jacobi recurrence gives every row; each vanishes like
+    x^kappa at the left wall.
+    """
+    if not 0 <= n_max <= 50:
         raise DomainError("eigenfunction covers 0 <= n <= 50")
     x = _interior(p, x)
     u = x / (2.0 * p.a)
-    shape = (np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa
-             * jacobi_p(n, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a)))
-    out = math.exp(-0.5 * _log_norm(p, n)) * shape
-    return _scalar_or_array(np.asarray(out))
+    envelope = np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa
+    polys = jacobi_rows(n_max, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a))
+    return np.array([math.exp(-0.5 * _log_norm(p, n)) * (envelope * poly)
+                     for n, poly in enumerate(polys)])
+
+
+def eigenfunction(p: PTParameters, n: int, x):
+    """Normalized bound state psi_n, vanishing like x^kappa at the left wall."""
+    return _scalar_or_array(eigenfunctions(p, n, x)[n])
+
+
+def _partner(p: PTParameters) -> PTParameters:
+    # the partner states theta_n are the bound states of the (kappa+1, kappa'+1) well
+    return PTParameters(p.kappa + 1.0, p.kappa_prime + 1.0, p.a)
 
 
 def partner_eigenfunction(p: PTParameters, n: int, x):
     """Normalized bound state theta_n of the partner well."""
-    shifted = PTParameters(p.kappa + 1.0, p.kappa_prime + 1.0, p.a)
-    return eigenfunction(shifted, n, x)
+    return eigenfunction(_partner(p), n, x)
 
 
 def _fd_grid(p: PTParameters, margin: float = FD_MARGIN):
@@ -190,14 +203,17 @@ def _grid_norm(values, xs) -> float:
     return math.sqrt(max(mass * dx, 0.0))
 
 
-def _lower_apply(p: PTParameters, n: int, xs):
-    # A^- f = -f' - W f.  H = A^+ A^- fixes the pair only up to a joint
-    # sign; this choice is the one that sends psi_{n+1} onto
-    # +sqrt(E_{n+1}) theta_n when both families carry their positive
+def _stencil(p: PTParameters, n_max: int, xs):
+    """psi_0 .. psi_{n_max} at xs + h, xs and xs - h: shape (n_max + 1, 3, xs.size)."""
+    return eigenfunctions(p, n_max, np.stack([xs + H_STEP, xs, xs - H_STEP]))
+
+
+def _lower_apply(p: PTParameters, stencil, xs):
+    # A^- f = -f' - W f on the stencil rows of f.  H = A^+ A^- fixes the pair
+    # only up to a joint sign; this choice is the one that sends psi_{n+1}
+    # onto +sqrt(E_{n+1}) theta_n when both families carry their positive
     # normalization constants.
-    up = eigenfunction(p, n, xs + H_STEP)
-    down = eigenfunction(p, n, xs - H_STEP)
-    mid = eigenfunction(p, n, xs)
+    up, mid, down = stencil
     return -(up - down) / (2.0 * H_STEP) - superpotential(p, xs) * mid
 
 
@@ -211,35 +227,34 @@ def factorization_residual(p: PTParameters, n: int):
     if not 0 <= n <= 10:
         raise DomainError("factorization_residual covers 0 <= n <= 10")
     xs = _fd_grid(p)
+    psi = _stencil(p, n + 1, xs)
     target = math.sqrt(energy(p, n + 1)) * partner_eigenfunction(p, n, xs)
-    r1 = _grid_norm(_lower_apply(p, n + 1, xs) - target, xs)
-    r2 = _grid_norm(_lower_apply(p, 0, xs), xs)
+    r1 = _grid_norm(_lower_apply(p, psi[n + 1], xs) - target, xs)
+    r2 = _grid_norm(_lower_apply(p, psi[0], xs), xs)
     return r1, r2
+
+
+def _second_difference(p: PTParameters, n: int):
+    # the second-difference grid, psi_n on it and -psi_n'' + V psi_n
+    xs = _fd_grid(p, _second_diff_margin(p))
+    up, mid, down = _stencil(p, n, xs)[n]
+    second = (up - 2.0 * mid + down) / (H_STEP * H_STEP)
+    return xs, mid, -second + potential(p, xs) * mid
 
 
 def schrodinger_residual(p: PTParameters, n: int) -> float:
     """Grid norm of (-psi_n'' + V psi_n)/E_n - psi_n, second differences."""
     if not 1 <= n <= 10:
         raise DomainError("schrodinger_residual covers 1 <= n <= 10")
-    xs = _fd_grid(p, _second_diff_margin(p))
-    up = eigenfunction(p, n, xs + H_STEP)
-    mid = eigenfunction(p, n, xs)
-    down = eigenfunction(p, n, xs - H_STEP)
-    second = (up - 2.0 * mid + down) / (H_STEP * H_STEP)
-    resid = (-second + potential(p, xs) * mid) / energy(p, n) - mid
-    return _grid_norm(resid, xs)
+    xs, mid, acted = _second_difference(p, n)
+    return _grid_norm(acted / energy(p, n) - mid, xs)
 
 
 def rayleigh_quotient(p: PTParameters, n: int) -> float:
     """<psi_n|H|psi_n> / <psi_n|psi_n> with finite-difference derivatives."""
     if not 0 <= n <= 10:
         raise DomainError("rayleigh_quotient covers 0 <= n <= 10")
-    xs = _fd_grid(p, _second_diff_margin(p))
-    up = eigenfunction(p, n, xs + H_STEP)
-    mid = eigenfunction(p, n, xs)
-    down = eigenfunction(p, n, xs - H_STEP)
-    second = (up - 2.0 * mid + down) / (H_STEP * H_STEP)
-    acted = -second + potential(p, xs) * mid
+    xs, mid, acted = _second_difference(p, n)
     dx = xs[1] - xs[0]
     num = float(np.dot(mid, acted) - 0.5 * (mid[0] * acted[0] + mid[-1] * acted[-1]))
     den = float(np.dot(mid, mid) - 0.5 * (mid[0] ** 2 + mid[-1] ** 2))
@@ -256,14 +271,14 @@ def gram_matrix(p: PTParameters, n_max: int, order: int = 200):
     if not 0 <= n_max <= 50:
         raise DomainError("gram_matrix covers 0 <= n_max <= 50")
     nodes, weights = _quad_nodes(p, order)
-    rows = np.array([eigenfunction(p, n, nodes) for n in range(n_max + 1)])
+    rows = eigenfunctions(p, n_max, nodes)
     return rows @ (weights[:, None] * rows.T)
 
 
 def _overlap_at(p: PTParameters, n_max: int, order: int):
     nodes, weights = _quad_nodes(p, order)
-    psi = np.array([eigenfunction(p, n, nodes) for n in range(n_max + 1)])
-    theta = np.array([partner_eigenfunction(p, m, nodes) for m in range(n_max + 1)])
+    psi = eigenfunctions(p, n_max, nodes)
+    theta = eigenfunctions(_partner(p), n_max, nodes)
     return psi @ (weights[:, None] * theta.T)
 
 

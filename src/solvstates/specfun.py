@@ -7,7 +7,8 @@ of 10000 terms; there are no reflection formulas and no asymptotic
 branches.  The Jacobi evaluator deliberately runs the three-term recurrence
 as a formal identity in the parameters, so it stays valid for the complex
 and below -1 parameter values required by the disk-representation
-expansions, a regime standard libraries refuse.
+expansions, a regime standard libraries refuse; one pass gives every degree
+up to n.
 
 Every integral in the package goes through one composite Gauss-Legendre
 path: ``panel_rule`` turns a set of panel edges (uniform, or from
@@ -116,27 +117,31 @@ def bessel_k(nu: float, x):
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def jacobi_p(n: int, a, b, x):
-    """Jacobi polynomial P_n^(a,b)(x) by the forward three-term recurrence.
+def jacobi_rows(n: int, a, b, x) -> list:
+    """P_0^(a,b)(x) .. P_n^(a,b)(x) from one pass of the forward three-term recurrence.
 
     The recurrence is treated as a formal polynomial identity in (a, b),
     so the parameters may be complex or lie at or below -1.  x may be a
-    scalar or a numpy array.
+    scalar or a numpy array; the n + 1 rows come back as a list.
     """
     if n < 0:
-        raise DomainError("jacobi_p needs n >= 0")
+        raise DomainError("the Jacobi degree needs n >= 0")
     one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if n == 0:
-        return one
-    p_prev = one
-    p = (a + 1) * one + (a + b + 2) * (x - 1) / 2
+    rows = [one]
+    if n >= 1:
+        rows.append((a + 1) * one + (a + b + 2) * (x - 1) / 2)
     for m in range(2, n + 1):
         c0 = 2 * m + a + b
         c1 = 2 * m * (m + a + b) * (c0 - 2)
         c2 = (c0 - 1) * (c0 * (c0 - 2) * x + a * a - b * b)
         c3 = 2 * (m + a - 1) * (m + b - 1) * c0
-        p_prev, p = p, (c2 * p - c3 * p_prev) / c1
-    return p
+        rows.append((c2 * rows[-1] - c3 * rows[-2]) / c1)
+    return rows
+
+
+def jacobi_p(n: int, a, b, x):
+    """Jacobi polynomial P_n^(a,b)(x): the last row of ``jacobi_rows``."""
+    return jacobi_rows(n, a, b, x)[-1]
 
 
 def _near_nonpositive_int(value) -> bool:

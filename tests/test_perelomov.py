@@ -1,6 +1,8 @@
 """Displacement states: three coefficient routes, disk picture, kernels."""
 import cmath
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -26,6 +28,14 @@ def test_series_refuses_beyond_its_radius(pt22):
     # generating function has poles at +-i pi/2, so r=2 cannot converge
     with pytest.raises(TruncationError):
         pe.cn_series(pt22, 3, 2.0)
+
+
+def test_series_overflow_far_outside_its_radius_is_a_clean_refusal(pt22):
+    # at r = 5 the 400th term overflows; that is a refusal, not a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TruncationError):
+            pe.cn_series(pt22, 3, 5.0, j_cap=400)
 
 
 def test_ode_refuses_when_monitor_detects_blowup(pt22):
@@ -55,15 +65,128 @@ def test_adaptive_ode_matches_series_on_tabulated_spectrum(custom_table):
 
 
 def test_ode_refuses_a_collapsing_step(monkeypatch, harmonic):
-    series = pe.cn_series
+    kernel = pe._series_kernel
 
-    def poisoned_closure(model, n, r, j_cap=160):
+    def poisoned_closure(model, bands, radii, j_caps):
         # only the ODE's truncation closure asks for 400 terms
-        return math.nan if j_cap == 400 else series(model, n, r, j_cap)
+        values, failed = kernel(model, bands, radii, j_caps)
+        closure = np.zeros(len(values), dtype=int) + j_caps == 400
+        return np.where(closure, math.nan, values), failed & ~closure
 
-    monkeypatch.setattr(pe, "cn_series", poisoned_closure)
+    monkeypatch.setattr(pe, "_series_kernel", poisoned_closure)
     with pytest.raises(ConvergenceError, match=r"collapsed to h=.* at r=0\.001"):
         pe.cn_ode(harmonic, 0.5, 8)
+
+
+def _scalar_series(model, n, r, j_cap):
+    try:
+        return pe.cn_series(model, n, r, j_cap), False
+    except TruncationError:
+        return math.nan, True
+
+
+@pytest.mark.parametrize("j_cap", [160, 400])
+def test_series_kernel_equals_scalar_series_bitwise(all_models, j_cap):
+    radii = (1e-3, 0.3, 0.5, 1.0, 1.3, 1.5, 2.0, 3.0)
+    for name, model in all_models.items():
+        bands = np.repeat(np.arange(0, 38, 3), len(radii))
+        rs = np.tile(radii, bands.size // len(radii))
+        values, failed = pe._series_kernel(model, bands, rs, j_cap)
+        want = [_scalar_series(model, n, r, j_cap) for n, r in zip(bands.tolist(), rs.tolist())]
+        assert failed.tolist() == [bad for _, bad in want], name
+        assert np.array_equal(values, [value for value, _ in want], equal_nan=True), name
+        assert failed.any() or name in ("harmonic", "well"), "the refusal mask is exercised"
+
+
+def test_shallow_cut_gives_the_full_depth_bits(monkeypatch, all_models):
+    radii = (0.3, 0.5, 1.0, 1.3, 1.5, 2.0)
+    results = []
+    for shallow in (pe._SHALLOW_DEPTH, 4, 400):  # the default, nearly always redone, never cut
+        monkeypatch.setattr(pe, "_SHALLOW_DEPTH", shallow)
+        pe._series_profile.cache_clear()
+        pe._pi_log_table.cache_clear()
+        run = []
+        for model in all_models.values():
+            bands = np.repeat(np.arange(0, 30, 4), len(radii))
+            run.append(pe._series_kernel(model, bands, np.tile(radii, 8), 400))
+        results.append(run)
+    for run in results[1:]:
+        for (values, failed), (want, want_failed) in zip(run, results[0]):
+            assert np.array_equal(failed, want_failed)
+            assert np.array_equal(values, want, equal_nan=True)
+
+
+def test_closure_freezes_at_its_first_uncertified_stage(monkeypatch, pt22):
+    radii = 0.45 + pe._DP_C[1:] * 0.1  # 0.47, 0.48, 0.53, 0.539, 0.55
+    want = [[pe.cn_series(pt22, n, r, j_cap=400) for r in radii] for n in (11, 25)]
+    # band 11 does not certify at stage 3 only; band 25 always certifies
+    series_kernel, asked = pe._series_kernel, []
+
+    def kernel(model, bands, radii, j_caps):
+        asked.append(sorted(set(bands.tolist())))
+        values, failed = series_kernel(model, bands, radii, j_caps)
+        return values, failed | (bands == 11) & (radii > 0.52) & (radii < 0.535)
+
+    monkeypatch.setattr(pe, "_series_kernel", kernel)
+    bands, alive = np.array([11, 25]), np.ones(2, dtype=bool)
+    tails = pe._closures(pt22, bands, alive, radii)
+    assert np.array_equal(tails[:, 0], want[0][:2] + [0.0] * 3)
+    assert np.array_equal(tails[:, 1], want[1])
+    assert alive.tolist() == [False, True]
+    # a rejected step retries at smaller radii: band 11 stays frozen and is not asked for
+    retry = pe._closures(pt22, bands, alive, 0.45 + pe._DP_C[1:] * 0.02)
+    assert np.all(retry[:, 0] == 0.0) and np.all(retry[:, 1] != 0.0)
+    assert asked == [[11, 25], [25]]
+
+
+class _CountedMatmul(np.ndarray):
+    """The error weights: ``_DP_E @ k`` runs once per attempted step."""
+
+    uses = 0
+
+    def __matmul__(self, other):
+        type(self).uses += 1
+        return np.asarray(self) @ other
+
+
+def test_ode_makes_one_kernel_call_per_attempted_step(monkeypatch, pt22):
+    kernel, calls = pe._series_kernel, []
+
+    def counted(model, bands, radii, j_caps):
+        calls.append((np.asarray(bands), np.asarray(radii, dtype=float)))
+        return kernel(model, bands, radii, j_caps)
+
+    monkeypatch.setattr(pe, "_series_kernel", counted)
+    monkeypatch.setattr(pe, "_DP_E", pe._DP_E.view(_CountedMatmul))
+    _CountedMatmul.uses = 0
+    pe.cn_ode(pt22, 0.5, 8)
+    attempts = _CountedMatmul.uses
+    assert 0 < attempts and len(calls) <= attempts + 1
+    # the start: c_0 .. c_20 and the closure band 21 at r0
+    bands, radii = calls[0]
+    assert bands.tolist() == list(range(22)) and np.all(radii == pe._ODE_R0)
+    # every other call carries the five stage radii of one step for both closure bands
+    steps = set()
+    for bands, radii in calls[1:]:
+        assert bands.tolist() == [9] * 5 + [21] * 5
+        stages = radii[:5]
+        assert np.array_equal(radii[5:], stages)
+        h = (stages[4] - stages[0]) / (1.0 - pe._DP_C[1])
+        assert np.allclose(stages, stages[4] - h + pe._DP_C[1:] * h, rtol=0.0, atol=1e-13)
+        steps.add(tuple(stages.tolist()))
+    assert len(steps) == len(calls) - 1
+
+
+def test_series_refusal_names_the_depth_it_needs(pt22):
+    with pytest.raises(TruncationError) as err:
+        pe.cn_series(pt22, 10, 1.2)
+    assert err.value.suggested_n_max is None
+    assert "n_max" not in str(err.value)
+    needed = int(re.search(r"about j_cap >= (\d+) needed", str(err.value)).group(1))
+    assert needed > 160
+    # the estimate is actionable: at that depth the series certifies
+    got = pe.cn_series(pt22, 10, 1.2, j_cap=needed)
+    assert got == pytest.approx(pe.cn_pt_closed(pt22.nu, 10, 1.2), rel=1e-9)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, 1.0000001e-3, 0.01])

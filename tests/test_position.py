@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from solvstates import DomainError
+from solvstates import DomainError, specfun
 from solvstates import position as po
 
 
@@ -165,6 +165,62 @@ def test_overlap_rows_close_as_window_grows():
         u = po.overlap_matrix(P22, n_max)
         defects.append(abs(np.sum(np.abs(u[3]) ** 2) - 1.0))
     assert defects[0] > defects[1] > defects[2]
+
+
+def _partner_params(p):
+    return po.PTParameters(p.kappa + 1.0, p.kappa_prime + 1.0, p.a)
+
+
+def _reference_row(p, n, x):
+    # psi_n from its own recurrence run, one degree at a time
+    u = x / (2.0 * p.a)
+    shape = (np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa
+             * specfun.jacobi_p(n, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a)))
+    return math.exp(-0.5 * po._log_norm(p, n)) * shape
+
+
+@pytest.mark.parametrize("p", [P22, PSOFT])
+def test_eigenfunction_rows_equal_single_eigenfunctions_bitwise(p):
+    xs = po.interior_grid(p, 301)
+    rows = po.eigenfunctions(p, 50, xs)
+    partner_rows = po.eigenfunctions(_partner_params(p), 50, xs)
+    assert rows.shape == (51, 301)
+    for n in range(51):
+        assert np.array_equal(rows[n], po.eigenfunction(p, n, xs)), n
+        assert np.array_equal(rows[n], _reference_row(p, n, xs)), n
+        assert np.array_equal(partner_rows[n], po.partner_eigenfunction(p, n, xs)), n
+    assert po.eigenfunctions(p, 7, 1.1)[7] == po.eigenfunction(p, 7, 1.1)
+
+
+@pytest.mark.parametrize("p", [P22, PSOFT, PWIDE])
+def test_gram_and_overlap_equal_a_per_degree_assembly_bitwise(p):
+    nodes, weights = po._quad_nodes(p, 200)
+    rows = np.array([_reference_row(p, n, nodes) for n in range(31)])
+    assert np.array_equal(po.gram_matrix(p, 30), rows @ (weights[:, None] * rows.T))
+    # overlap_matrix returns its finer resolution once the two agree
+    nodes, weights = po._quad_nodes(p, 260)
+    psi = np.array([_reference_row(p, n, nodes) for n in range(21)])
+    theta = np.array([_reference_row(_partner_params(p), m, nodes) for m in range(21)])
+    want = (psi @ (weights[:, None] * theta.T)).astype(complex)
+    assert np.array_equal(po.overlap_matrix(p, 20), want)
+
+
+def test_matrices_make_one_recurrence_pass_per_family_and_order(monkeypatch):
+    passes = []
+    rows = po.jacobi_rows
+
+    def counted(n, a, b, x):
+        passes.append((n, a, b, np.size(x)))
+        return rows(n, a, b, x)
+
+    monkeypatch.setattr(po, "jacobi_rows", counted)
+    po.overlap_matrix(P22, 20)
+    # psi and theta, at 200 and at 260 nodes
+    assert sorted(passes) == [(20, 1.5, 1.5, 200), (20, 1.5, 1.5, 260),
+                              (20, 2.5, 2.5, 200), (20, 2.5, 2.5, 260)]
+    passes.clear()
+    po.gram_matrix(P22, 30)
+    assert passes == [(30, 1.5, 1.5, 200)]
 
 
 def test_eigenfunction_degree_guard():

@@ -33,6 +33,16 @@ def test_jacobi_matches_scipy(n, a, b):
     assert np.allclose(got, want, rtol=1e-11, atol=1e-13)
 
 
+@pytest.mark.parametrize("a, b", [(1.5, 2.5), (-1.7, 0.3), (0.5 + 0.2j, -2.5)])
+def test_jacobi_rows_equal_single_degrees_bitwise(a, b):
+    xs = np.linspace(-0.95, 0.95, 41)
+    for x in (xs, 0.3):
+        rows = specfun.jacobi_rows(30, a, b, x)
+        assert len(rows) == 31
+        for n, row in enumerate(rows):
+            assert np.array_equal(row, specfun.jacobi_p(n, a, b, x)), (n, x)
+
+
 def test_jacobi_negative_parameters_against_mpmath():
     # parameters at or below -1 are outside scipy's reliable range;
     # integer a+b = -m is a genuine degeneracy of the recurrence and is
