@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import sys
 
@@ -214,8 +215,12 @@ def _glue_complex_flags(argv):
     return glued
 
 
+# built on first use and shared by every call; parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_glue_complex_flags(list(argv)))

@@ -28,21 +28,21 @@ _TAIL_CERT = 1e-12
 
 
 def _auto_n_max(model: SpectrumModel, r: float) -> int:
-    """Walk the series until terms are negligible against the running peak."""
+    """First n with its term 1e-40 below the running peak and E_n > r^2, in 12..20,000."""
     if model.kind == CUSTOM:
         return model.n_levels - 2
     log_r2 = 2.0 * math.log(r) if r > 0 else -math.inf
-    log_term = 0.0
-    peak = 0.0
-    n = 0
-    while n < 20000:
-        n += 1
-        e_n = model.energy(n)
-        log_term += log_r2 - math.log(e_n)
-        peak = max(peak, log_term)
-        if log_term < peak + math.log(1e-40) and e_n > r * r:
-            break
-    return max(n, 12)
+    top = 64
+    while True:
+        e_n = model.energies(top)[1:]
+        log_terms = np.cumsum(log_r2 - np.log(e_n))
+        peaks = np.maximum(np.maximum.accumulate(log_terms), 0.0)
+        cut = (log_terms < peaks + math.log(1e-40)) & (e_n > r * r)
+        if cut.any():
+            return max(int(np.argmax(cut)) + 1, 12)
+        if top >= 20000:
+            return top
+        top = min(4 * top, 20000)
 
 
 def gk_log_normalization(model: SpectrumModel, r: float, n_max: int | None = None) -> float:

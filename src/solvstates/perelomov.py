@@ -13,6 +13,8 @@ array of (band, radius) pairs; ``cn_series`` wraps it for one pair, and the
 ODE calls it once per step for both closures at every stage radius.  For the
 well family the same states live on the unit disk via zeta = z tanh|z| / |z|,
 where the overlap kernel and the resolving measure are elementary.
+The closed-form states take log Gamma(n+nu+1) / (n! Gamma(nu+1)) as a cumsum
+of log(1 + nu/k); their automatic n_max refuses past its cap of 6,959 levels.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ _METHODS = (METHOD_SERIES, METHOD_ODE, METHOD_CLOSED_PT, METHOD_CLOSED_HO)
 
 _ODE_R0 = 1e-3
 _SERIES_TOL = 1e-15
+_SERIES_J_CAP = 160
+_TAIL_CERT = 1e-10
+# automatic n_max trials: 24, then 1.7 n + 8 while n < 6000
+_AUTO_TRIALS = (24, 48, 89, 159, 278, 480, 824, 1408, 2401, 4089, 6959)
 # first cut of every series; up to r = 0.7 every Poschl-Teller band to 25 settles inside it
 _SHALLOW_DEPTH = 64
 
@@ -218,7 +224,7 @@ def _refusal(model: SpectrumModel, n: int, r: float, j_cap: int) -> TruncationEr
     return TruncationError(message)
 
 
-def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = 160) -> float:
+def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = _SERIES_J_CAP) -> float:
     """c_n(r) by the alternating nested-sum series.
 
     Terms are assembled in the log domain, so the nested sums never overflow.
@@ -435,18 +441,9 @@ def cn_ode(
 # states
 
 
-@functools.lru_cache(maxsize=64)
-def _log_gamma_ratio_cached(nu: float, n_top: int) -> tuple:
-    base = specfun.log_gamma(nu + 1.0)
-    return tuple(
-        specfun.log_gamma(n + nu + 1.0) - specfun.log_gamma(n + 1.0) - base
-        for n in range(n_top + 1)
-    )
-
-
 def _log_gamma_ratio(nu: float, n_top: int) -> np.ndarray:
-    """log of Gamma(n+nu+1) / (n! Gamma(nu+1)) for n = 0..n_top."""
-    return np.array(_log_gamma_ratio_cached(nu, n_top))
+    """log of Gamma(n+nu+1) / (n! Gamma(nu+1)) for n = 0..n_top, as sum_k log(1 + nu/k)."""
+    return np.concatenate([[0.0], np.cumsum(np.log1p(nu / np.arange(1.0, n_top + 1.0)))])
 
 
 def plane_to_disk(z: complex) -> complex:
@@ -458,29 +455,39 @@ def plane_to_disk(z: complex) -> complex:
     return z * math.tanh(r) / r
 
 
-def _amp_logs(model: SpectrumModel, r: float, n_top: int) -> np.ndarray:
-    """log |coefficient_n| of the normalized displacement state at radius r."""
-    ns = np.arange(n_top + 1)
-    if model.kind == HARMONIC:
-        log_fact = np.concatenate([[0.0], np.cumsum(np.log(ns[1:]))])
-        return ns * math.log(r) - 0.5 * r * r - 0.5 * log_fact
-    nu = model.nu
-    rho = math.tanh(r)
+def _disk_logs(nu: float, rho: float, n_top: int) -> np.ndarray:
+    """log |coefficient_n| of the nu-type state at disk radius rho = tanh r."""
     return (
-        ns * math.log(rho)
+        np.arange(n_top + 1) * math.log(rho)
         + 0.5 * (nu + 1.0) * math.log1p(-rho * rho)
         + 0.5 * _log_gamma_ratio(nu, n_top)
     )
 
 
-def _auto_state_n_max(model: SpectrumModel, r: float) -> int:
-    n = 24
-    while n < 6000:
+def _amp_logs(model: SpectrumModel, r: float, n_top: int) -> np.ndarray:
+    """log |coefficient_n| of the normalized displacement state at radius r."""
+    if model.kind == HARMONIC:
+        ns = np.arange(n_top + 1)
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(ns[1:]))])
+        return ns * math.log(r) - 0.5 * r * r - 0.5 * log_fact
+    return _disk_logs(model.nu, math.tanh(r), n_top)
+
+
+def _auto_amp_logs(model: SpectrumModel, r: float) -> np.ndarray:
+    """_amp_logs to the first trial n_max whose last amplitude is 1e-20 below the peak.
+
+    The last trial, 6,959, is also kept when its tail bound certifies.
+    """
+    for n in _AUTO_TRIALS:
         logs = _amp_logs(model, r, n)
         if logs[-1] < logs.max() + math.log(1e-20):
-            return n
-        n = int(n * 1.7) + 8
-    return n
+            return logs
+    tail = FockVector(model, np.exp(logs)).tail_bound()
+    if not (tail < _TAIL_CERT):
+        raise TruncationError(
+            f"tail bound {tail:.3e} at r={r:.6g} and n_max={n}, the automatic cap"
+        )
+    return logs
 
 
 def _state_phases(model: SpectrumModel, z: complex, n_top: int) -> np.ndarray:
@@ -508,34 +515,30 @@ def perelomov_state(
         vec[0] = 1.0
         return FockVector(model, vec)
     if model.kind == CUSTOM:
-        explicit = n_max is not None
-        top = n_max if explicit else model.n_levels - 2
-        values = []
-        for n in range(top + 1):
-            try:
-                values.append(cn_series(model, n, r))
-            except TruncationError:
-                if explicit:
-                    raise
-                break  # keep the bands whose tails certified
+        top = model.n_levels - 2 if n_max is None else n_max
+        values, failed = _series_kernel(model, np.arange(top + 1), np.full(top + 1, r),
+                                        _SERIES_J_CAP)
+        if failed.any():
+            bad = int(np.argmax(failed))
+            if n_max is not None:
+                raise _refusal(model, bad, r, _SERIES_J_CAP)
+            values = values[:bad]  # keep the bands whose tails certified
         if len(values) < 3:
             raise TruncationError(
                 "energy table supports too few certified bands for a state"
             )
         used = len(values) - 1
         logs = model.log_products(used)
-        mags = np.array(values) * np.exp(0.5 * logs + np.arange(used + 1) * math.log(r))
+        mags = values * np.exp(0.5 * logs + np.arange(used + 1) * math.log(r))
         out = FockVector(model, mags * _state_phases(model, z, used))
         tail = out.tail_bound()
-        if not (tail < 1e-10):
+        if not (tail < _TAIL_CERT):
             raise TruncationError(
                 f"tabulated spectrum cannot certify the tail ({tail:.3e}) at n_max={used}"
             )
         return out
-    if n_max is None:
-        n_max = _auto_state_n_max(model, r)
-    log_mag = _amp_logs(model, r, n_max)
-    return FockVector(model, np.exp(log_mag) * _state_phases(model, z, n_max))
+    log_mag = _auto_amp_logs(model, r) if n_max is None else _amp_logs(model, r, n_max)
+    return FockVector(model, np.exp(log_mag) * _state_phases(model, z, log_mag.size - 1))
 
 
 def disk_coefficients(
@@ -556,17 +559,9 @@ def disk_coefficients(
         vec[0] = 1.0
         return FockVector(model, vec)
     if n_max is None:
-        n_max = _auto_state_n_max(model, math.atanh(rho))
-    nu = model.nu
-    ns = np.arange(n_max + 1)
-    log_mag = (
-        ns * math.log(rho)
-        + 0.5 * (nu + 1.0) * math.log1p(-rho * rho)
-        + 0.5 * _log_gamma_ratio(nu, n_max)
-    )
-    energies = model.energies(n_max)
-    phases = np.exp(1j * (ns * np.angle(zeta) - model.alpha * energies))
-    return FockVector(model, np.exp(log_mag) * phases)
+        n_max = _auto_amp_logs(model, math.atanh(rho)).size - 1
+    log_mag = _disk_logs(model.nu, rho, n_max)
+    return FockVector(model, np.exp(log_mag) * _state_phases(model, zeta, n_max))
 
 
 # ---------------------------------------------------------------------------

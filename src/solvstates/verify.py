@@ -224,13 +224,11 @@ def _suite_gk(model: SpectrumModel, tol) -> list[CaseResult]:
 def _suite_perelomov(model: SpectrumModel, tol) -> list[CaseResult]:
     def routes():
         r, top = 0.5, 8
-        builders = (
-            lambda: np.array([perelomov.cn_series(model, n, r) for n in range(top + 1)]),
-            lambda: perelomov.cn_ode(model, r, top).values,
-            lambda: perelomov.cn_closed(model, top, r).values,
-        )
-        columns = []
-        for build in builders:
+        series, failed = perelomov._series_kernel(
+            model, np.arange(top + 1), np.full(top + 1, r), perelomov._SERIES_J_CAP)
+        columns = [] if failed.any() else [series]  # one uncertified band drops the column
+        for build in (lambda: perelomov.cn_ode(model, r, top).values,
+                      lambda: perelomov.cn_closed(model, top, r).values):
             try:
                 columns.append(build())
             except (DomainError, TruncationError, ConvergenceError):

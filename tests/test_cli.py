@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solvstates import SpectrumModel, verify
+from solvstates import SpectrumModel, cli, verify
 from solvstates.cli import main
 
 
@@ -254,6 +254,35 @@ def test_energy_table_file_verifies_like_the_levels_it_holds(capsys, tmp_path, m
     assert code == 0
     report = verify.run_suite("perelomov", SpectrumModel.custom(levels))
     assert out == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # flags set on one call (--alpha, --format, --z) must not carry into the next
+    calls = [
+        ("state", "--model", "pt:2,2", "--family", "gk", "--z", "1,0.5", "--nmax", "20",
+         "--alpha", "0.3", "--format", "json"),
+        ("verify", "--suite", "specfun", "--model", "pt:2.7,3.1"),
+        ("state", "--model", "pt:2,2", "--family", "gk", "--z", "1,0.5", "--nmax", "20"),
+        ("sweep", "--family", "gis", "--grid", "lambda-mod:0.5:2:3", "--z", "0.5,0",
+         "--format", "json"),
+        ("state", "--model", "well", "--family", "perelomov", "--z", "0.4,0", "--nmax", "30"),
+        ("sweep", "--family", "gis", "--grid", "lambda-theta:-0.5:0.5:3"),
+        ("state", "--model", "pt:2,2", "--family", "gk", "--z", "1,0", "--nmax", "3"),
+        ("verify", "--suite", "specfun", "--model", "pt:2.7,3.1", "--tol", "1e-30"),
+        ("verify", "--suite", "specfun", "--model", "pt:2.7,3.1"),
+    ]
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+
+    def outputs():
+        return [run(capsys, *argv) for argv in calls]
+
+    shared = outputs()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = outputs()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 4, 4, 0]
+    assert shared[0][1] != shared[2][1]
 
 
 def _run_quiet(argv):

@@ -156,3 +156,29 @@ def test_short_table_truncation_refused():
     with pytest.raises(TruncationError) as err:
         gk.gk_state(model, 0.8)
     assert err.value.suggested_n_max is not None
+
+
+def _walk_n_max(model, r):
+    """The automatic n_max by a level-by-level walk, one energy(n) call per level."""
+    log_r2 = 2.0 * math.log(r) if r > 0 else -math.inf
+    log_term = peak = 0.0
+    n = 0
+    while n < 20000:
+        n += 1
+        e_n = model.energy(n)
+        log_term += log_r2 - math.log(e_n)
+        peak = max(peak, log_term)
+        if log_term < peak + math.log(1e-40) and e_n > r * r:
+            break
+    return max(n, 12)
+
+
+def test_auto_n_max_equals_the_level_walk():
+    models = [SpectrumModel.harmonic(), SpectrumModel.square_well()] + [
+        SpectrumModel.poschl_teller(k, kp) for k, kp in
+        ((1.05, 1.2), (1.2, 1.2), (1.5, 2.0), (2.0, 2.0), (2.7, 3.1), (3.5, 1.2),
+         (3.9, 3.9), (1.1, 6.8), (5.0, 5.0))]
+    radii = [0.0, 1e-3] + np.linspace(0.05, 20.0, 80).tolist() + [3.0, 8.0, 60.0, 150.0]
+    for model in models:
+        for r in radii:
+            assert gk._auto_n_max(model, r) == _walk_n_max(model, r), (model, r)

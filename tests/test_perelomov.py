@@ -1,5 +1,6 @@
 """Displacement states: three coefficient routes, disk picture, kernels."""
 import cmath
+import functools
 import math
 import re
 import warnings
@@ -10,7 +11,7 @@ import pytest
 import scipy.integrate
 import scipy.special as sp
 
-from solvstates import ConvergenceError, DomainError, SpectrumModel, TruncationError
+from solvstates import ConvergenceError, DomainError, FockVector, SpectrumModel, TruncationError
 from solvstates import perelomov as pe
 
 
@@ -341,10 +342,130 @@ def test_disk_label_must_stay_inside():
 
 @pytest.mark.parametrize("nu", [2.0, 2.2, 4.0, 7.9])
 def test_log_gamma_ratio_matches_mpmath(nu):
-    got = pe._log_gamma_ratio(nu, 1500)
-    want = np.array([float(mpmath.loggamma(n + nu + 1) - mpmath.loggamma(n + 1)
-                           - mpmath.loggamma(nu + 1)) for n in range(1501)])
+    # 6,959 is the last trial of the automatic n_max search
+    got = pe._log_gamma_ratio(nu, 6959)
+    with mpmath.workdps(60):
+        want = np.array([float(mpmath.loggamma(n + nu + 1) - mpmath.loggamma(n + 1)
+                               - mpmath.loggamma(nu + 1)) for n in range(6960)])
     assert np.max(np.abs(got - want)) < 5e-12
+
+
+_STRENGTHS = ((1.05, 1.2), (1.2, 1.2), (1.5, 2.0), (2.0, 2.0), (2.7, 3.1), (3.5, 1.2),
+              (3.9, 3.9), (1.1, 6.8), (5.0, 5.0))
+_GRID_MODELS = [SpectrumModel.harmonic(), SpectrumModel.square_well()] + [
+    SpectrumModel.poschl_teller(k, kp) for k, kp in _STRENGTHS]
+_GRID_RADII = np.concatenate([np.linspace(0.05, 20.0, 80), [0.5, 1.0, 1.5, 3.0, 5.0, 8.0]])
+
+
+def _trial_walk_n_max(model, r):
+    """The automatic n_max by the trial walk on a per-level lgamma table; None past the cap."""
+    logs_at = _per_level_amp_logs(model, r)
+    n = 24
+    while True:
+        logs = logs_at[: n + 1]
+        if logs[-1] < logs.max() + math.log(1e-20):
+            return n
+        if n >= 6000:
+            tail = FockVector(model, np.exp(logs)).tail_bound()
+            return n if tail < 1e-10 else None
+        n = int(n * 1.7) + 8
+
+
+@functools.lru_cache(maxsize=None)
+def _per_level_lgamma(shift):
+    """log Gamma(n + shift + 1) for n = 0..6959, one lgamma call per level."""
+    return np.array([math.lgamma(n + shift + 1.0) for n in range(6960)])
+
+
+def _per_level_amp_logs(model, r):
+    ns = np.arange(6960)
+    if model.kind == "harmonic":
+        return ns * math.log(r) - 0.5 * r * r - 0.5 * _per_level_lgamma(0.0)
+    nu, rho = model.nu, math.tanh(r)
+    ratio = _per_level_lgamma(nu) - _per_level_lgamma(0.0) - math.lgamma(nu + 1.0)
+    return ns * math.log(rho) + 0.5 * (nu + 1.0) * math.log1p(-rho * rho) + 0.5 * ratio
+
+
+def test_auto_state_n_max_equals_the_trial_walk():
+    refused = 0
+    for model in _GRID_MODELS:
+        for r in _GRID_RADII.tolist():
+            if model.kind != "harmonic" and math.tanh(r) == 1.0:
+                continue  # the disk radius rounds to 1
+            want = _trial_walk_n_max(model, r)
+            if want is None:
+                refused += 1
+                with pytest.raises(TruncationError, match="automatic cap"):
+                    pe.perelomov_state(model, r)
+            else:
+                assert pe._auto_amp_logs(model, r).size - 1 == want, (model, r)
+    assert refused, "the cap refusal is exercised"
+
+
+def test_auto_state_refuses_a_state_past_the_cap(pt22):
+    # the last trial, 6,959, still certifies its tail at r = 3
+    st = pe.perelomov_state(pt22, 3.0)
+    assert st.n_max == 6959
+    assert st.tail_bound() < 1e-23
+    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    for r in (5.0, 8.0):
+        with pytest.raises(TruncationError, match="automatic cap"):
+            pe.perelomov_state(pt22, r)
+        with pytest.raises(TruncationError, match="automatic cap"):
+            pe.disk_coefficients(pt22, math.tanh(r))
+    # an explicit n_max is built as asked
+    assert pe.perelomov_state(pt22, 5.0, n_max=60).n_max == 60
+
+
+def _per_band_state(model, z, n_max=None):
+    """The tabulated-spectrum state with one cn_series call per band."""
+    r = abs(z)
+    top = n_max if n_max is not None else model.n_levels - 2
+    values = []
+    for n in range(top + 1):
+        try:
+            values.append(pe.cn_series(model, n, r))
+        except TruncationError:
+            if n_max is not None:
+                raise
+            break
+    if len(values) < 3:
+        raise TruncationError("energy table supports too few certified bands for a state")
+    used = len(values) - 1
+    mags = np.array(values) * np.exp(0.5 * model.log_products(used)
+                                     + np.arange(used + 1) * math.log(r))
+    out = FockVector(model, mags * pe._state_phases(model, z, used))
+    tail = out.tail_bound()
+    if not (tail < 1e-10):
+        raise TruncationError(
+            f"tabulated spectrum cannot certify the tail ({tail:.3e}) at n_max={used}")
+    return out.coeffs
+
+
+def _outcome(build):
+    try:
+        return build()
+    except TruncationError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("levels", [40, 12])
+def test_tabulated_state_equals_the_per_band_series(custom_table, levels):
+    rng = np.random.default_rng(12)
+    model = custom_table if levels == 40 else SpectrumModel.custom(
+        np.concatenate(([0.0], np.cumsum(1.0 + 0.5 * rng.random(levels - 1)))))
+    kinds = set()
+    for z in (0.003, 0.3, 0.5 + 0.3j, 1.2, 2.0, 3.0):
+        for n_max in (None, 2, 8, 20, 30, 36):
+            want = _outcome(lambda: _per_band_state(model, z, n_max))
+            got = _outcome(lambda: pe.perelomov_state(model, z, n_max=n_max))
+            if isinstance(want, str):
+                assert got == want, (z, n_max)
+                kinds.add("refusal")
+            else:
+                assert got.coeffs.tobytes() == want.tobytes(), (z, n_max)
+                kinds.add("state")
+    assert kinds == ({"state", "refusal"} if levels == 40 else {"refusal"})
 
 
 def test_harmonic_amplitude_logs_match_mpmath(harmonic):

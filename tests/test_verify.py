@@ -1,7 +1,9 @@
 """Verification report machinery: statuses, schema, overrides."""
+import numpy as np
 import pytest
 
-from solvstates import DomainError, SpectrumModel
+from solvstates import ConvergenceError, DomainError, SpectrumModel, TruncationError
+from solvstates import perelomov as pe
 from solvstates.verify import SUITE_NAMES, run_suite
 from solvstates.tolerances import DEFAULTS, resolve
 
@@ -93,3 +95,40 @@ def test_short_custom_table_degrades_to_skips():
 def test_default_model_is_reference_well():
     report = run_suite("ladder")
     assert report.ok
+
+
+def _route_agreement(model):
+    """The three-route agreement with one cn_series call per band of the series column."""
+    r, top = 0.5, 8
+    builders = (
+        lambda: np.array([pe.cn_series(model, n, r) for n in range(top + 1)]),
+        lambda: pe.cn_ode(model, r, top).values,
+        lambda: pe.cn_closed(model, top, r).values,
+    )
+    columns = []
+    for build in builders:
+        try:
+            columns.append(build())
+        except (DomainError, TruncationError, ConvergenceError):
+            continue
+    if len(columns) < 2:
+        return None
+    worst = 0.0
+    for i in range(len(columns)):
+        for j in range(i + 1, len(columns)):
+            scale = np.maximum(np.abs(columns[i]), 1e-300)
+            worst = max(worst, float(np.max(np.abs(columns[i] - columns[j]) / scale)))
+    return worst
+
+
+def test_route_agreement_equals_the_per_band_series(all_models):
+    # on a 16-level table no route certifies, so every column drops and the case skips
+    short = SpectrumModel.custom(np.concatenate(([0.0], np.cumsum(np.linspace(1.0, 1.5, 15)))))
+    for name, model in {**all_models, "short": short}.items():
+        (case,) = [c for c in run_suite("perelomov", model).cases
+                   if c.name == "perelomov.route_agreement"]
+        want = _route_agreement(model)
+        if want is None:
+            assert case.status == "SKIPPED", name
+        else:
+            assert case.residual == want, name
