@@ -1,10 +1,10 @@
 """Three independent routes to the displacement coefficients.
 
 The closed form works at every radius.  The power series stops at its
-convergence radius; the initial-value route stops when its step-halving
-monitor sees the truncation defect grow instead of shrink.  Both
-refusals are contracts, not accidents, and this script shows where each
-route lives.
+convergence radius; the initial-value route stops when doubling its band
+count moves the requested bands, which happens once its series closure
+stops certifying.  Both refusals are contracts, not accidents, and this
+script shows where each route lives.
 """
 import numpy as np
 

@@ -98,6 +98,8 @@ def _cmd_state(args, parser) -> int:
     else:
         if args.lam is None:
             parser.error("--family gis requires --lambda RE,IM")
+        if args.nmax is None:
+            parser.error("--family gis requires --nmax")
         params = GISParameters(args.z, args.lam, args.alpha)
         vec = gis_coefficients(model, params, args.nmax)
     probs = np.abs(vec.coeffs) ** 2
@@ -169,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     state.add_argument("--lambda", dest="lam", type=_parse_complex,
                        metavar="RE,IM", help="squeezing parameter (gis only)")
     state.add_argument("--alpha", type=float, default=0.0)
-    state.add_argument("--nmax", required=True, type=int)
+    state.add_argument("--nmax", type=int,
+                       help="last band; gk and perelomov choose one when omitted")
     state.add_argument("--out", help="write to a file instead of stdout")
     state.add_argument("--format", choices=("csv", "json"), default="csv")
     state.set_defaults(handler=_cmd_state)

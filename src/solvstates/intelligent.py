@@ -93,10 +93,6 @@ class GISParameters:
     def __post_init__(self):
         validate_lambda(self.lam)
 
-    @property
-    def classification(self) -> str:
-        return validate_lambda(self.lam)
-
     def with_disk_exponents(self, nu: float, zeta_prime: complex) -> "GISParameters":
         ap, am = _disk_exponents(nu, zeta_prime, self.lam)
         return dataclasses.replace(self, alpha_plus=ap, alpha_minus=am)

@@ -3,14 +3,14 @@
 Three independent routes to the same radial coefficients c_n(r):
 
   * series   sum_j (-r^2)^j pi(n+1, j) / (n+2j)!  (nested energy sums)
-  * ode      dc_n/dr = c_{n-1}/r - n c_n/r - E_{n+1} c_{n+1} r, adaptive Dormand-Prince 5(4)
+  * ode      dc_n/dr = c_{n-1}/r - n c_n/r - E_{n+1} c_{n+1} r, by exact step propagators
   * closed   e^{-r^2/2}/n!  or  (cosh r)^{-(nu+1)} (tanh r / r)^n / n!
 
 The series has a finite radius for the trigonometric well family (pi/2, set by
 the poles of sech); both the series and the ODE report their own breakdown
 instead of returning drifted numbers.  One kernel evaluates the series for an
 array of (band, radius) pairs; ``cn_series`` wraps it for one pair, and the
-ODE calls it once per step for both closures at every stage radius.  For the
+ODE calls it once for both closures at every quadrature node.  For the
 well family the same states live on the unit disk via zeta = z tanh|z| / |z|,
 where the overlap kernel and the resolving measure are elementary.
 The closed-form states take log Gamma(n+nu+1) / (n! Gamma(nu+1)) as a cumsum
@@ -253,187 +253,158 @@ def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = _SERIES_J_CAP
 # closed forms
 
 
-def cn_pt_closed(nu: float, n: int, r: float) -> float:
-    """(1/n!) (cosh r)^{-(nu+1)} (tanh r / r)^n with the analytic r -> 0 limit."""
-    if nu <= 0:
-        raise DomainError("the well index must be positive")
-    if n < 0:
-        raise DomainError("band index must be nonnegative")
-    if r < 0:
-        raise DomainError("radial argument must be nonnegative")
-    log_val = -specfun.log_gamma(n + 1.0) - (nu + 1.0) * math.log(math.cosh(r))
-    if r > 0.0:
-        log_val += n * math.log(math.tanh(r) / r)
-    return math.exp(log_val)
-
-
-def cn_ho_closed(n: int, r: float) -> float:
-    if n < 0 or r < 0:
-        raise DomainError("band index and radius must be nonnegative")
-    return math.exp(-0.5 * r * r - specfun.log_gamma(n + 1.0))
+def _log_cosh(r: float) -> float:
+    """log cosh r = r + log(1 + e^{-2r}) - log 2, finite where cosh r overflows."""
+    return r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0)
 
 
 def cn_closed(model: SpectrumModel, n_max: int, r: float) -> DisplacementCoeffs:
-    """Closed-form route as a coefficient block, where one exists."""
+    """Closed-form route as a coefficient block, where one exists.
+
+    c_n = e^{-r^2/2} / n! (harmonic) or (cosh r)^{-(nu+1)} (tanh r / r)^n / n!
+    (nu-type, with the analytic r -> 0 limit), as one running product over
+    the bands.
+    """
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
+    if r < 0:
+        raise DomainError("radial argument must be nonnegative")
     if model.kind == HARMONIC:
-        vals = [cn_ho_closed(n, r) for n in range(n_max + 1)]
-        return DisplacementCoeffs(model, r, np.array(vals), METHOD_CLOSED_HO)
-    if model.kind in (POSCHL_TELLER, SQUARE_WELL):
-        nu = model.nu
-        vals = [cn_pt_closed(nu, n, r) for n in range(n_max + 1)]
-        return DisplacementCoeffs(model, r, np.array(vals), METHOD_CLOSED_PT)
-    raise DomainError("no closed displacement coefficients for tabulated spectra")
+        lead, ratio, method = -0.5 * r * r, 1.0, METHOD_CLOSED_HO
+    elif model.kind in (POSCHL_TELLER, SQUARE_WELL):
+        lead, method = -(model.nu + 1.0) * _log_cosh(r), METHOD_CLOSED_PT
+        ratio = math.tanh(r) / r if r > 0.0 else 1.0
+    else:
+        raise DomainError("no closed displacement coefficients for tabulated spectra")
+    steps = np.concatenate(([1.0], ratio / np.arange(1.0, n_max + 1.0)))
+    return DisplacementCoeffs(model, r, math.exp(lead) * np.cumprod(steps), method)
 
 
 # ---------------------------------------------------------------------------
 # the coefficient ODE
 
 
-# Dormand-Prince 5(4) tableau (J. R. Dormand & P. J. Prince, J. Comput. Appl.
-# Math. 6 (1980) 19-26).  The seventh stage is the derivative at the accepted
-# point, reused as the first stage of the next step (first same as last).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-])
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-# fifth- minus fourth-order weights over all seven stages: the local error estimate
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-_ODE_RTOL = 1e-11
-_ODE_ATOL = 1e-14
+# Gauss nodes per step for the Duhamel forcing, at the two compared resolutions
+_FORCING_ORDERS = (6, 8)
+_FORCING_GATE = 1e-12
 
 
-def _closures(model: SpectrumModel, bands: np.ndarray, alive: np.ndarray, radii) -> np.ndarray:
-    """Closure values c_{top+1} at each stage radius (rows) for each system (columns).
+def _taylor_exp(generators: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """e^A X for a stack of generators A (..., N, N) by the Taylor sum of A^k X / k!.
 
-    One kernel call covers every live system at every radius of a step.  A
-    closure freezes to 0 at its first uncertified stage, in stage order, and
-    stays frozen: ``alive`` is cleared in place, so later steps, retries of a
-    rejected step included, no longer evaluate it.
+    Summed until every entry has settled: from term N on, when every entry
+    has had its first term, two terms in a row below 1e-17 of the running
+    sum.  Every entry keeps its relative accuracy, the tiny far-off-diagonal
+    ones too; with ||A|| <= 1 that takes fewer than N + 30 terms.
     """
-    tails = np.zeros((len(radii), bands.size))
-    live = np.nonzero(alive)[0]
-    if live.size:
-        values, failed = _series_kernel(
-            model, np.repeat(bands[live], len(radii)), np.concatenate([radii] * live.size), 400
-        )
-        frozen = np.logical_or.accumulate(failed.reshape(live.size, -1), axis=1)
-        tails[:, live] = np.where(frozen, 0.0, values.reshape(live.size, -1)).T
-        alive[live] = ~frozen[:, -1]
-    return tails
+    size = generators.shape[-1]
+    total = np.broadcast_to(columns, generators.shape[:-1] + columns.shape[-1:]).copy()
+    term, quiet = total, 0
+    for k in range(1, size + 64):
+        term = generators @ term / k
+        total += term
+        if k >= size:
+            quiet = quiet + 1 if np.all(np.abs(term) <= 1e-17 * np.abs(total)) else 0
+            if quiet == 2:
+                return total
+    raise ConvergenceError(f"Taylor sum of the ODE propagator unsettled after {k} terms")
 
 
-def _ode_run(model: SpectrumModel, r_target: float, tops: tuple, step: float) -> np.ndarray:
-    """Integrate the banded systems on bands 0..top, one per top, as one stacked state.
+def _ode_run(model: SpectrumModel, r_target: float, tops: tuple):
+    """Solve the banded systems on bands 0..top, one per top, as one block-diagonal system.
 
-    Each system's closure value c_{top+1}(r) comes from the series while it
-    converges; once the series gives up (finite radius) that closure freezes
-    to zero and the caller's doubling monitor is responsible for catching the
-    fallout.  The systems share their adaptive steps, starting from ``step``,
-    and the error norm.  The start vector and the first closures take one
-    series kernel call, and each attempted step one more for all its stages.
+    In y_n = r^n c_n exp(log_products[n] / 2) the coefficient ODE reads
+    y' = S y - sqrt(E_{top+1}) v(r) e_top, with S the skew tridiagonal
+    truncation of a_+ - a_- (off-diagonals sqrt(E_n)) and v = y_{top+1} the
+    series closure.  Fixed steps h with h ||S|| <= 1 apply the exact
+    propagator e^{hS}, and the Duhamel integral of the closure runs on the
+    Gauss nodes of each step, at both orders of _FORCING_ORDERS.  One series
+    kernel call covers every closure node; a closure freezes to 0 from its
+    first uncertified node on, in radius order, at both orders alike.
+
+    Returns c at both orders as the columns of one array, system after
+    system down the rows, and the smallest radius where a closure froze
+    (None if none did).
     """
     sizes = np.array([top + 1 for top in tops])
     ends = np.cumsum(sizes)
-    ns = np.concatenate([np.arange(size, dtype=float) for size in sizes])
-    e_up = np.concatenate([model.energies(top + 1)[1:] for top in tops])
-    bands = sizes  # the closure band of each system, top + 1
-    alive = np.ones(len(tops), dtype=bool)
+    roots = np.sqrt(model.energies(sizes.max())[1:])
+    # S[i, i-1] on the stacked bands, 0 at every block head; ||S|| by Gershgorin
+    sub = np.concatenate([np.concatenate(([0.0], roots[: size - 1])) for size in sizes])
+    skew = np.diag(sub[1:], -1) - np.diag(sub[1:], 1)
+    steps = max(1, math.ceil(r_target * float(np.max(sub + np.append(sub[1:], 0.0)))))
+    h = r_target / steps
+    low, high = _FORCING_ORDERS
+    coarse, fine = specfun.gauss_legendre(low), specfun.gauss_legendre(high)
+    offsets = 0.5 * h * (1.0 + np.concatenate([coarse.nodes, fine.nodes]))
+    # row 0 weighs the coarse nodes only, row 1 the fine ones
+    weights = np.zeros((2, low + high))
+    weights[0, :low], weights[1, low:] = 0.5 * h * coarse.weights, 0.5 * h * fine.weights
+    # e^{(h - s) S} e_top for every node offset s (rows) and every system (last axis)
+    kicks = _taylor_exp((h - offsets)[:, None, None] * skew, np.eye(sub.size)[:, ends - 1])
+    propagator = _taylor_exp(h * skew, np.eye(sub.size))
 
-    heads, lasts = ends - sizes, ends - 1
-
-    def rhs(radius: float, c: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        lower = np.empty_like(c)
-        lower[1:] = c[:-1]
-        lower[heads] = 0.0
-        upper = np.empty_like(c)
-        upper[:-1] = c[1:]
-        upper[lasts] = tail
-        return (lower - ns * c) / radius - e_up * upper * radius
-
-    # c_0 .. c_top to 160 terms, and the widest closure band to 400 terms
-    top = max(tops)
-    caps = np.full(top + 2, 160)
-    caps[-1] = 400
-    start, failed = _series_kernel(model, np.arange(top + 2), np.full(top + 2, _ODE_R0), caps)
-    if failed[:-1].any():
-        raise _refusal(model, int(np.argmax(failed)), _ODE_R0, 160)
-    # every other closure band settled inside 160 terms, which are its first 160 of 400
-    alive &= ~failed[bands]
-    c = np.concatenate([start[:size] for size in sizes])
-    r, h = _ODE_R0, step
-    k = np.empty((7, c.size))
-    k[0] = rhs(r, c, np.where(alive, start[bands], 0.0))
-    while r < r_target:
-        h = min(h, r_target - r)
-        radii = r + _DP_C[1:] * h
-        tails = _closures(model, bands, alive, radii)
-        for i in range(1, 6):
-            k[i] = rhs(radii[i - 1], c + h * (_DP_A[i, :i] @ k[:i]), tails[i - 1])
-        c_new = c + h * (_DP_B @ k[:6])
-        # the last stage sits at r + h, where the derivative is taken next
-        k[6] = rhs(r + h, c_new, tails[4])
-        with np.errstate(invalid="ignore", over="ignore"):
-            scale = _ODE_ATOL + _ODE_RTOL * np.maximum(np.abs(c), np.abs(c_new))
-            err = float(np.sqrt(np.mean(np.square(h * (_DP_E @ k) / scale))))
-        if not math.isfinite(err):
-            factor = 0.2
-        elif err > 1.0:
-            factor = max(0.2, 0.9 * err**-0.2)
-        else:
-            r = r_target if h == r_target - r else r + h
-            c = c_new
-            k[0] = k[6]
-            if not np.all(np.isfinite(c)) or np.max(np.abs(c)) > 1e12:
-                raise ConvergenceError(
-                    f"coefficient blow-up at r={r:.4f} (bands 0..{top}); "
-                    "the truncation closure is not stable at this radius"
-                )
-            factor = min(10.0, 0.9 * max(err, 1e-10) ** -0.2)
-        h *= factor
-        if r < r_target and h <= 16.0 * np.spacing(r):
-            raise ConvergenceError(
-                f"ODE step size collapsed to h={h:.3e} at r={r:.6g}; "
-                "the coefficient system cannot be integrated to the requested radius"
-            )
-    return c
+    radii = h * np.arange(steps)[:, None] + offsets
+    values, failed = (a.reshape(sizes.size, steps, -1) for a in _series_kernel(
+        model, np.repeat(sizes, radii.size), np.tile(radii.ravel(), sizes.size), 400))
+    r_f = np.min(np.where(failed, radii, math.inf), axis=(1, 2))
+    logs = model.log_products(sizes.max())
+    # sqrt(E_{top+1}) times the y-frame closure v = y_{top+1}, on every node
+    with np.errstate(divide="ignore"):
+        log_v = np.log(np.abs(values)) + 0.5 * logs[sizes, None, None] + np.multiply.outer(
+            sizes, np.log(radii))
+    forcing = np.where(radii >= r_f[:, None, None], 0.0, np.sign(values) * np.exp(log_v))
+    pushes = np.einsum("jkq,j,oq,qnj->kno", forcing, roots[sizes - 1], weights, kicks)
+    y = np.zeros((sub.size, 2))
+    y[ends - sizes] = 1.0
+    for push in pushes:
+        y = propagator @ y - push
+    ns = np.concatenate([np.arange(size) for size in sizes])[:, None]
+    with np.errstate(divide="ignore"):
+        log_c = np.log(np.abs(y)) - 0.5 * logs[ns] - ns * math.log(r_target)
+    froze = float(r_f.min())
+    return np.sign(y) * np.exp(log_c), (froze if froze < math.inf else None)
 
 
-def cn_ode(
-    model: SpectrumModel, r_target: float, n_max: int, step: float = 5e-4
-) -> DisplacementCoeffs:
-    """Integrate the coefficient ODE out to r_target with a doubling self-check.
+def cn_ode(model: SpectrumModel, r_target: float, n_max: int) -> DisplacementCoeffs:
+    """Solve the coefficient ODE out to r_target with a doubling self-check.
 
-    Integrates the banded system at n_max and at 2 n_max + 4 as one stacked
-    state by an adaptive Dormand-Prince 5(4) pair starting from ``step``, and
-    demands band-wise agreement; disagreement means the top closure
-    contaminated the requested bands, which is reported instead of returned.
+    Solves the banded system at n_max and at 2 n_max + 4 by exact step
+    propagators (see _ode_run) and demands band-wise agreement; disagreement
+    means the top closure contaminated the requested bands, which is
+    reported instead of returned, together with the radius where a series
+    closure froze.  The Duhamel forcing must also agree between its two
+    quadrature orders, band by band, to 1e-12 relative.
     """
     if r_target > 5.0:
         raise DomainError("r_target above 5 is outside the supported range")
     if r_target < 0.0:
         raise DomainError("r_target must be nonnegative")
-    if not (0.0 < step <= 1e-3):
-        raise DomainError("step must lie in (0, 1e-3]")
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     if r_target <= _ODE_R0:
         vals = np.array([cn_series(model, n, r_target) for n in range(n_max + 1)])
         return DisplacementCoeffs(model, r_target, vals, METHOD_ODE)
-    stacked = _ode_run(model, r_target, (n_max, 2 * n_max + 4), step)
+    solved, froze = _ode_run(model, r_target, (n_max, 2 * n_max + 4))
+    coarse, stacked = solved.T
+    if not np.all(np.isfinite(stacked)) or np.max(np.abs(stacked)) > 1e12:
+        raise ConvergenceError(
+            f"coefficient blow-up at r={r_target:.4f} (bands 0..{2 * n_max + 4}); "
+            "the truncation closure is not stable at this radius"
+        )
     base, wide = stacked[: n_max + 1], stacked[n_max + 1 : 2 * n_max + 2]
     scale = np.max(np.abs(wide))
     defect = float(np.max(np.abs(base - wide)) / max(scale, 1e-300))
     if defect > 1e-8:
+        frozen = "" if froze is None else f"; a series closure froze to 0 at r_f={froze:.4g}"
         raise ConvergenceError(
             f"closure defect {defect:.3e} after doubling the band count; "
-            f"the integration is unreliable at r={r_target:.4g}"
+            f"the integration is unreliable at r={r_target:.4g}{frozen}"
         )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = coarse[n_max + 1 : 2 * n_max + 2] / wide
+    specfun.settled(f"cn_ode forcing at r={r_target:.4g}, coarse/fine ratio per band",
+                    ratios, np.ones_like(wide), _FORCING_GATE)
     return DisplacementCoeffs(model, r_target, wide, METHOD_ODE)
 
 
@@ -455,11 +426,11 @@ def plane_to_disk(z: complex) -> complex:
     return z * math.tanh(r) / r
 
 
-def _disk_logs(nu: float, rho: float, n_top: int) -> np.ndarray:
-    """log |coefficient_n| of the nu-type state at disk radius rho = tanh r."""
+def _disk_logs(nu: float, log_rho: float, log_1m_rho2: float, n_top: int) -> np.ndarray:
+    """log |coefficient_n| of the nu-type state at disk radius rho, from log rho and log(1-rho^2)."""
     return (
-        np.arange(n_top + 1) * math.log(rho)
-        + 0.5 * (nu + 1.0) * math.log1p(-rho * rho)
+        np.arange(n_top + 1) * log_rho
+        + 0.5 * (nu + 1.0) * log_1m_rho2
         + 0.5 * _log_gamma_ratio(nu, n_top)
     )
 
@@ -470,7 +441,8 @@ def _amp_logs(model: SpectrumModel, r: float, n_top: int) -> np.ndarray:
         ns = np.arange(n_top + 1)
         log_fact = np.concatenate([[0.0], np.cumsum(np.log(ns[1:]))])
         return ns * math.log(r) - 0.5 * r * r - 0.5 * log_fact
-    return _disk_logs(model.nu, math.tanh(r), n_top)
+    # log(1 - tanh^2 r) = -2 log cosh r, finite also where tanh r rounds to 1
+    return _disk_logs(model.nu, math.log(math.tanh(r)), -2.0 * _log_cosh(r), n_top)
 
 
 def _auto_amp_logs(model: SpectrumModel, r: float) -> np.ndarray:
@@ -560,7 +532,7 @@ def disk_coefficients(
         return FockVector(model, vec)
     if n_max is None:
         n_max = _auto_amp_logs(model, math.atanh(rho)).size - 1
-    log_mag = _disk_logs(model.nu, rho, n_max)
+    log_mag = _disk_logs(model.nu, math.log(rho), math.log1p(-rho * rho), n_max)
     return FockVector(model, np.exp(log_mag) * _state_phases(model, zeta, n_max))
 
 

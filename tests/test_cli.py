@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solvstates import SpectrumModel, cli, verify
+from solvstates import SpectrumModel, cli, perelomov_state, verify
 from solvstates.cli import main
 
 
@@ -80,6 +80,23 @@ def test_gis_requires_lambda(capsys):
         main(["state", "--model", "pt:2,2", "--family", "gis", "--z", "1,0",
               "--nmax", "5"])
     assert exc.value.code == 2
+
+
+def test_gis_requires_nmax(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["state", "--model", "pt:2,2", "--family", "gis", "--z", "1,0",
+              "--lambda", "2,0"])
+    assert exc.value.code == 2
+
+
+def test_state_without_nmax_chooses_the_last_band(capsys):
+    code, out, _ = run(capsys, "state", "--model", "pt:3.5,1.2", "--family",
+                       "perelomov", "--z", "0.5,0.2")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    auto = perelomov_state(SpectrumModel.poschl_teller(3.5, 1.2), 0.5 + 0.2j)
+    assert len(rows) == auto.n_max + 1
+    assert float(rows[-1]["cum_mass"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gk_rejects_lambda_flag(capsys):
@@ -327,6 +344,24 @@ def test_state_gis_exit_code_contract(model, z, lam, nmax):
     assert code in (0, 2, 3, 4)
     if code == 3:
         assert _inadmissible([lam], strengths), argv
+
+
+@settings(max_examples=300)
+@example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(20.0, 0.0), nmax=10)
+@example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(20.0, 0.0), nmax=None)
+@given(model=_models, z=st.tuples(_coord, _coord),
+       nmax=st.none() | st.integers(min_value=0, max_value=800))
+def test_state_perelomov_exit_code_contract(model, z, nmax):
+    name, strengths = model
+    argv = ["state", "--model", name, "--family", "perelomov", "--z", _flag(complex(*z))]
+    if nmax is not None:
+        argv += ["--nmax", str(nmax)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = _run_quiet(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 3:
+        assert _inadmissible([], strengths), argv
 
 
 @settings(max_examples=300)

@@ -44,6 +44,36 @@ def test_ode_refuses_when_monitor_detects_blowup(pt22):
         pe.cn_ode(pt22, 2.5, 10)
 
 
+def test_ode_refusal_names_where_the_closure_froze(pt22):
+    # past the series radius pi/2 the closures stop certifying and freeze to 0
+    with pytest.raises(ConvergenceError, match="closure defect") as err:
+        pe.cn_ode(pt22, 2.5, 10)
+    r_f = float(re.search(r"froze to 0 at r_f=([0-9.]+)", str(err.value)).group(1))
+    assert 1.0 < r_f < math.pi / 2
+
+
+def test_ode_refuses_where_its_quadrature_orders_disagree(pt22):
+    # the band-21 closure certifies its tail at r = 1.3 but carries cancellation
+    # noise, which the two Gauss orders sample differently
+    with pytest.raises(ConvergenceError, match="coarse/fine ratio per band"):
+        pe.cn_ode(pt22, 1.3, 8)
+
+
+_ACCURACY_MODELS = [SpectrumModel.harmonic(), SpectrumModel.square_well(),
+                    SpectrumModel.poschl_teller(2.0, 2.0), SpectrumModel.poschl_teller(3.5, 1.2)]
+_ACCURACY_IDS = ["harmonic", "well", "pt:2,2", "pt:3.5,1.2"]
+
+
+@pytest.mark.parametrize("model", _ACCURACY_MODELS, ids=_ACCURACY_IDS)
+def test_ode_matches_closed_form_per_band(model):
+    radii = (0.01, 0.05, 0.3, 0.5, 1.0) + ((2.0, 3.0) if model.kind == "harmonic" else ())
+    for r in radii:
+        for n_max in (8, 10):
+            closed = pe.cn_closed(model, n_max, r).values
+            ode = pe.cn_ode(model, r, n_max).values
+            assert np.max(np.abs(ode - closed) / closed) <= 1e-12, (r, n_max)
+
+
 @pytest.mark.parametrize("model", [
     SpectrumModel.harmonic(),
     SpectrumModel.square_well(),
@@ -65,7 +95,7 @@ def test_adaptive_ode_matches_series_on_tabulated_spectrum(custom_table):
     assert np.max(np.abs(ode - series)) < 1e-10 * np.max(np.abs(series))
 
 
-def test_ode_refuses_a_collapsing_step(monkeypatch, harmonic):
+def test_ode_refuses_a_nan_closure(monkeypatch, harmonic):
     kernel = pe._series_kernel
 
     def poisoned_closure(model, bands, radii, j_caps):
@@ -75,7 +105,7 @@ def test_ode_refuses_a_collapsing_step(monkeypatch, harmonic):
         return np.where(closure, math.nan, values), failed & ~closure
 
     monkeypatch.setattr(pe, "_series_kernel", poisoned_closure)
-    with pytest.raises(ConvergenceError, match=r"collapsed to h=.* at r=0\.001"):
+    with pytest.raises(ConvergenceError, match=r"coefficient blow-up at r=0\.5000"):
         pe.cn_ode(harmonic, 0.5, 8)
 
 
@@ -117,65 +147,52 @@ def test_shallow_cut_gives_the_full_depth_bits(monkeypatch, all_models):
             assert np.array_equal(values, want, equal_nan=True)
 
 
-def test_closure_freezes_at_its_first_uncertified_stage(monkeypatch, pt22):
-    radii = 0.45 + pe._DP_C[1:] * 0.1  # 0.47, 0.48, 0.53, 0.539, 0.55
-    want = [[pe.cn_series(pt22, n, r, j_cap=400) for r in radii] for n in (11, 25)]
-    # band 11 does not certify at stage 3 only; band 25 always certifies
-    series_kernel, asked = pe._series_kernel, []
+def test_closure_freezes_in_node_order_and_never_thaws(monkeypatch, pt22):
+    series_kernel = pe._series_kernel
 
-    def kernel(model, bands, radii, j_caps):
-        asked.append(sorted(set(bands.tolist())))
+    def uncertified_window(model, bands, radii, j_caps):
+        # band 9, the closure of the n_max = 8 system, does not certify on 0.2 < r < 0.25 only
         values, failed = series_kernel(model, bands, radii, j_caps)
-        return values, failed | (bands == 11) & (radii > 0.52) & (radii < 0.535)
+        return values, failed | (bands == 9) & (radii > 0.2) & (radii < 0.25)
 
-    monkeypatch.setattr(pe, "_series_kernel", kernel)
-    bands, alive = np.array([11, 25]), np.ones(2, dtype=bool)
-    tails = pe._closures(pt22, bands, alive, radii)
-    assert np.array_equal(tails[:, 0], want[0][:2] + [0.0] * 3)
-    assert np.array_equal(tails[:, 1], want[1])
-    assert alive.tolist() == [False, True]
-    # a rejected step retries at smaller radii: band 11 stays frozen and is not asked for
-    retry = pe._closures(pt22, bands, alive, 0.45 + pe._DP_C[1:] * 0.02)
-    assert np.all(retry[:, 0] == 0.0) and np.all(retry[:, 1] != 0.0)
-    assert asked == [[11, 25], [25]]
+    def zero_past(model, bands, radii, j_caps):
+        values, failed = series_kernel(model, bands, radii, j_caps)
+        return np.where((bands == 9) & (radii > 0.2), 0.0, values), failed
 
-
-class _CountedMatmul(np.ndarray):
-    """The error weights: ``_DP_E @ k`` runs once per attempted step."""
-
-    uses = 0
-
-    def __matmul__(self, other):
-        type(self).uses += 1
-        return np.asarray(self) @ other
+    monkeypatch.setattr(pe, "_series_kernel", uncertified_window)
+    frozen, r_f = pe._ode_run(pt22, 0.5, (8, 20))
+    monkeypatch.setattr(pe, "_series_kernel", zero_past)
+    zeroed, none = pe._ode_run(pt22, 0.5, (8, 20))
+    # the closure stays 0 after the window, where its series certifies again
+    assert np.array_equal(frozen, zeroed)
+    assert none is None and 0.2 < r_f < 0.25
+    # the freeze reaches the n_max = 8 system only: band 9 enters nothing else
+    monkeypatch.setattr(pe, "_series_kernel", series_kernel)
+    clean, _ = pe._ode_run(pt22, 0.5, (8, 20))
+    assert np.array_equal(frozen[9:], clean[9:]) and not np.array_equal(frozen[:9], clean[:9])
 
 
-def test_ode_makes_one_kernel_call_per_attempted_step(monkeypatch, pt22):
+def test_ode_makes_one_kernel_call_for_every_closure_node(monkeypatch, pt22):
     kernel, calls = pe._series_kernel, []
 
     def counted(model, bands, radii, j_caps):
-        calls.append((np.asarray(bands), np.asarray(radii, dtype=float)))
+        calls.append((np.asarray(bands), np.asarray(radii, dtype=float), j_caps))
         return kernel(model, bands, radii, j_caps)
 
     monkeypatch.setattr(pe, "_series_kernel", counted)
-    monkeypatch.setattr(pe, "_DP_E", pe._DP_E.view(_CountedMatmul))
-    _CountedMatmul.uses = 0
     pe.cn_ode(pt22, 0.5, 8)
-    attempts = _CountedMatmul.uses
-    assert 0 < attempts and len(calls) <= attempts + 1
-    # the start: c_0 .. c_20 and the closure band 21 at r0
-    bands, radii = calls[0]
-    assert bands.tolist() == list(range(22)) and np.all(radii == pe._ODE_R0)
-    # every other call carries the five stage radii of one step for both closure bands
-    steps = set()
-    for bands, radii in calls[1:]:
-        assert bands.tolist() == [9] * 5 + [21] * 5
-        stages = radii[:5]
-        assert np.array_equal(radii[5:], stages)
-        h = (stages[4] - stages[0]) / (1.0 - pe._DP_C[1])
-        assert np.allclose(stages, stages[4] - h + pe._DP_C[1:] * h, rtol=0.0, atol=1e-13)
-        steps.add(tuple(stages.tolist()))
-    assert len(steps) == len(calls) - 1
+    assert len(calls) == 1
+    bands, radii, j_caps = calls[0]
+    # the closure bands of the n_max = 8 and 20 systems, at the same nodes, to 400 terms
+    half = bands.size // 2
+    assert bands.tolist() == [9] * half + [21] * half and j_caps == 400
+    assert np.array_equal(radii[:half], radii[half:])
+    # the Gauss nodes of both orders inside every step, step after step
+    per_step = sum(pe._FORCING_ORDERS)
+    nodes = radii[:half].reshape(-1, per_step)
+    h = 0.5 / nodes.shape[0]
+    inside = nodes - h * np.arange(nodes.shape[0])[:, None]
+    assert np.all((inside > 0.0) & (inside < h))
 
 
 def test_series_refusal_names_the_depth_it_needs(pt22):
@@ -187,19 +204,7 @@ def test_series_refusal_names_the_depth_it_needs(pt22):
     assert needed > 160
     # the estimate is actionable: at that depth the series certifies
     got = pe.cn_series(pt22, 10, 1.2, j_cap=needed)
-    assert got == pytest.approx(pe.cn_pt_closed(pt22.nu, 10, 1.2), rel=1e-9)
-
-
-@pytest.mark.parametrize("step", [0.0, -1e-4, 1.0000001e-3, 0.01])
-def test_ode_step_outside_its_range_is_a_domain_error(harmonic, step):
-    with pytest.raises(DomainError):
-        pe.cn_ode(harmonic, 0.5, 8, step=step)
-
-
-def test_ode_initial_step_is_only_a_start(harmonic):
-    coarse = pe.cn_ode(harmonic, 0.5, 8, step=1e-3).values
-    fine = pe.cn_ode(harmonic, 0.5, 8, step=1e-6).values
-    assert np.max(np.abs(coarse - fine)) < 1e-10 * np.max(np.abs(fine))
+    assert got == pytest.approx(pe.cn_closed(pt22, 10, 1.2).values[10], rel=1e-9)
 
 
 def test_shared_nested_sum_table_rows_equal_per_band_tables(all_models):
@@ -237,6 +242,19 @@ def test_closed_route_covers_large_radius(pt22):
     vals = pe.cn_closed(pt22, 8, 3.0).values
     assert np.all(np.isfinite(vals))
     assert vals[0] > 0
+
+
+@pytest.mark.parametrize("model", _ACCURACY_MODELS, ids=_ACCURACY_IDS)
+def test_closed_block_matches_per_level_lgamma(model):
+    for r in (0.0, 1e-3, 0.3, 1.0, 3.0, 8.0):
+        got = pe.cn_closed(model, 40, r).values
+        if model.kind == "harmonic":
+            want = [math.exp(-0.5 * r * r - math.lgamma(n + 1.0)) for n in range(41)]
+        else:
+            ratio = math.log(math.tanh(r) / r) if r > 0.0 else 0.0
+            want = [math.exp(-math.lgamma(n + 1.0) - (model.nu + 1.0) * math.log(math.cosh(r))
+                             + n * ratio) for n in range(41)]
+        assert np.max(np.abs(got - want) / np.array(want)) < 1e-13, r
 
 
 def test_harmonic_weights_are_poissonian(harmonic):
@@ -279,6 +297,21 @@ def test_plane_and_disk_routes_give_same_state(pt22):
     a = pe.perelomov_state(pt22, z, n_max=60)
     b = pe.disk_coefficients(pt22, pe.plane_to_disk(z), n_max=60)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("model", _ACCURACY_MODELS[1:3], ids=_ACCURACY_IDS[1:3])
+@pytest.mark.parametrize("r", [19.1, 25.0, 60.0])
+@pytest.mark.parametrize("n_max", [None, 10, 800])
+def test_far_perelomov_state_is_a_vector_or_a_truncation(model, r, n_max):
+    # tanh r rounds to 1 here; the disk radius must not reach log(1 - tanh^2 r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            state = pe.perelomov_state(model, r * cmath.exp(0.7j), n_max=n_max)
+        except TruncationError:
+            return
+    assert np.all(np.isfinite(state.coeffs))
+    assert n_max is None or state.n_max == n_max
 
 
 def test_perelomov_state_normalized(pt_soft):
