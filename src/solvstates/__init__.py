@@ -26,10 +26,12 @@ from .intelligent import (GISParameters, delta_nh, gis_bargmann_function,
                           gis_disk_function, gis_state, laplace_bridge,
                           validate_lambda, verify_rs)
 from .position import (GridFunction, PTParameters, eigenfunction, energy,
-                       factorization_residual, gram_matrix, interior_grid,
-                       overlap_matrix, partner_eigenfunction, partner_energy,
-                       partner_potential, potential, rayleigh_quotient,
-                       schrodinger_residual, superpotential)
+                       factorization_residual, factorization_residuals,
+                       gram_matrix, interior_grid, overlap_matrix,
+                       partner_eigenfunction, partner_energy, partner_potential,
+                       potential, rayleigh_quotient, rayleigh_quotients,
+                       schrodinger_residual, schrodinger_residuals,
+                       superpotential)
 from .verify import CaseResult, VerificationReport, run_suite
 from .tolerances import DEFAULTS as TOLERANCES
 

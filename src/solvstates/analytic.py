@@ -14,7 +14,8 @@ def taylor_coefficients(f, n_max, radius=1.0, samples=None):
     radius must lie inside the disk of analyticity and samples must stay
     well above n_max.  The default sample count (a power of two, at least
     8 * (n_max + 1)) keeps the fold-back negligible for functions whose
-    coefficients do not grow along the ring.
+    coefficients do not grow along the ring.  f is called once, with the
+    whole ring as a complex array, and must return its values there.
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
@@ -28,6 +29,6 @@ def taylor_coefficients(f, n_max, radius=1.0, samples=None):
         raise DomainError("need more ring samples than coefficients")
     k = np.arange(samples)
     ring = radius * np.exp(2j * np.pi * k / samples)
-    vals = np.array([f(w) for w in ring], dtype=complex)
+    vals = np.asarray(f(ring), dtype=complex)
     hat = np.fft.fft(vals) / samples
     return hat[: n_max + 1] / radius ** np.arange(n_max + 1, dtype=float)

@@ -16,7 +16,11 @@ Three equivalent descriptions are implemented and cross-checked:
 * an entire analytic function exp(s z) 1F1(...) in the plane picture
   whose Taylor coefficients reproduce the same state,
 * a product of two binomial branch factors on the unit disk whose
-  Jacobi-polynomial expansion does the same in the disk picture.
+  Taylor coefficients (a two-term recurrence, equal to a Jacobi-polynomial
+  form) do the same in the disk picture.
+
+Both analytic functions take arrays of points, so a Taylor check samples
+its whole ring in one series pass.
 
 A Laplace transform sends plane-picture monomials onto disk-picture
 monomials; laplace_bridge quantifies that correspondence by quadrature.
@@ -35,8 +39,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationError
 from .fockspace import FockVector, LadderRep, UncertaintyReport, uncertainty
-from .specfun import (graded_edges, hyp0f1, hyp1f1, jacobi_p, log_gamma, panel_rule,
-                      settled)
+from .perelomov import _log_gamma_ratio
+from .specfun import graded_edges, hyp0f1, hyp1f1, log_gamma, panel_rule, settled
 from .spectrum import SpectrumModel
 
 COHERENT = "coherent"
@@ -109,13 +113,28 @@ def _branch_root(lam: complex) -> tuple[complex, complex]:
     return s, s * (lam + 1.0)
 
 
+def _delta_triangle(energies) -> np.ndarray:
+    """Nested energy sums Delta(m, k) for m = 0 .. len(energies), k = 0 .. len(energies) // 2.
+
+    Row m + 1 follows from Delta(m+1, k) = Delta(m, k) + E_m Delta(m-1, k-1)
+    with E_m = energies[m], starting from the empty sets of rows 0 and 1;
+    entries with 2k > m are 0.
+    """
+    top = len(energies)
+    table = np.zeros((top + 1, top // 2 + 1))
+    table[:, 0] = 1.0
+    for m in range(1, top):
+        table[m + 1, 1:] = table[m, 1:] + energies[m] * table[m - 1, :-1]
+    return table
+
+
 def delta_nh(model: SpectrumModel, n: int, h: int) -> float:
     """Nested energy sum Delta(n, h): products of h energies E_{j} with
     indices strictly inside [1, n-1] and pairwise gaps >= 2.
 
-    Delta(n, 0) = 1 by the empty-product convention.  Filled row by row
-    from Delta(m+1, k) = Delta(m, k) + E_m Delta(m-1, k-1) on every call;
-    meant for the small n of the closed-form cross-check.
+    Delta(n, 0) = 1 by the empty-product convention.  Read from the
+    _delta_triangle of E_0 .. E_{n-1}, the fill the closed-form
+    cross-check of the gis verify suite uses for all of its n at once.
     """
     if n < 0:
         raise DomainError("delta_nh needs n >= 0")
@@ -123,12 +142,7 @@ def delta_nh(model: SpectrumModel, n: int, h: int) -> float:
         raise DomainError(f"h={h} outside [0, floor(n/2)] for n={n}")
     if h == 0:
         return 1.0
-    # rows Delta(m-1, .) and Delta(m, .), starting from the empty sets at m = 1
-    prev = cur = [1.0] + [0.0] * h
-    for m in range(1, n):
-        e_m = model.energy(m)
-        prev, cur = cur, [1.0] + [cur[k] + e_m * prev[k - 1] for k in range(1, h + 1)]
-    return cur[h]
+    return float(_delta_triangle(model.energies(n - 1))[n, h])
 
 
 def gis_coefficients(model: SpectrumModel, params: GISParameters, n_max: int) -> FockVector:
@@ -231,7 +245,7 @@ def verify_rs(
     return report, checks
 
 
-def gis_bargmann_function(nu: float, z_prime: complex, lam: complex, z: complex, sign: int = 1) -> complex:
+def gis_bargmann_function(nu: float, z_prime: complex, lam: complex, z, sign: int = 1):
     """Plane-picture analytic function of the state with eigenvalue z_prime.
 
     Phi(z) = exp(sign * s * z)
@@ -240,17 +254,22 @@ def gis_bargmann_function(nu: float, z_prime: complex, lam: complex, z: complex,
     with s = sqrt((lam-1)/(lam+1)) on the principal branch.  Both sign
     choices describe the same function (Kummer's transformation maps one
     onto the other).  lam = 1 degenerates to 0F1(nu+1; z z_prime), the
-    lowering-operator eigenfunction.
+    lowering-operator eigenfunction.  z may be an array, evaluated in one
+    series pass; a scalar z gives a complex.
     """
     validate_lambda(lam)
     if sign not in (1, -1):
         raise DomainError("sign selects a branch and must be +1 or -1")
     lam = complex(lam)
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()  # numpy scalar arithmetic rounds differently from its array loops
     if lam == 1:
-        return hyp0f1(nu + 1.0, complex(z) * complex(z_prime))
-    s, root = _branch_root(lam)
-    a = 0.5 * (nu + 1.0) - sign * complex(z_prime) / root
-    return cmath.exp(sign * s * z) * hyp1f1(a, nu + 1.0, -sign * 2.0 * s * z)
+        out = hyp0f1(nu + 1.0, flat * complex(z_prime))
+    else:
+        s, root = _branch_root(lam)
+        a = 0.5 * (nu + 1.0) - sign * complex(z_prime) / root
+        out = np.exp(sign * s * flat) * hyp1f1(a, nu + 1.0, -sign * 2.0 * s * flat)
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def _disk_exponents(nu: float, zeta_prime: complex, lam: complex) -> tuple[complex, complex]:
@@ -261,25 +280,30 @@ def _disk_exponents(nu: float, zeta_prime: complex, lam: complex) -> tuple[compl
     return base + shift, base - shift
 
 
-def gis_disk_function(nu: float, zeta_prime: complex, lam: complex, zeta) -> complex:
+def gis_disk_function(nu: float, zeta_prime: complex, lam: complex, zeta):
     """Disk-picture analytic function, unnormalized.
 
     Phi(zeta) = (1 + s zeta)^{a+} (1 - s zeta)^{a-} with the branch
     exponents a+- = -(nu+1)/2 +- zeta_prime / (s (lam+1)).  Principal
     logs are safe because |s zeta| < 1 keeps both factors in the right
-    half plane.  lam = 1 degenerates to exp(zeta zeta_prime).
+    half plane.  lam = 1 degenerates to exp(zeta zeta_prime).  zeta may be
+    a DiskPoint, a number (giving a complex) or an array of points, every
+    one of which must satisfy |s zeta| < 1.
     """
     validate_lambda(lam)
-    zeta = complex(getattr(zeta, "zeta", zeta))
+    zs = np.asarray(getattr(zeta, "zeta", zeta), dtype=complex)
+    flat = zs.ravel()  # as in gis_bargmann_function: array loops for a scalar too
     lam = complex(lam)
     if lam == 1:
-        return cmath.exp(zeta * complex(zeta_prime))
-    s, _ = _branch_root(lam)
-    if abs(s * zeta) >= 1.0:
-        raise DomainError(
-            f"|s zeta| = {abs(s * zeta):.3f} >= 1 leaves the analyticity disk")
-    ap, am = _disk_exponents(nu, zeta_prime, lam)
-    return cmath.exp(ap * cmath.log(1.0 + s * zeta) + am * cmath.log(1.0 - s * zeta))
+        out = np.exp(flat * complex(zeta_prime))
+    else:
+        s, _ = _branch_root(lam)
+        reach = float(np.max(np.abs(s * flat), initial=0.0))
+        if reach >= 1.0:
+            raise DomainError(f"|s zeta| = {reach:.3f} >= 1 leaves the analyticity disk")
+        ap, am = _disk_exponents(nu, zeta_prime, lam)
+        out = np.exp(ap * np.log(1.0 + s * flat) + am * np.log(1.0 - s * flat))
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def _nu_model(nu: float) -> SpectrumModel:
@@ -301,10 +325,16 @@ def gis_disk_expansion(
 ) -> FockVector:
     """Ladder-basis coefficients read off the disk-picture function.
 
-    Expanding the product of branch factors gives Taylor coefficients
-    (2s)^n P_n^{(a+ - n, a- - n)}(0); dividing by the disk monomial
-    weights sqrt(Gamma(nu+1+n) / (n! Gamma(nu+1))) and attaching the
-    e^{-i alpha E_n} phases yields the state, normalized here.
+    The Taylor coefficients t_n of (1 + s zeta)^{a+} (1 - s zeta)^{a-}
+    (which equal (2s)^n P_n^{(a+ - n, a- - n)}(0), the Jacobi form the
+    tests use as the oracle) follow from the first-order equation
+    (1 - s^2 zeta^2) Phi' = [(a+ - a-) s - (a+ + a-) s^2 zeta] Phi as
+
+    (n+1) t_{n+1} = (a+ - a-) s t_n + (n - 1 - a+ - a-) s^2 t_{n-1},
+
+    t_0 = 1; lam = 1 gives t_n = zeta_prime^n / n!.  Dividing by the disk
+    monomial weights sqrt(Gamma(nu+1+n) / (n! Gamma(nu+1))) and attaching
+    the e^{-i alpha E_n} phases yields the state, normalized here.
     """
     validate_lambda(lam)
     if n_max < 0:
@@ -316,22 +346,22 @@ def gis_disk_expansion(
     model = model.with_alpha(alpha)
     lam = complex(lam)
     zp = complex(zeta_prime)
-    coeffs = np.zeros(n_max + 1, dtype=complex)
+    taylor = [1.0 + 0.0j]
     if lam == 1:
-        taylor = [zp**n / math.exp(log_gamma(n + 1.0)) for n in range(n_max + 1)]
+        for n in range(n_max):
+            taylor.append(taylor[n] * zp / (n + 1))
     else:
         s, _ = _branch_root(lam)
         ap, am = _disk_exponents(nu, zp, lam)
-        taylor = [
-            (2.0 * s) ** n * jacobi_p(n, ap - n, am - n, 0.0) for n in range(n_max + 1)
-        ]
-    for n in range(n_max + 1):
-        log_w = 0.5 * (
-            log_gamma(n + 1.0) + log_gamma(nu + 1.0) - log_gamma(nu + 1.0 + n)
-        )
-        phase = cmath.exp(-1j * model.alpha * model.energy(n))
-        coeffs[n] = taylor[n] * math.exp(log_w) * phase
-    out = FockVector(model, coeffs).normalized()
+        first, second = (ap - am) * s, s * s
+        previous = 0.0
+        for n in range(n_max):
+            nxt = (first * taylor[n] + (n - 1 - ap - am) * second * previous) / (n + 1)
+            previous = taylor[n]
+            taylor.append(nxt)
+    weights = np.exp(-0.5 * _log_gamma_ratio(nu, n_max))
+    phases = np.exp(-1j * model.alpha * model.energies(n_max))
+    out = FockVector(model, np.array(taylor) * weights * phases).normalized()
     tail = out.tail_bound()
     if not (tail < _TAIL_CERT):
         raise TruncationError(

@@ -204,12 +204,12 @@ def _grid_norm(values, xs) -> float:
 
 
 def _stencil(p: PTParameters, n_max: int, xs):
-    """psi_0 .. psi_{n_max} at xs + h, xs and xs - h: shape (n_max + 1, 3, xs.size)."""
-    return eigenfunctions(p, n_max, np.stack([xs + H_STEP, xs, xs - H_STEP]))
+    """psi_0 .. psi_{n_max} at xs + h, xs and xs - h: shape (3, n_max + 1, xs.size)."""
+    return eigenfunctions(p, n_max, np.stack([xs + H_STEP, xs, xs - H_STEP])).transpose(1, 0, 2)
 
 
 def _lower_apply(p: PTParameters, stencil, xs):
-    # A^- f = -f' - W f on the stencil rows of f.  H = A^+ A^- fixes the pair
+    # A^- f = -f' - W f on every row of the stencil.  H = A^+ A^- fixes the pair
     # only up to a joint sign; this choice is the one that sends psi_{n+1}
     # onto +sqrt(E_{n+1}) theta_n when both families carry their positive
     # normalization constants.
@@ -217,53 +217,89 @@ def _lower_apply(p: PTParameters, stencil, xs):
     return -(up - down) / (2.0 * H_STEP) - superpotential(p, xs) * mid
 
 
-def factorization_residual(p: PTParameters, n: int):
-    """Grid norms (r1, r2) of A^- psi_{n+1} - sqrt(E_{n+1}) theta_n and A^- psi_0.
+def factorization_residuals(p: PTParameters, n_max: int):
+    """Grid norms r1[n] of A^- psi_{n+1} - sqrt(E_{n+1}) theta_n for n = 0 .. n_max,
+    and r2 of A^- psi_0.
 
     Derivatives are central differences with step H_STEP on a grid that
     keeps FD_MARGIN away from the walls; both residuals should come out
-    finite-difference-limited, well under 1e-4.
+    finite-difference-limited, well under 1e-4.  One stencil pass of psi
+    and one pass of theta on the grid give every row.
     """
-    if not 0 <= n <= 10:
+    if not 0 <= n_max <= 10:
         raise DomainError("factorization_residual covers 0 <= n <= 10")
     xs = _fd_grid(p)
-    psi = _stencil(p, n + 1, xs)
-    target = math.sqrt(energy(p, n + 1)) * partner_eigenfunction(p, n, xs)
-    r1 = _grid_norm(_lower_apply(p, psi[n + 1], xs) - target, xs)
-    r2 = _grid_norm(_lower_apply(p, psi[0], xs), xs)
-    return r1, r2
+    lowered = _lower_apply(p, _stencil(p, n_max + 1, xs), xs)
+    theta = eigenfunctions(_partner(p), n_max, xs)
+    r1 = np.array([_grid_norm(lowered[n + 1] - math.sqrt(energy(p, n + 1)) * theta[n], xs)
+                   for n in range(n_max + 1)])
+    return r1, _grid_norm(lowered[0], xs)
 
 
-def _second_difference(p: PTParameters, n: int):
-    # the second-difference grid, psi_n on it and -psi_n'' + V psi_n
+def factorization_residual(p: PTParameters, n: int):
+    """(r1, r2) of ``factorization_residuals`` at row n."""
+    r1, r2 = factorization_residuals(p, n)
+    return float(r1[n]), r2
+
+
+def _second_differences(p: PTParameters, n_max: int):
+    # the second-difference grid, psi_0 .. psi_n_max on it and -psi_n'' + V psi_n
     xs = _fd_grid(p, _second_diff_margin(p))
-    up, mid, down = _stencil(p, n, xs)[n]
+    up, mid, down = _stencil(p, n_max, xs)
     second = (up - 2.0 * mid + down) / (H_STEP * H_STEP)
     return xs, mid, -second + potential(p, xs) * mid
 
 
-def schrodinger_residual(p: PTParameters, n: int) -> float:
-    """Grid norm of (-psi_n'' + V psi_n)/E_n - psi_n, second differences."""
-    if not 1 <= n <= 10:
+def _schrodinger_rows(p: PTParameters, xs, mid, acted):
+    # row 0 has E_0 = 0 and no relative residual
+    return np.array([math.nan] + [_grid_norm(acted[n] / energy(p, n) - mid[n], xs)
+                                  for n in range(1, len(mid))])
+
+
+def _rayleigh_rows(xs, mid, acted):
+    dx = xs[1] - xs[0]
+    out = []
+    for psi, h_psi in zip(mid, acted):
+        num = float(np.dot(psi, h_psi) - 0.5 * (psi[0] * h_psi[0] + psi[-1] * h_psi[-1]))
+        den = float(np.dot(psi, psi) - 0.5 * (psi[0] ** 2 + psi[-1] ** 2))
+        out.append((num * dx) / (den * dx))
+    return np.array(out)
+
+
+def schrodinger_residuals(p: PTParameters, n_max: int):
+    """Grid norms of (-psi_n'' + V psi_n)/E_n - psi_n for n = 0 .. n_max, second
+    differences from one stencil pass; entry 0 is NaN because E_0 = 0."""
+    if not 1 <= n_max <= 10:
         raise DomainError("schrodinger_residual covers 1 <= n <= 10")
-    xs, mid, acted = _second_difference(p, n)
-    return _grid_norm(acted / energy(p, n) - mid, xs)
+    return _schrodinger_rows(p, *_second_differences(p, n_max))
+
+
+def schrodinger_residual(p: PTParameters, n: int) -> float:
+    """Row n of ``schrodinger_residuals``, 1 <= n <= 10."""
+    return float(schrodinger_residuals(p, n)[n])
+
+
+def rayleigh_quotients(p: PTParameters, n_max: int):
+    """<psi_n|H|psi_n> / <psi_n|psi_n> for n = 0 .. n_max, with finite-difference
+    derivatives from one stencil pass."""
+    if not 0 <= n_max <= 10:
+        raise DomainError("rayleigh_quotient covers 0 <= n <= 10")
+    return _rayleigh_rows(*_second_differences(p, n_max))
 
 
 def rayleigh_quotient(p: PTParameters, n: int) -> float:
-    """<psi_n|H|psi_n> / <psi_n|psi_n> with finite-difference derivatives."""
-    if not 0 <= n <= 10:
-        raise DomainError("rayleigh_quotient covers 0 <= n <= 10")
-    xs, mid, acted = _second_difference(p, n)
-    dx = xs[1] - xs[0]
-    num = float(np.dot(mid, acted) - 0.5 * (mid[0] * acted[0] + mid[-1] * acted[-1]))
-    den = float(np.dot(mid, mid) - 0.5 * (mid[0] ** 2 + mid[-1] ** 2))
-    return (num * dx) / (den * dx)
+    """Row n of ``rayleigh_quotients``."""
+    return float(rayleigh_quotients(p, n)[n])
 
 
 def _quad_nodes(p: PTParameters, order: int):
     margin = QUAD_MARGIN * p.box
     return panel_rule([margin, p.box - margin], order)
+
+
+def _inner(left, weights, right):
+    # quadrature inner products of every row of left with every row of right
+    return left @ (weights[:, None] * right.T)
 
 
 def gram_matrix(p: PTParameters, n_max: int, order: int = 200):
@@ -272,14 +308,20 @@ def gram_matrix(p: PTParameters, n_max: int, order: int = 200):
         raise DomainError("gram_matrix covers 0 <= n_max <= 50")
     nodes, weights = _quad_nodes(p, order)
     rows = eigenfunctions(p, n_max, nodes)
-    return rows @ (weights[:, None] * rows.T)
+    return _inner(rows, weights, rows)
 
 
-def _overlap_at(p: PTParameters, n_max: int, order: int):
+def _quad_rows(p: PTParameters, n_max: int, order: int):
+    """Quadrature weights and psi_0..psi_n_max, theta_0..theta_n_max at the order nodes."""
     nodes, weights = _quad_nodes(p, order)
-    psi = eigenfunctions(p, n_max, nodes)
-    theta = eigenfunctions(_partner(p), n_max, nodes)
-    return psi @ (weights[:, None] * theta.T)
+    return weights, eigenfunctions(p, n_max, nodes), eigenfunctions(_partner(p), n_max, nodes)
+
+
+def _settled_overlap(n_max: int, coarse, fine):
+    # coarse and fine are _quad_rows at 200 and 260 nodes
+    (w_c, psi_c, theta_c), (w_f, psi_f, theta_f) = coarse, fine
+    return settled(f"overlap n_max={n_max}", _inner(psi_c, w_c, theta_c),
+                   _inner(psi_f, w_f, theta_f), 1e-9).astype(complex)
 
 
 def overlap_matrix(p: PTParameters, n_max: int):
@@ -290,6 +332,4 @@ def overlap_matrix(p: PTParameters, n_max: int):
     """
     if not 0 <= n_max <= 20:
         raise DomainError("overlap_matrix covers 0 <= n_max <= 20")
-    fine = settled(f"overlap n_max={n_max}", _overlap_at(p, n_max, 200),
-                   _overlap_at(p, n_max, 260), 1e-9)
-    return fine.astype(complex)
+    return _settled_overlap(n_max, _quad_rows(p, n_max, 200), _quad_rows(p, n_max, 260))

@@ -4,11 +4,13 @@ Everything here is series- or quadrature-based and tuned for the moderate
 arguments this package needs (|z| up to about 50).  Series stop on a
 relative tail below 1e-16 and abort with ConvergenceError past a hard cap
 of 10000 terms; there are no reflection formulas and no asymptotic
-branches.  The Jacobi evaluator deliberately runs the three-term recurrence
-as a formal identity in the parameters, so it stays valid for the complex
-and below -1 parameter values required by the disk-representation
-expansions, a regime standard libraries refuse; one pass gives every degree
-up to n.
+branches.  ``hyp1f1`` and ``hyp0f1`` take an array argument and sum it in
+one pass, each element by exactly the arithmetic of a scalar call;
+``bessel_k`` takes an array as well.  The Jacobi evaluator deliberately
+runs the three-term recurrence as a formal identity in the parameters, so
+it stays valid for the complex and below -1 parameter values required by
+the disk-representation expansions, a regime standard libraries refuse;
+one pass gives every degree up to n.
 
 Every integral in the package goes through one composite Gauss-Legendre
 path: ``panel_rule`` turns a set of panel edges (uniform, or from
@@ -28,6 +30,8 @@ from .errors import ConvergenceError, DomainError
 
 MAX_TERMS = 10000
 REL_TAIL = 1e-16
+# terms per vectorized step of the hypergeometric series
+_BLOCK = 24
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -150,44 +154,79 @@ def _near_nonpositive_int(value) -> bool:
             and abs(v.real - round(v.real)) < 1e-12)
 
 
-def hyp0f1(b, z) -> complex:
-    """Confluent limit function 0F1(; b; z) by the ascending series."""
+def _ascending(name: str, a, b, z):
+    """sum_k (a)_k z^k / ((b)_k k!), or sum_k z^k / ((b)_k k!) when a is None.
+
+    z is a scalar or an array.  All elements advance together, _BLOCK terms
+    at a time, and each one returns the partial sum at the first term that
+    meets the stop rule (two consecutive terms below REL_TAIL of the partial
+    sum) and leaves the pass.  An element's arithmetic never involves another
+    element, so it comes out exactly as it would alone.  The termination,
+    pole and MAX_TERMS checks depend on the parameters only and apply to
+    every element still summing.
+    """
+    zs = np.asarray(z, dtype=complex)
+    out = zs.ravel().copy()
+    live = np.arange(out.size)  # positions of the elements still summing
+    zl = out.copy()
+    # last term, partial sum and stop flag of each live element, one column each
+    term = np.ones((out.size, 1), dtype=complex)
+    total = term.copy()
+    small = np.zeros((out.size, 1), dtype=bool)
+    for k in range(0, MAX_TERMS, _BLOCK):
+        if not live.size:
+            break
+        js = np.arange(k, min(k + _BLOCK, MAX_TERMS))
+        upper = np.ones(js.size) if a is None else a + js
+        ends = np.abs(upper) < 1e-13  # the series terminates before term j + 1
+        stops = ends | (np.abs(b + js) < 1e-13)
+        cut = int(np.argmax(stops)) if stops.any() else js.size
+        if cut:
+            steps = zl[:, None] * (upper[:cut] / ((b + js[:cut]) * (js[:cut] + 1)))
+            terms = np.cumprod(np.concatenate([term, steps], axis=1), axis=1)
+            totals = np.cumsum(np.concatenate([total, terms[:, 1:]], axis=1), axis=1)
+            flags = np.abs(terms) <= REL_TAIL * np.maximum(np.abs(totals), 1e-300)
+            flags[:, :1] = small  # column 0 is the previous block's last term
+            twice = flags[:, 1:] & flags[:, :-1]
+            done = twice.any(axis=1)
+            if done.any():
+                at = np.argmax(twice[done], axis=1) + 1
+                out[live[done]] = totals[done, at]
+                keep = ~done
+                live, zl = live[keep], zl[keep]
+                terms, totals, flags = terms[keep], totals[keep], flags[keep]
+            term, total, small = terms[:, -1:], totals[:, -1:], flags[:, -1:]
+        if cut < js.size and live.size:
+            if not ends[cut]:
+                raise DomainError(f"{name} pole at b={b}")
+            out[live] = total[:, 0]  # every partial sum is final
+            live = live[:0]
+    if live.size:
+        raise ConvergenceError(f"{name} series did not converge")
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+
+
+def hyp0f1(b, z):
+    """Confluent limit function 0F1(; b; z) by the ascending series.
+
+    z may be a scalar (giving a complex) or an array (giving a complex
+    array of its shape); every element follows the scalar stop rule.
+    """
     if _near_nonpositive_int(b):
         raise DomainError(f"hyp0f1 pole at b={b}")
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    small = 0
-    for k in range(MAX_TERMS):
-        term = term * z / ((b + k) * (k + 1))
-        total += term
-        small = small + 1 if abs(term) <= REL_TAIL * max(abs(total), 1e-300) else 0
-        if small >= 2:
-            return total
-    raise ConvergenceError("hyp0f1 series did not converge")
+    return _ascending("hyp0f1", None, b, z)
 
 
-def hyp1f1(a, b, z) -> complex:
+def hyp1f1(a, b, z):
     """Kummer confluent function 1F1(a; b; z) by the ascending series.
 
-    Parameters and argument may be complex.  A nonpositive-integer b is a
-    pole unless the a series terminates first.  Accuracy degrades through
-    cancellation for strongly negative Re z; the package only evaluates
-    moderate arguments.
+    Parameters and argument may be complex, and z may be an array (the
+    result then has its shape; a scalar z gives a complex).  A
+    nonpositive-integer b is a pole unless the a series terminates first.
+    Accuracy degrades through cancellation for strongly negative Re z; the
+    package only evaluates moderate arguments.
     """
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    small = 0
-    for k in range(MAX_TERMS):
-        if abs(complex(a + k)) < 1e-13:
-            return total
-        if abs(complex(b + k)) < 1e-13:
-            raise DomainError(f"hyp1f1 pole at b={b}")
-        term = term * (a + k) * z / ((b + k) * (k + 1))
-        total += term
-        small = small + 1 if abs(term) <= REL_TAIL * max(abs(total), 1e-300) else 0
-        if small >= 2:
-            return total
-    raise ConvergenceError("hyp1f1 series did not converge")
+    return _ascending("hyp1f1", a, b, z)
 
 
 @dataclass(frozen=True)

@@ -25,21 +25,6 @@ _DIVERGENCE_RATIO = 1.2
 
 
 @dataclass(frozen=True)
-class EnergyProduct:
-    """Cumulative product E(n), kept as a log with a convenience value."""
-
-    n: int
-    log_value: float
-
-    @property
-    def value(self) -> float:
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
-
-
-@dataclass(frozen=True)
 class SpectrumModel:
     """A solvable spectrum plus the phase parameter used by state families."""
 
@@ -143,16 +128,6 @@ class SpectrumModel:
         if self.kind == HARMONIC:
             return ns
         return ns * (ns + self.nu)
-
-    def level_gap(self, n: int) -> float:
-        """E_{n+1} - E_n, the eigenvalue of the commutator operator at level n."""
-        return self.energy(n + 1) - self.energy(n)
-
-    def energy_product(self, n: int) -> EnergyProduct:
-        """E(n) = E_1 ... E_n accumulated as a sum of logs."""
-        if n < 0:
-            raise DomainError("level index must be >= 0")
-        return EnergyProduct(n=n, log_value=float(self.log_products(n)[n]))
 
     def log_products(self, n_max: int) -> np.ndarray:
         """Array of log E(n) for n = 0 .. n_max."""

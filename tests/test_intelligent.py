@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvstates import (LambdaRejected, TruncationError, build_ladder,
+from solvstates import (DomainError, LambdaRejected, TruncationError, build_ladder,
                         gis_recurrence_oracle, uncertainty)
 from solvstates import gazeau_klauder as gk
 from solvstates import intelligent as it
+from solvstates import perelomov as pe
+from solvstates import specfun
 from solvstates.analytic import taylor_coefficients
 from solvstates.verify import _gis_closed_form
 
@@ -212,7 +214,8 @@ def test_lambda_one_kills_anticommutator(harmonic, pt22):
     # oscillator ground-family variance: 2 var_x = 1 in these units
     state = it.gis_state(harmonic, it.GISParameters(0.7, 1.0))
     out = uncertainty(build_ladder(harmonic, state.n_max), state)
-    assert 2.0 * state.model.level_gap(0) * out.var_x == pytest.approx(1.0, abs=1e-10)
+    gap = np.diff(state.model.energies(1))[0]
+    assert 2.0 * gap * out.var_x == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bargmann_function_taylor_matches_coefficients(pt22):
@@ -267,6 +270,51 @@ def test_disk_expansion_matches_taylor_of_its_symbol():
     want = vec.coeffs[: top + 1] / vec.coeffs[0]
     got = symbol / symbol[0]
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8
+
+
+def _disk_expansion_by_jacobi(nu, zeta_prime, lam, n_max, alpha):
+    """The disk expansion from its Jacobi form (2s)^n P_n^(a+ - n, a- - n)(0)."""
+    model = it._nu_model(nu).with_alpha(alpha)
+    s, _ = it._branch_root(lam)
+    ap, am = it._disk_exponents(nu, zeta_prime, lam)
+    coeffs = np.array([
+        (2.0 * s) ** n * specfun.jacobi_p(n, ap - n, am - n, 0.0)
+        * math.exp(0.5 * (specfun.log_gamma(n + 1.0) + specfun.log_gamma(nu + 1.0)
+                          - specfun.log_gamma(nu + 1.0 + n)))
+        * cmath.exp(-1j * alpha * model.energy(n)) for n in range(n_max + 1)])
+    return coeffs / np.linalg.norm(coeffs)
+
+
+@pytest.mark.parametrize("nu", [2.0, 2.4, 3.3, 5.8, 7.8])
+def test_disk_recurrence_matches_the_jacobi_form(nu):
+    for lam, zeta_prime in ((2.0, 0.5), (0.5 + 0.5j, 0.3 - 0.4j),
+                            (cmath.exp(1j * math.pi / 6), 0.6j), (3.0 - 1.0j, -0.2 + 0.1j)):
+        for alpha in (0.0, 0.3):
+            got = it.gis_disk_expansion(nu, zeta_prime, lam, 60, alpha=alpha).coeffs
+            want = _disk_expansion_by_jacobi(nu, zeta_prime, lam, 60, alpha)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (lam, zeta_prime, alpha)
+
+
+def test_symbols_on_arrays_equal_pointwise_calls(pt22):
+    nu = pt22.nu
+    zs = np.array([[0.3, 1.0j], [-0.4 + 0.2j, 2.5 - 1.0j]])
+    for lam in (2.0, 0.5 + 0.5j, 1.0):
+        for sign in (1, -1):
+            whole = it.gis_bargmann_function(nu, 0.8, lam, zs, sign=sign)
+            assert whole.shape == zs.shape
+            alone = [[it.gis_bargmann_function(nu, 0.8, lam, z, sign=sign) for z in row]
+                     for row in zs]
+            assert np.array_equal(whole, np.array(alone))
+        disk = zs / 4.0
+        whole = it.gis_disk_function(nu, 0.5, lam, disk)
+        alone = [[it.gis_disk_function(nu, 0.5, lam, z) for z in row] for row in disk]
+        assert np.array_equal(whole, np.array(alone))
+    point = pe.DiskPoint(0.3 + 0.2j)
+    on_point = it.gis_disk_function(nu, 0.5, 2.0, point)
+    assert on_point == it.gis_disk_function(nu, 0.5, 2.0, point.zeta)
+    # s = 1/sqrt(3) at lam = 2: one point at |s zeta| >= 1 refuses the whole array
+    with pytest.raises(DomainError, match="leaves the analyticity disk"):
+        it.gis_disk_function(nu, 0.5, 2.0, np.array([0.1, 1.8]))
 
 
 @pytest.mark.parametrize("zeta", [0.3, 0.5, 0.8])

@@ -7,6 +7,7 @@ import scipy.integrate
 
 from solvstates import DomainError, specfun
 from solvstates import position as po
+from solvstates.verify import run_suite
 
 
 P22 = po.PTParameters(2.0, 2.0)
@@ -129,6 +130,31 @@ def test_rayleigh_quotients(PT=P22):
         assert got == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("p", [P22, PSOFT, PWIDE])
+def test_residual_families_equal_their_row_readers_bitwise(p):
+    r1, r2 = po.factorization_residuals(p, 10)
+    schrodinger = po.schrodinger_residuals(p, 10)
+    rayleigh = po.rayleigh_quotients(p, 10)
+    assert math.isnan(schrodinger[0])
+    for n in range(11):
+        assert po.factorization_residual(p, n) == (r1[n], r2)
+        assert po.rayleigh_quotient(p, n) == rayleigh[n]
+        if n:
+            assert po.schrodinger_residual(p, n) == schrodinger[n]
+    # row n of the family against A^- psi_{n+1} - sqrt(E_{n+1}) theta_n built row by row
+    xs, h = po._fd_grid(p), po.H_STEP
+    w = po.superpotential(p, xs)
+    for n in (0, 4, 10):
+        up, down = po.eigenfunction(p, n + 1, xs + h), po.eigenfunction(p, n + 1, xs - h)
+        lowered = -(up - down) / (2.0 * h) - w * po.eigenfunction(p, n + 1, xs)
+        target = math.sqrt(po.energy(p, n + 1)) * po.partner_eigenfunction(p, n, xs)
+        assert r1[n] == po._grid_norm(lowered - target, xs)
+    with pytest.raises(DomainError):
+        po.schrodinger_residuals(p, 0)
+    with pytest.raises(DomainError):
+        po.factorization_residuals(p, 11)
+
+
 def test_partner_functions_solve_partner_problem():
     # theta_n are eigenfunctions of the steeper well shifted by (nu+1)/a^2
     shifted = po.PTParameters(3.0, 3.0)
@@ -221,6 +247,24 @@ def test_matrices_make_one_recurrence_pass_per_family_and_order(monkeypatch):
     passes.clear()
     po.gram_matrix(P22, 30)
     assert passes == [(30, 1.5, 1.5, 200)]
+
+
+def test_position_suite_makes_one_pass_per_grid(monkeypatch):
+    passes = []
+    rows = po.eigenfunctions
+
+    def counted(p, n_max, x):
+        passes.append((p.kappa, n_max, np.shape(x)))
+        return rows(p, n_max, x)
+
+    monkeypatch.setattr(po, "eigenfunctions", counted)
+    report = run_suite("position")
+    assert report.ok
+    # FD stencil and partner, second-difference stencil, psi and theta at 200 and 260 nodes
+    assert len(passes) <= 7
+    assert sorted(passes) == sorted([
+        (2.0, 6, (3, po.FD_POINTS)), (3.0, 5, (po.FD_POINTS,)), (2.0, 4, (3, po.FD_POINTS)),
+        (2.0, 20, (200,)), (3.0, 20, (200,)), (2.0, 20, (260,)), (3.0, 20, (260,))])
 
 
 def test_eigenfunction_degree_guard():

@@ -95,6 +95,58 @@ def test_hyp0f1_against_mpmath():
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
+# rings of radius 0.3 .. 8: the arguments the Taylor checks of the analytic symbols use
+_RING = np.concatenate([r * np.exp(2j * np.pi * np.arange(16) / 16) for r in (0.3, 2.0, 5.0, 8.0)])
+
+
+@pytest.mark.parametrize("a, b", [(0.7, 2.3), (1.0 + 2.0j, 4.0), (-0.7 + 1.1j, 5.4),
+                                  (2.5 - 0.4j, 3.0), (3.1, 4.1)])
+def test_hyp1f1_array_against_mpmath(a, b):
+    got = specfun.hyp1f1(a, b, _RING.reshape(4, 16))
+    assert got.shape == (4, 16)
+    with mpmath.workdps(40):
+        want = np.array([complex(mpmath.hyp1f1(a, b, z)) for z in _RING])
+    assert np.max(np.abs(got.ravel() - want) / np.maximum(1.0, np.abs(want))) < 1e-12
+
+
+@pytest.mark.parametrize("b", [5.0, 3.4, 2.2 + 0.5j])
+def test_hyp0f1_array_against_mpmath(b):
+    got = specfun.hyp0f1(b, _RING)
+    with mpmath.workdps(40):
+        want = np.array([complex(mpmath.hyp0f1(b, z)) for z in _RING])
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-12
+
+
+def test_hyp_arrays_equal_elementwise_calls_bitwise():
+    rng = np.random.default_rng(7)
+    scattered = rng.normal(scale=3.0, size=40) + 1j * rng.normal(scale=3.0, size=40)
+    zs = np.concatenate([_RING, scattered, [0.0, 1e-12, -6.0]])
+    for fn, args in ((specfun.hyp1f1, (0.7 + 0.3j, 2.3)), (specfun.hyp1f1, (-4.0, 2.5)),
+                     (specfun.hyp0f1, (3.4,))):
+        whole = fn(*args, zs)
+        alone = [fn(*args, z) for z in zs]
+        assert all(type(v) is complex for v in alone)
+        assert np.array_equal(whole, np.array(alone)), fn.__name__
+
+
+def test_hyp_parameter_checks_act_on_arrays():
+    zs = np.array([0.5, -2.0 + 1.0j, 3.0j])
+    # a = -3 terminates at degree 3, before the pole of b = -5 at k = 5
+    got = specfun.hyp1f1(-3.0, -5.0, zs)
+    want = sum(math.prod((-3.0 + j) / (-5.0 + j) for j in range(k)) * zs ** k / math.factorial(k)
+               for k in range(4))
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+    with pytest.raises(DomainError, match="hyp1f1 pole"):
+        specfun.hyp1f1(0.5, -2.0, zs)
+    with pytest.raises(DomainError, match="hyp0f1 pole"):
+        specfun.hyp0f1(-3.0, zs)
+    # a pole past the last term every element needs (here k = 10) is never reached
+    small = np.array([1e-3, 2e-3j])
+    assert np.array_equal(specfun.hyp1f1(0.5, -10.0, small),
+                          [specfun.hyp1f1(0.5, -10.0, z) for z in small])
+    assert specfun.hyp1f1(0.5, 2.0, np.zeros(0)).shape == (0,)
+
+
 @pytest.mark.parametrize("nu", [2.0, 4.0, 5.4])
 def test_bessel_i_against_scipy(nu):
     xs = np.array([0.3, 1.0, 2.5, 6.0])

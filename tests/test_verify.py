@@ -1,9 +1,14 @@
 """Verification report machinery: statuses, schema, overrides."""
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from solvstates import ConvergenceError, DomainError, SpectrumModel, TruncationError
 from solvstates import perelomov as pe
+from solvstates import verify
+from solvstates.cli import main
 from solvstates.verify import SUITE_NAMES, run_suite
 from solvstates.tolerances import DEFAULTS, resolve
 
@@ -132,3 +137,44 @@ def test_route_agreement_equals_the_per_band_series(all_models):
             assert case.status == "SKIPPED", name
         else:
             assert case.residual == want, name
+
+
+def _verify_cli(capsys, *argv):
+    code = main(["verify", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_case_runtimes_are_fractional_milliseconds(capsys):
+    code, doc = _verify_cli(capsys, "--suite", "all", "--model", "pt:2,2")
+    assert code == 0 and doc["schema"] == 1
+    timed = [c for c in doc["cases"] if c["status"] != "SKIPPED"]
+    assert len(timed) == 32
+    for case in timed:
+        assert isinstance(case["runtime_ms"], float)
+        assert case["runtime_ms"] > 0.0, case["name"]
+
+
+@pytest.mark.parametrize("power, scale", [(3, 1.0), (2, 10.0)])
+def test_ladder_identities_are_measured_against_the_level_size(capsys, tmp_path, power, scale):
+    # E_40 = 64,000 on the cubic table: one ulp of it is 7e-12, far above an absolute 1e-12
+    table = tmp_path / "levels.txt"
+    table.write_text("".join(f"{scale * n ** power!r}\n" for n in range(120)))
+    code, doc = _verify_cli(capsys, "--suite", "ladder", "--model", f"custom:{table}")
+    assert code == 0, doc
+    assert all(c["status"] == "PASS" for c in doc["cases"])
+
+
+@pytest.mark.parametrize("levels", ["cube", "pt22"])
+def test_ladder_identities_still_fail_on_a_perturbed_band(monkeypatch, levels):
+    model = (SpectrumModel.custom([float(n ** 3) for n in range(120)]) if levels == "cube"
+             else SpectrumModel.poschl_teller(2.0, 2.0))
+    exact = verify.build_ladder
+
+    def perturbed(model, n_max):
+        rep = exact(model, n_max)
+        return dataclasses.replace(rep, lower_band=rep.lower_band * (1.0 + 1e-9))
+
+    monkeypatch.setattr(verify, "build_ladder", perturbed)
+    status = {c.name: c.status for c in run_suite("ladder", model).cases}
+    assert status["ladder.number_operator"] == "FAIL"
+    assert status["ladder.commutator_gaps"] == "FAIL"
