@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationError
 from .spectrum import SpectrumModel
+from .tolerances import IMAG_TOL, TAIL_CERT
 
-_IMAG_TOL = 1e-10
-_TAIL_CERT = 1e-10
 _INV_RT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -198,7 +197,7 @@ def _apply_p(rep: LadderRep, vec: np.ndarray) -> np.ndarray:
 def _real_expect(vec: np.ndarray, op_vec: np.ndarray, label: str) -> float:
     """<vec | op vec> given op vec; the imaginary part must vanish."""
     value = complex(np.vdot(vec, op_vec))
-    if abs(value.imag) > _IMAG_TOL * max(1.0, abs(value.real)):
+    if abs(value.imag) > IMAG_TOL * max(1.0, abs(value.real)):
         raise ConvergenceError(
             f"<{label}> has imaginary part {value.imag:.3e}; truncation too aggressive"
         )
@@ -260,10 +259,10 @@ def _prepare(rep: LadderRep, state: FockVector) -> np.ndarray:
     if state.n_max > rep.n_max:
         raise DomainError("state is longer than the ladder truncation")
     tail = state.tail_bound()
-    if not (tail < _TAIL_CERT):
+    if not (tail < TAIL_CERT):
         raise TruncationError(
-            f"state tail bound {tail:.3e} exceeds {_TAIL_CERT:.0e}",
-            suggested_n_max=_suggest_growth(state, 1e-2 * _TAIL_CERT),
+            f"state tail bound {tail:.3e} exceeds {TAIL_CERT:.0e}",
+            suggested_n_max=_suggest_growth(state, 1e-2 * TAIL_CERT),
         )
     vec = np.zeros(rep.n_max + 1, dtype=complex)
     vec[: state.coeffs.size] = state.coeffs
@@ -341,9 +340,9 @@ def gis_recurrence_oracle(
         d[m + 1] = (2.0 * z * d[m] - back) / ((1.0 + lam) * lower[m])
     out = FockVector(rep.model, d).normalized()
     tail = out.tail_bound()
-    if not (tail < _TAIL_CERT):
+    if not (tail < TAIL_CERT):
         raise TruncationError(
-            f"recurrence tail bound {tail:.3e} not certified below {_TAIL_CERT:.0e}",
-            suggested_n_max=_suggest_growth(out, 1e-2 * _TAIL_CERT),
+            f"recurrence tail bound {tail:.3e} not certified below {TAIL_CERT:.0e}",
+            suggested_n_max=_suggest_growth(out, 1e-2 * TAIL_CERT),
         )
     return out

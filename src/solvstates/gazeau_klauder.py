@@ -23,8 +23,7 @@ from . import specfun
 from .errors import DomainError, TruncationError
 from .fockspace import FockVector
 from .spectrum import CUSTOM, HARMONIC, SpectrumModel
-
-_TAIL_CERT = 1e-12
+from .tolerances import GK_TAIL_CERT
 
 
 def _auto_n_max(model: SpectrumModel, r: float) -> int:
@@ -136,9 +135,9 @@ def gk_state(
         coeffs[0] = 1.0
     vec = FockVector(model, coeffs)
     tail = vec.tail_bound()
-    if not (tail < _TAIL_CERT):
+    if not (tail < GK_TAIL_CERT):
         raise TruncationError(
-            f"tail bound {tail:.3e} exceeds {_TAIL_CERT:.0e} at n_max={n_max}",
+            f"tail bound {tail:.3e} exceeds {GK_TAIL_CERT:.0e} at n_max={n_max}",
             suggested_n_max=2 * n_max + 16,
         )
     if model.kind == CUSTOM or model.kind == HARMONIC:

@@ -42,14 +42,11 @@ from .fockspace import FockVector, LadderRep, UncertaintyReport, uncertainty
 from .perelomov import _log_gamma_ratio
 from .specfun import graded_edges, hyp0f1, hyp1f1, log_gamma, panel_rule, settled
 from .spectrum import SpectrumModel
+from .tolerances import CHECK_GATE, TAIL_CERT, UNIT_TOL
 
 COHERENT = "coherent"
 SQUEEZED = "squeezed"
 
-# |lam| = 1 decided up to roundoff in e^{i theta}
-_UNIT_TOL = 1e-12
-_TAIL_CERT = 1e-10
-_CHECK_GATE = 1e-8
 # coefficient size at which the recurrence prefix is divided down
 _RESCALE = 1e150
 
@@ -77,7 +74,7 @@ def validate_lambda(lam: complex) -> str:
         raise LambdaRejected(lam, LambdaRejected.LAMBDA_MINUS_ONE)
     if lam.real <= 0:
         raise LambdaRejected(lam, LambdaRejected.NONPOSITIVE_REAL_PART)
-    return COHERENT if abs(abs(lam) - 1.0) <= _UNIT_TOL else SQUEEZED
+    return COHERENT if abs(abs(lam) - 1.0) <= UNIT_TOL else SQUEEZED
 
 
 @dataclass(frozen=True)
@@ -184,9 +181,9 @@ def gis_coefficients(model: SpectrumModel, params: GISParameters, n_max: int) ->
     coeffs = np.array(d) * np.exp(-1j * model.alpha * energies)
     out = FockVector(model, coeffs).normalized()
     tail = out.tail_bound()
-    if not (tail < _TAIL_CERT):
+    if not (tail < TAIL_CERT):
         raise TruncationError(
-            f"coefficient tail bound {tail:.3e} not certified below {_TAIL_CERT:.0e}",
+            f"coefficient tail bound {tail:.3e} not certified below {TAIL_CERT:.0e}",
             suggested_n_max=2 * n_max + 16,
         )
     return out
@@ -239,7 +236,7 @@ def verify_rs(
         checks["variance_theta"] = abs(var_x - mean_g / (2.0 * abs(math.cos(theta)))) / var_x
         checks["anticommutator_theta"] = abs(mean_f - math.tan(theta) * mean_g) / mean_g
     worst = max(checks, key=checks.get)
-    if checks[worst] > _CHECK_GATE:
+    if checks[worst] > CHECK_GATE:
         raise ConvergenceError(
             f"variance law {worst} violated: residual {checks[worst]:.3e}")
     return report, checks
@@ -363,9 +360,9 @@ def gis_disk_expansion(
     phases = np.exp(-1j * model.alpha * model.energies(n_max))
     out = FockVector(model, np.array(taylor) * weights * phases).normalized()
     tail = out.tail_bound()
-    if not (tail < _TAIL_CERT):
+    if not (tail < TAIL_CERT):
         raise TruncationError(
-            f"disk expansion tail bound {tail:.3e} not certified below {_TAIL_CERT:.0e}",
+            f"disk expansion tail bound {tail:.3e} not certified below {TAIL_CERT:.0e}",
             suggested_n_max=2 * n_max + 16,
         )
     return out

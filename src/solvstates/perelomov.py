@@ -1,18 +1,22 @@
-"""Displacement-type states: nested-sum series, coefficient ODE, closed forms, disk picture.
+"""Displacement-type states: nested-sum series, displacement flow, closed forms, disk picture.
 
 Three independent routes to the same radial coefficients c_n(r):
 
   * series   sum_j (-r^2)^j pi(n+1, j) / (n+2j)!  (nested energy sums)
-  * ode      dc_n/dr = c_{n-1}/r - n c_n/r - E_{n+1} c_{n+1} r, by exact step propagators
+  * ode      the flow y(r) = e^{rS} e_0 in y_n = r^n c_n sqrt(E_1 ... E_n)
   * closed   e^{-r^2/2}/n!  or  (cosh r)^{-(nu+1)} (tanh r / r)^n / n!
 
-The series has a finite radius for the trigonometric well family (pi/2, set by
-the poles of sech); both the series and the ODE report their own breakdown
-instead of returning drifted numbers.  One kernel evaluates the series for an
-array of (band, radius) pairs; ``cn_series`` wraps it for one pair, and the
-ODE calls it once for both closures at every quadrature node.  For the
-well family the same states live on the unit disk via zeta = z tanh|z| / |z|,
-where the overlap kernel and the resolving measure are elementary.
+S, the truncation of a_+ - a_- to bands 0..N, has no closure at the top band;
+N doubles until two truncations agree band by band, which is the whole
+certificate.  The flow also gives a tabulated spectrum its state, whose
+magnitudes are the y_n themselves: |y_n| <= 1, so nothing overflows.
+
+The series has a finite radius for the trigonometric well family (pi/2, set
+by the poles of sech) and reports its own breakdown instead of returning
+drifted numbers; one kernel evaluates it for an array of (band, radius)
+pairs.  For the well family the same states live on the unit disk via
+zeta = z tanh|z| / |z|, where the overlap kernel and the resolving measure
+are elementary.
 The closed-form states take log Gamma(n+nu+1) / (n! Gamma(nu+1)) as a cumsum
 of log(1 + nu/k); their automatic n_max refuses past its cap of 6,959 levels.
 """
@@ -29,17 +33,17 @@ from . import specfun
 from .errors import ConvergenceError, DomainError, TruncationError
 from .fockspace import FockVector
 from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SQUARE_WELL, SpectrumModel
+from .tolerances import (FLOW_BAND_CAP, FLOW_GATE, FLOW_STEP_CAP, SERIES_TOL,
+                         TAIL_CERT)
 
 METHOD_SERIES = "series"
 METHOD_ODE = "ode"
-METHOD_CLOSED_PT = "closed_pt"
-METHOD_CLOSED_HO = "closed_ho"
-_METHODS = (METHOD_SERIES, METHOD_ODE, METHOD_CLOSED_PT, METHOD_CLOSED_HO)
+METHOD_CLOSED = "closed"
+_METHODS = (METHOD_SERIES, METHOD_ODE, METHOD_CLOSED)
 
+# below this radius the flow's r^n underflows first; the series is exact there
 _ODE_R0 = 1e-3
-_SERIES_TOL = 1e-15
 _SERIES_J_CAP = 160
-_TAIL_CERT = 1e-10
 # automatic n_max trials: 24, then 1.7 n + 8 while n < 6000
 _AUTO_TRIALS = (24, 48, 89, 159, 278, 480, 824, 1408, 2401, 4089, 6959)
 # first cut of every series; up to r = 0.7 every Poschl-Teller band to 25 settles inside it
@@ -148,21 +152,20 @@ def _series_profile(model: SpectrumModel, n: int, depth: int) -> np.ndarray:
     return table[n, : j_cap + 1] + _log_factorial(n) - lg
 
 
-def _series_pass(model: SpectrumModel, bands: list, radii: list, depths: list):
-    """One cut of the series for the pairs (bands[i], radii[i]), each cut at depths[i].
+def _series_pass(model: SpectrumModel, bands: list, radii: list, depth: int):
+    """One cut of the series for the pairs (bands[i], radii[i]), at depth terms.
 
     Rows are the pairs, padded past their depth with nan terms, which never
     settle; returns the settled partial sums and the mask of the pairs that
-    settled inside their cut.
+    settled inside the cut.
     """
-    keys = list(zip(bands, depths))
-    unique = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    profiles = [_series_profile(model, n, depth) for n, depth in unique]
-    rows = np.array([unique[key] for key in keys])
+    unique = {n: i for i, n in enumerate(dict.fromkeys(bands))}
+    profiles = [_series_profile(model, n, depth) for n in unique]
+    rows = np.array([unique[n] for n in bands])
     stack = np.full((len(profiles), max(profile.size for profile in profiles)), math.nan)
     for row, profile in zip(stack, profiles):
         row[: profile.size] = profile
-    lg_n = np.array([_log_factorial(n) for n, _ in unique])
+    lg_n = np.array([_log_factorial(n) for n in unique])
     js = np.arange(stack.shape[1])
     log_r = np.array([math.log(r) for r in radii])
     # an overflowing term leaves its row unsettled (inf, then nan partial sums)
@@ -171,37 +174,34 @@ def _series_pass(model: SpectrumModel, bands: list, radii: list, depths: list):
         terms = mags.copy()
         terms[:, 1::2] *= -1.0  # the series alternates
         partial = np.cumsum(terms, axis=1)
-        small = mags <= _SERIES_TOL * np.maximum(np.abs(partial), 1e-300)
+        small = mags <= SERIES_TOL * np.maximum(np.abs(partial), 1e-300)
     settled = small[:, 1:] & small[:, :-1]
     first = np.argmax(settled, axis=1)
     return partial[np.arange(rows.size), first + 1], settled.any(axis=1)
 
 
-def _series_kernel(model: SpectrumModel, bands, radii, j_caps):
-    """c_n(r) for the 1-d pairs (bands[i], radii[i]), r > 0, capped at j_caps (one or per pair).
+def _series_kernel(model: SpectrumModel, bands, radii, j_cap: int):
+    """c_n(r) for the 1-d pairs (bands[i], radii[i]), r > 0, capped at j_cap terms.
 
     Returns (values, failed); failed marks the pairs whose tail did not
     certify, tabulated bands without room for four terms included, and their
     values are nan.  Pairs that do not settle inside _SHALLOW_DEPTH terms are
-    redone at their cap; a settled pair gets the same bits from both cuts,
+    redone at j_cap; a settled pair gets the same bits from both cuts,
     because the nested sums and the partial sums are prefix accumulations.
     """
     bands = np.asarray(bands, dtype=int)
     radii = np.asarray(radii, dtype=float)
-    j_caps = np.zeros(bands.size, dtype=int) + j_caps
     values = np.full(bands.size, math.nan)
     failed = np.ones(bands.size, dtype=bool)
     todo = np.arange(bands.size)
     if model.kind == CUSTOM:
         todo = todo[_room(model, bands) >= 4]
-    depths = np.minimum(j_caps, _SHALLOW_DEPTH)
-    while todo.size:
-        got, ok = _series_pass(model, bands[todo].tolist(), radii[todo].tolist(),
-                               depths[todo].tolist())
-        values[todo[ok]] = got[ok]
-        failed[todo[ok]] = False
-        todo = todo[~ok & (depths[todo] < j_caps[todo])]
-        depths = j_caps
+    for depth in sorted({min(j_cap, _SHALLOW_DEPTH), j_cap}):
+        if todo.size:
+            got, ok = _series_pass(model, bands[todo].tolist(), radii[todo].tolist(), depth)
+            values[todo[ok]] = got[ok]
+            failed[todo[ok]] = False
+            todo = todo[~ok]
     return values, failed
 
 
@@ -270,111 +270,109 @@ def cn_closed(model: SpectrumModel, n_max: int, r: float) -> DisplacementCoeffs:
     if r < 0:
         raise DomainError("radial argument must be nonnegative")
     if model.kind == HARMONIC:
-        lead, ratio, method = -0.5 * r * r, 1.0, METHOD_CLOSED_HO
+        lead, ratio = -0.5 * r * r, 1.0
     elif model.kind in (POSCHL_TELLER, SQUARE_WELL):
-        lead, method = -(model.nu + 1.0) * _log_cosh(r), METHOD_CLOSED_PT
+        lead = -(model.nu + 1.0) * _log_cosh(r)
         ratio = math.tanh(r) / r if r > 0.0 else 1.0
     else:
         raise DomainError("no closed displacement coefficients for tabulated spectra")
     steps = np.concatenate(([1.0], ratio / np.arange(1.0, n_max + 1.0)))
-    return DisplacementCoeffs(model, r, math.exp(lead) * np.cumprod(steps), method)
+    return DisplacementCoeffs(model, r, math.exp(lead) * np.cumprod(steps), METHOD_CLOSED)
 
 
 # ---------------------------------------------------------------------------
-# the coefficient ODE
+# the displacement flow
 
 
-# Gauss nodes per step for the Duhamel forcing, at the two compared resolutions
-_FORCING_ORDERS = (6, 8)
-_FORCING_GATE = 1e-12
+def _skew_expm1(sub: np.ndarray) -> np.ndarray:
+    """e^A - I for the skew tridiagonal A with A[i+1, i] = sub[i] = -A[i, i+1], by its Taylor sum.
 
-
-def _taylor_exp(generators: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """e^A X for a stack of generators A (..., N, N) by the Taylor sum of A^k X / k!.
-
-    Summed until every entry has settled: from term N on, when every entry
-    has had its first term, two terms in a row below 1e-17 of the running
-    sum.  Every entry keeps its relative accuracy, the tiny far-off-diagonal
-    ones too; with ||A|| <= 1 that takes fewer than N + 30 terms.
+    Each term is A times the last over k, as two row shifts.  Summed from term
+    N on (N the size: every entry has had its first term) until two terms in a
+    row are below 1e-17 of the sum in every entry, so the tiny far entries keep
+    their relative accuracy; with ||A|| <= 1 that takes fewer than N + 30 terms.
+    Without the identity, rounding stays relative to what one step changes.
     """
-    size = generators.shape[-1]
-    total = np.broadcast_to(columns, generators.shape[:-1] + columns.shape[-1:]).copy()
-    term, quiet = total, 0
+    size = sub.size + 1
+    total = np.zeros((size, size))
+    term, new, shifted = np.eye(size), np.empty((size, size)), np.empty((size - 1, size))
+    quiet = 0
     for k in range(1, size + 64):
-        term = generators @ term / k
-        total += term
+        low = (sub / k)[:, None]
+        new[0] = 0.0
+        np.multiply(low, term[:-1], out=new[1:])
+        np.multiply(low, term[1:], out=shifted)
+        new[:-1] -= shifted
+        total += new
+        term, new = new, term
         if k >= size:
             quiet = quiet + 1 if np.all(np.abs(term) <= 1e-17 * np.abs(total)) else 0
             if quiet == 2:
                 return total
-    raise ConvergenceError(f"Taylor sum of the ODE propagator unsettled after {k} terms")
+    raise ConvergenceError(f"Taylor sum of the flow propagator unsettled after {k} terms")
 
 
-def _ode_run(model: SpectrumModel, r_target: float, tops: tuple):
-    """Solve the banded systems on bands 0..top, one per top, as one block-diagonal system.
+def _flow(model: SpectrumModel, r: float, top: int) -> np.ndarray:
+    """y(r) = e^{rS} e_0 on bands 0..top, S the skew truncation of a_+ - a_- to those bands.
 
-    In y_n = r^n c_n exp(log_products[n] / 2) the coefficient ODE reads
-    y' = S y - sqrt(E_{top+1}) v(r) e_top, with S the skew tridiagonal
-    truncation of a_+ - a_- (off-diagonals sqrt(E_n)) and v = y_{top+1} the
-    series closure.  Fixed steps h with h ||S|| <= 1 apply the exact
-    propagator e^{hS}, and the Duhamel integral of the closure runs on the
-    Gauss nodes of each step, at both orders of _FORCING_ORDERS.  One series
-    kernel call covers every closure node; a closure freezes to 0 from its
-    first uncertified node on, in radius order, at both orders alike.
-
-    Returns c at both orders as the columns of one array, system after
-    system down the rows, and the smallest radius where a closure froze
-    (None if none did).
+    Fixed steps h with h ||S|| <= 1 (Gershgorin) apply one propagator e^{hS}.
+    S is skew, so ||y|| stays 1; a norm off by more than FLOW_GATE is a blow-up.
     """
-    sizes = np.array([top + 1 for top in tops])
-    ends = np.cumsum(sizes)
-    roots = np.sqrt(model.energies(sizes.max())[1:])
-    # S[i, i-1] on the stacked bands, 0 at every block head; ||S|| by Gershgorin
-    sub = np.concatenate([np.concatenate(([0.0], roots[: size - 1])) for size in sizes])
-    skew = np.diag(sub[1:], -1) - np.diag(sub[1:], 1)
-    steps = max(1, math.ceil(r_target * float(np.max(sub + np.append(sub[1:], 0.0)))))
-    h = r_target / steps
-    low, high = _FORCING_ORDERS
-    coarse, fine = specfun.gauss_legendre(low), specfun.gauss_legendre(high)
-    offsets = 0.5 * h * (1.0 + np.concatenate([coarse.nodes, fine.nodes]))
-    # row 0 weighs the coarse nodes only, row 1 the fine ones
-    weights = np.zeros((2, low + high))
-    weights[0, :low], weights[1, low:] = 0.5 * h * coarse.weights, 0.5 * h * fine.weights
-    # e^{(h - s) S} e_top for every node offset s (rows) and every system (last axis)
-    kicks = _taylor_exp((h - offsets)[:, None, None] * skew, np.eye(sub.size)[:, ends - 1])
-    propagator = _taylor_exp(h * skew, np.eye(sub.size))
+    roots = np.sqrt(model.energies(top)[1:])
+    steps = max(1, math.ceil(r * float(np.max(np.append(roots, 0.0) + np.append(0.0, roots)))))
+    if steps > FLOW_STEP_CAP:
+        raise ConvergenceError(f"the displacement flow on bands 0..{top} needs {steps} steps "
+                               f"at r={r:.4g}, past its cap of {FLOW_STEP_CAP}")
+    change = _skew_expm1(roots * (r / steps))
+    y = np.zeros(top + 1)
+    y[0] = 1.0
+    for _ in range(steps):
+        y = y + change @ y
+    norm = float(np.linalg.norm(y))
+    if not abs(norm - 1.0) <= FLOW_GATE:
+        raise ConvergenceError(
+            f"coefficient blow-up at r={r:.4f} (bands 0..{top}): the norm is {norm:.6g}")
+    return y
 
-    radii = h * np.arange(steps)[:, None] + offsets
-    values, failed = (a.reshape(sizes.size, steps, -1) for a in _series_kernel(
-        model, np.repeat(sizes, radii.size), np.tile(radii.ravel(), sizes.size), 400))
-    r_f = np.min(np.where(failed, radii, math.inf), axis=(1, 2))
-    logs = model.log_products(sizes.max())
-    # sqrt(E_{top+1}) times the y-frame closure v = y_{top+1}, on every node
-    with np.errstate(divide="ignore"):
-        log_v = np.log(np.abs(values)) + 0.5 * logs[sizes, None, None] + np.multiply.outer(
-            sizes, np.log(radii))
-    forcing = np.where(radii >= r_f[:, None, None], 0.0, np.sign(values) * np.exp(log_v))
-    pushes = np.einsum("jkq,j,oq,qnj->kno", forcing, roots[sizes - 1], weights, kicks)
-    y = np.zeros((sub.size, 2))
-    y[ends - sizes] = 1.0
-    for push in pushes:
-        y = propagator @ y - push
-    ns = np.concatenate([np.arange(size) for size in sizes])[:, None]
-    with np.errstate(divide="ignore"):
-        log_c = np.log(np.abs(y)) - 0.5 * logs[ns] - ns * math.log(r_target)
-    froze = float(r_f.min())
-    return np.sign(y) * np.exp(log_c), (froze if froze < math.inf else None)
+
+def _certified_flow(model: SpectrumModel, r: float, first: int, bands: int | None):
+    """The flow on bands 0..N for N = first, 2 first, ... up to the band cap or the table's end.
+
+    Returns the certified bands: the leading bands on which a truncation
+    agrees with the one before it to FLOW_GATE, band by band, at the first
+    truncation where they number at least ``bands``, or, with bands None,
+    where their tail bound is below TAIL_CERT.  Past the last truncation it
+    refuses: with TruncationError where the table ends, with
+    ConvergenceError at the cap.
+    """
+    end = model.n_levels - 1 if model.kind == CUSTOM else math.inf
+    cap = min(FLOW_BAND_CAP, end)
+    top, agreed, y = min(first, cap), None, None
+    # a pair of truncations agrees on at most the smaller one's bands
+    while top < cap and (bands or 0) <= cap:
+        before = _flow(model, r, top) if y is None else y
+        top = min(2 * top, cap)
+        y = _flow(model, r, top)
+        head = y[: before.size]
+        agreed = int(np.cumprod(np.abs(before - head) <= FLOW_GATE * np.abs(head)).sum())
+        if (agreed >= bands if bands is not None
+                else agreed and FockVector(model, y[:agreed]).tail_bound() < TAIL_CERT):
+            return y[:agreed]
+    message = f"the displacement flow at r={r:.4g} is not certified by N={cap}: " + (
+        "no pair of truncations covers the bands asked for" if agreed is None
+        else f"its last two truncations agree on {agreed} leading bands")
+    if cap == end:
+        raise TruncationError(f"{message}; the energy table ends at level {end}")
+    raise ConvergenceError(f"{message}; N={cap} is the band cap")
 
 
 def cn_ode(model: SpectrumModel, r_target: float, n_max: int) -> DisplacementCoeffs:
-    """Solve the coefficient ODE out to r_target with a doubling self-check.
+    """c_0(r) .. c_n_max(r) from the displacement flow, certified by doubling.
 
-    Solves the banded system at n_max and at 2 n_max + 4 by exact step
-    propagators (see _ode_run) and demands band-wise agreement; disagreement
-    means the top closure contaminated the requested bands, which is
-    reported instead of returned, together with the radius where a series
-    closure froze.  The Duhamel forcing must also agree between its two
-    quadrature orders, band by band, to 1e-12 relative.
+    In y_n = r^n c_n sqrt(E_1 ... E_n) the coefficient ODE is y' = S y, y(0) = e_0,
+    with S truncated to bands 0..N and no closure at the top band (see _flow).
+    N doubles from 2 n_max + 4 until two truncations agree to FLOW_GATE on every
+    band 0..n_max (see _certified_flow).  Up to r = 1e-3 the series gives c.
     """
     if r_target > 5.0:
         raise DomainError("r_target above 5 is outside the supported range")
@@ -385,27 +383,13 @@ def cn_ode(model: SpectrumModel, r_target: float, n_max: int) -> DisplacementCoe
     if r_target <= _ODE_R0:
         vals = np.array([cn_series(model, n, r_target) for n in range(n_max + 1)])
         return DisplacementCoeffs(model, r_target, vals, METHOD_ODE)
-    solved, froze = _ode_run(model, r_target, (n_max, 2 * n_max + 4))
-    coarse, stacked = solved.T
-    if not np.all(np.isfinite(stacked)) or np.max(np.abs(stacked)) > 1e12:
+    y = _certified_flow(model, r_target, 2 * n_max + 4, n_max + 1)[: n_max + 1]
+    if not np.all(np.abs(y) >= np.finfo(float).tiny):
         raise ConvergenceError(
-            f"coefficient blow-up at r={r_target:.4f} (bands 0..{2 * n_max + 4}); "
-            "the truncation closure is not stable at this radius"
-        )
-    base, wide = stacked[: n_max + 1], stacked[n_max + 1 : 2 * n_max + 2]
-    scale = np.max(np.abs(wide))
-    defect = float(np.max(np.abs(base - wide)) / max(scale, 1e-300))
-    if defect > 1e-8:
-        frozen = "" if froze is None else f"; a series closure froze to 0 at r_f={froze:.4g}"
-        raise ConvergenceError(
-            f"closure defect {defect:.3e} after doubling the band count; "
-            f"the integration is unreliable at r={r_target:.4g}{frozen}"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = coarse[n_max + 1 : 2 * n_max + 2] / wide
-    specfun.settled(f"cn_ode forcing at r={r_target:.4g}, coarse/fine ratio per band",
-                    ratios, np.ones_like(wide), _FORCING_GATE)
-    return DisplacementCoeffs(model, r_target, wide, METHOD_ODE)
+            f"band {int(np.argmin(np.abs(y)))} of the flow underflows at r={r_target:.4g}")
+    log_c = (np.log(np.abs(y)) - 0.5 * model.log_products(n_max)
+             - np.arange(n_max + 1) * math.log(r_target))
+    return DisplacementCoeffs(model, r_target, np.sign(y) * np.exp(log_c), METHOD_ODE)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +439,7 @@ def _auto_amp_logs(model: SpectrumModel, r: float) -> np.ndarray:
         if logs[-1] < logs.max() + math.log(1e-20):
             return logs
     tail = FockVector(model, np.exp(logs)).tail_bound()
-    if not (tail < _TAIL_CERT):
+    if not (tail < TAIL_CERT):
         raise TruncationError(
             f"tail bound {tail:.3e} at r={r:.6g} and n_max={n}, the automatic cap"
         )
@@ -476,8 +460,11 @@ def perelomov_state(
     """Normalized displacement state, coefficients z^n e^{-i alpha E_n} / sqrt(F_n).
 
     The closed prefactor makes the 2-norm equal 1 without renormalization for
-    the harmonic and trigonometric-well families; tabulated spectra go through
-    the series route and carry tail diagnostics instead.
+    the harmonic and trigonometric-well families.  A tabulated spectrum's
+    state is the displacement flow y(|z|) times the phases, certified by
+    doubling from 24 bands and by a tail bound below TAIL_CERT: without
+    n_max, on the bands where two truncations agree; with n_max, on bands
+    0..n_max of the first truncation that agrees on all of them.
     """
     z = complex(z)
     model = model.with_alpha(alpha)
@@ -487,26 +474,13 @@ def perelomov_state(
         vec[0] = 1.0
         return FockVector(model, vec)
     if model.kind == CUSTOM:
-        top = model.n_levels - 2 if n_max is None else n_max
-        values, failed = _series_kernel(model, np.arange(top + 1), np.full(top + 1, r),
-                                        _SERIES_J_CAP)
-        if failed.any():
-            bad = int(np.argmax(failed))
-            if n_max is not None:
-                raise _refusal(model, bad, r, _SERIES_J_CAP)
-            values = values[:bad]  # keep the bands whose tails certified
-        if len(values) < 3:
-            raise TruncationError(
-                "energy table supports too few certified bands for a state"
-            )
-        used = len(values) - 1
-        logs = model.log_products(used)
-        mags = values * np.exp(0.5 * logs + np.arange(used + 1) * math.log(r))
-        out = FockVector(model, mags * _state_phases(model, z, used))
+        stop = None if n_max is None else n_max + 1
+        y = _certified_flow(model, r, _AUTO_TRIALS[0], stop)[:stop]
+        out = FockVector(model, y * _state_phases(model, z, y.size - 1))
         tail = out.tail_bound()
-        if not (tail < _TAIL_CERT):
+        if not (tail < TAIL_CERT):
             raise TruncationError(
-                f"tabulated spectrum cannot certify the tail ({tail:.3e}) at n_max={used}"
+                f"tabulated spectrum cannot certify the tail ({tail:.3e}) at n_max={out.n_max}"
             )
         return out
     log_mag = _auto_amp_logs(model, r) if n_max is None else _amp_logs(model, r, n_max)

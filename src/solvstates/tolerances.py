@@ -1,8 +1,14 @@
-"""Default numerical tolerances, one table for the whole package.
+"""Numerical bounds, in one module for the whole package.
 
-Every verification case looks its threshold up here by name; callers may
-override a whole run with a single value (the CLI --tol flag does exactly
-that).  Keys group as suite.check.
+``DEFAULTS`` holds the threshold of every verification case; each case looks
+its threshold up here by name, and callers may override a whole run with a
+single value (the CLI --tol flag does exactly that).  Keys group as
+suite.check.
+
+The constants below it are the certificates and gates the constructors apply
+before they return a result.  No flag overrides them.  The settling rules of
+the special-function kernels and of the propagator's Taylor sum stay next to
+their loops.
 """
 from .errors import DomainError
 
@@ -46,6 +52,27 @@ DEFAULTS = {
     "specfun.jacobi_symmetry": 1e-12,
     "specfun.quadrature_exactness": 1e-13,
 }
+
+#: truncated mass a state may leave beyond its last band (fockspace, intelligent, perelomov)
+TAIL_CERT = 1e-10
+#: the same certificate for lowering-operator eigenstates (gazeau_klauder)
+GK_TAIL_CERT = 1e-12
+#: relative imaginary part a Hermitian expectation value may carry
+IMAG_TOL = 1e-10
+#: distance of |lambda| from 1 within which a GIS state counts as coherent
+#: (|lambda| = 1 decided up to roundoff in e^{i theta})
+UNIT_TOL = 1e-12
+#: largest self-check residual a GIS state may carry
+CHECK_GATE = 1e-8
+#: a displacement-series term this far below the running sum settles the tail
+SERIES_TOL = 1e-15
+#: per-band relative agreement of two displacement-flow truncations, and the
+#: drift of the flow's norm from 1 that counts as a blow-up
+FLOW_GATE = 1e-8
+#: top band N of the largest displacement-flow truncation
+FLOW_BAND_CAP = 384
+#: most propagator steps one displacement-flow truncation may take
+FLOW_STEP_CAP = 4096
 
 
 def resolve(name: str, override: float | None = None) -> float:

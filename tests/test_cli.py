@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import tempfile
 import types
 import warnings
 
@@ -330,6 +332,25 @@ def _flag(value: complex) -> str:
     return f"{value.real!r},{value.imag!r}"
 
 
+def _perturbed_linear(levels, spread, seed):
+    gaps = 1.0 + spread * np.random.default_rng(seed).random(levels - 1)
+    return tuple(np.concatenate(([0.0], np.cumsum(gaps))).tolist())
+
+
+def _ladder_copy(levels, kappa, kappa_prime):
+    ns = np.arange(levels, dtype=float)
+    return tuple((ns * (ns + kappa + kappa_prime)).tolist())
+
+
+_levels = st.integers(min_value=12, max_value=400)
+_ladder_strength = st.floats(min_value=1.0, max_value=4.0, exclude_min=True)
+# (levels, None): an energy table, written to a file for the custom: model flag
+_tables = st.one_of(
+    st.builds(_perturbed_linear, _levels, st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1)),
+    st.builds(_ladder_copy, _levels, _ladder_strength, _ladder_strength),
+).map(lambda levels: (levels, None))
+
+
 @settings(max_examples=300)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(1.0, 0.0), lam=-1.0 + 0.0j, nmax=30)
 @given(model=_models, z=st.tuples(_coord, _coord), lam=_lambda,
@@ -349,17 +370,25 @@ def test_state_gis_exit_code_contract(model, z, lam, nmax):
 @settings(max_examples=300)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(20.0, 0.0), nmax=10)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(20.0, 0.0), nmax=None)
-@given(model=_models, z=st.tuples(_coord, _coord),
+@example(model=(_ladder_copy(400, 2.0, 2.0), None), z=(0.5, 0.0), nmax=None)
+@given(model=_models | _tables, z=st.tuples(_coord, _coord),
        nmax=st.none() | st.integers(min_value=0, max_value=800))
 def test_state_perelomov_exit_code_contract(model, z, nmax):
     name, strengths = model
-    argv = ["state", "--model", name, "--family", "perelomov", "--z", _flag(complex(*z))]
-    if nmax is not None:
-        argv += ["--nmax", str(nmax)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = _run_quiet(argv)
-    assert code in (0, 2, 3, 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        if strengths is None:
+            path = os.path.join(tmp, "levels.txt")
+            with open(path, "w") as fh:
+                fh.write("\n".join(repr(level) for level in name))
+            name = f"custom:{path}"
+        argv = ["state", "--model", name, "--family", "perelomov", "--z", _flag(complex(*z))]
+        if nmax is not None:
+            argv += ["--nmax", str(nmax)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = _run_quiet(argv)
+    # a table is admissible by construction: only usage errors and refusals may fail it
+    assert code in ((0, 2, 4) if strengths is None else (0, 2, 3, 4))
     if code == 3:
         assert _inadmissible([], strengths), argv
 

@@ -39,24 +39,12 @@ def test_series_overflow_far_outside_its_radius_is_a_clean_refusal(pt22):
             pe.cn_series(pt22, 3, 5.0, j_cap=400)
 
 
-def test_ode_refuses_when_monitor_detects_blowup(pt22):
-    with pytest.raises(ConvergenceError):
-        pe.cn_ode(pt22, 2.5, 10)
-
-
-def test_ode_refusal_names_where_the_closure_froze(pt22):
-    # past the series radius pi/2 the closures stop certifying and freeze to 0
-    with pytest.raises(ConvergenceError, match="closure defect") as err:
-        pe.cn_ode(pt22, 2.5, 10)
-    r_f = float(re.search(r"froze to 0 at r_f=([0-9.]+)", str(err.value)).group(1))
-    assert 1.0 < r_f < math.pi / 2
-
-
-def test_ode_refuses_where_its_quadrature_orders_disagree(pt22):
-    # the band-21 closure certifies its tail at r = 1.3 but carries cancellation
-    # noise, which the two Gauss orders sample differently
-    with pytest.raises(ConvergenceError, match="coarse/fine ratio per band"):
-        pe.cn_ode(pt22, 1.3, 8)
+def test_ode_refuses_when_monitor_detects_blowup(monkeypatch, pt22):
+    # a propagator that does not keep the norm: the monitor must refuse, not return
+    expm1 = pe._skew_expm1
+    monkeypatch.setattr(pe, "_skew_expm1", lambda sub: expm1(sub) + 1e-6 * np.eye(sub.size + 1))
+    with pytest.raises(ConvergenceError, match=r"coefficient blow-up at r=0\.5000"):
+        pe.cn_ode(pt22, 0.5, 8)
 
 
 _ACCURACY_MODELS = [SpectrumModel.harmonic(), SpectrumModel.square_well(),
@@ -66,8 +54,8 @@ _ACCURACY_IDS = ["harmonic", "well", "pt:2,2", "pt:3.5,1.2"]
 
 @pytest.mark.parametrize("model", _ACCURACY_MODELS, ids=_ACCURACY_IDS)
 def test_ode_matches_closed_form_per_band(model):
-    radii = (0.01, 0.05, 0.3, 0.5, 1.0) + ((2.0, 3.0) if model.kind == "harmonic" else ())
-    for r in radii:
+    extra = {"harmonic": (2.0, 3.0), "square_well": (2.0,)}.get(model.kind, ())
+    for r in (0.01, 0.05, 0.3, 0.5, 1.0, 1.5) + extra:
         for n_max in (8, 10):
             closed = pe.cn_closed(model, n_max, r).values
             ode = pe.cn_ode(model, r, n_max).values
@@ -93,20 +81,6 @@ def test_adaptive_ode_matches_series_on_tabulated_spectrum(custom_table):
     ode = pe.cn_ode(custom_table, r, n_max).values
     series = np.array([pe.cn_series(custom_table, n, r) for n in range(n_max + 1)])
     assert np.max(np.abs(ode - series)) < 1e-10 * np.max(np.abs(series))
-
-
-def test_ode_refuses_a_nan_closure(monkeypatch, harmonic):
-    kernel = pe._series_kernel
-
-    def poisoned_closure(model, bands, radii, j_caps):
-        # only the ODE's truncation closure asks for 400 terms
-        values, failed = kernel(model, bands, radii, j_caps)
-        closure = np.zeros(len(values), dtype=int) + j_caps == 400
-        return np.where(closure, math.nan, values), failed & ~closure
-
-    monkeypatch.setattr(pe, "_series_kernel", poisoned_closure)
-    with pytest.raises(ConvergenceError, match=r"coefficient blow-up at r=0\.5000"):
-        pe.cn_ode(harmonic, 0.5, 8)
 
 
 def _scalar_series(model, n, r, j_cap):
@@ -147,54 +121,6 @@ def test_shallow_cut_gives_the_full_depth_bits(monkeypatch, all_models):
             assert np.array_equal(values, want, equal_nan=True)
 
 
-def test_closure_freezes_in_node_order_and_never_thaws(monkeypatch, pt22):
-    series_kernel = pe._series_kernel
-
-    def uncertified_window(model, bands, radii, j_caps):
-        # band 9, the closure of the n_max = 8 system, does not certify on 0.2 < r < 0.25 only
-        values, failed = series_kernel(model, bands, radii, j_caps)
-        return values, failed | (bands == 9) & (radii > 0.2) & (radii < 0.25)
-
-    def zero_past(model, bands, radii, j_caps):
-        values, failed = series_kernel(model, bands, radii, j_caps)
-        return np.where((bands == 9) & (radii > 0.2), 0.0, values), failed
-
-    monkeypatch.setattr(pe, "_series_kernel", uncertified_window)
-    frozen, r_f = pe._ode_run(pt22, 0.5, (8, 20))
-    monkeypatch.setattr(pe, "_series_kernel", zero_past)
-    zeroed, none = pe._ode_run(pt22, 0.5, (8, 20))
-    # the closure stays 0 after the window, where its series certifies again
-    assert np.array_equal(frozen, zeroed)
-    assert none is None and 0.2 < r_f < 0.25
-    # the freeze reaches the n_max = 8 system only: band 9 enters nothing else
-    monkeypatch.setattr(pe, "_series_kernel", series_kernel)
-    clean, _ = pe._ode_run(pt22, 0.5, (8, 20))
-    assert np.array_equal(frozen[9:], clean[9:]) and not np.array_equal(frozen[:9], clean[:9])
-
-
-def test_ode_makes_one_kernel_call_for_every_closure_node(monkeypatch, pt22):
-    kernel, calls = pe._series_kernel, []
-
-    def counted(model, bands, radii, j_caps):
-        calls.append((np.asarray(bands), np.asarray(radii, dtype=float), j_caps))
-        return kernel(model, bands, radii, j_caps)
-
-    monkeypatch.setattr(pe, "_series_kernel", counted)
-    pe.cn_ode(pt22, 0.5, 8)
-    assert len(calls) == 1
-    bands, radii, j_caps = calls[0]
-    # the closure bands of the n_max = 8 and 20 systems, at the same nodes, to 400 terms
-    half = bands.size // 2
-    assert bands.tolist() == [9] * half + [21] * half and j_caps == 400
-    assert np.array_equal(radii[:half], radii[half:])
-    # the Gauss nodes of both orders inside every step, step after step
-    per_step = sum(pe._FORCING_ORDERS)
-    nodes = radii[:half].reshape(-1, per_step)
-    h = 0.5 / nodes.shape[0]
-    inside = nodes - h * np.arange(nodes.shape[0])[:, None]
-    assert np.all((inside > 0.0) & (inside < h))
-
-
 def test_series_refusal_names_the_depth_it_needs(pt22):
     with pytest.raises(TruncationError) as err:
         pe.cn_series(pt22, 10, 1.2)
@@ -211,10 +137,10 @@ def test_shared_nested_sum_table_rows_equal_per_band_tables(all_models):
     for name in ("harmonic", "well", "pt_soft", "custom"):
         model = all_models[name]
         for depth in (160, 400):
-            # every band a cn_ode(.., 10) call asks for; all of them on the 40-level table
+            # bands of one 32-band block and the block after; all of them on the 40-level table
             bands = range(30) if name == "custom" else (0, 1, 2, 9, 10, 11, 24, 25, 26)
             shapes = {pe._table_shape(model, n, depth) for n in bands}
-            assert len(shapes) == 1, f"{name}: one table serves every band of an ODE call"
+            assert len(shapes) == 1, f"{name}: one table serves every band of a block"
             shared = pe._pi_log_table(model, *shapes.pop())
             for n in bands:
                 j_cap = min(depth, pe._room(model, n)) if name == "custom" else depth
@@ -234,8 +160,23 @@ def test_displacement_route_refusals_are_pinned(harmonic, pt22):
                 pe.cn_ode(model, r, 10)
             except ConvergenceError:
                 refusals.append(f"{name} ode r={r:g}")
-    assert refusals == ["pt(2,2) series r=2", "pt(2,2) ode r=2",
-                        "pt(2,2) series r=3", "pt(2,2) ode r=3"]
+    # the flow certifies pt(2,2) at r = 2 by N = 384, its band cap, and not at r = 3
+    assert refusals == ["pt(2,2) series r=2", "pt(2,2) series r=3", "pt(2,2) ode r=3"]
+
+
+def test_ode_refuses_at_the_band_cap(pt22):
+    with pytest.raises(ConvergenceError, match="not certified by N=384: its last two truncations "
+                                               r"agree on \d+ leading bands; N=384 is the band cap"):
+        pe.cn_ode(pt22, 3.0, 10)
+
+
+def test_ode_refuses_at_the_end_of_a_table(custom_table):
+    short = SpectrumModel.custom(custom_table.table[:30])
+    with pytest.raises(TruncationError, match="not certified by N=29: its last two truncations "
+                                              "agree on .* the energy table ends at level 29"):
+        pe.cn_ode(short, 3.0, 8)
+    with pytest.raises(TruncationError, match="N=29: no pair of truncations covers the bands asked for"):
+        pe.cn_ode(short, 0.5, 14)
 
 
 def test_closed_route_covers_large_radius(pt22):
@@ -450,55 +391,41 @@ def test_auto_state_refuses_a_state_past_the_cap(pt22):
     assert pe.perelomov_state(pt22, 5.0, n_max=60).n_max == 60
 
 
-def _per_band_state(model, z, n_max=None):
-    """The tabulated-spectrum state with one cn_series call per band."""
-    r = abs(z)
-    top = n_max if n_max is not None else model.n_levels - 2
-    values = []
-    for n in range(top + 1):
-        try:
-            values.append(pe.cn_series(model, n, r))
-        except TruncationError:
-            if n_max is not None:
-                raise
-            break
-    if len(values) < 3:
-        raise TruncationError("energy table supports too few certified bands for a state")
-    used = len(values) - 1
-    mags = np.array(values) * np.exp(0.5 * model.log_products(used)
-                                     + np.arange(used + 1) * math.log(r))
-    out = FockVector(model, mags * pe._state_phases(model, z, used))
-    tail = out.tail_bound()
-    if not (tail < 1e-10):
-        raise TruncationError(
-            f"tabulated spectrum cannot certify the tail ({tail:.3e}) at n_max={used}")
-    return out.coeffs
+@pytest.mark.parametrize("z", [0.5, 0.9, 1.3])
+def test_tabulated_copy_of_a_ladder_gives_its_closed_form_state(pt22, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state = pe.perelomov_state(SpectrumModel.custom(pt22.energies(399)), z)
+    want = pe.perelomov_state(pt22, z, n_max=state.n_max)
+    assert np.max(np.abs(state.coeffs - want.coeffs)) <= 1e-12
+    assert state.tail_bound() < 1e-10
 
 
-def _outcome(build):
-    try:
-        return build()
-    except TruncationError as err:
-        return str(err)
+def test_tabulated_state_with_n_max_is_a_prefix_of_a_certified_run(custom_table):
+    z = 0.5 + 0.3j
+    auto = pe.perelomov_state(custom_table, z)
+    assert auto.n_max >= 20 and auto.tail_bound() < 1e-10
+    assert auto.norm() == pytest.approx(1.0, abs=1e-12)
+    for n_max in (16, auto.n_max):
+        got = pe.perelomov_state(custom_table, z, n_max=n_max)
+        # on 40 levels one pair of truncations, 24 and 39 bands, certifies both
+        assert np.array_equal(got.coeffs, auto.coeffs[: n_max + 1])
 
 
-@pytest.mark.parametrize("levels", [40, 12])
-def test_tabulated_state_equals_the_per_band_series(custom_table, levels):
-    rng = np.random.default_rng(12)
-    model = custom_table if levels == 40 else SpectrumModel.custom(
-        np.concatenate(([0.0], np.cumsum(1.0 + 0.5 * rng.random(levels - 1)))))
-    kinds = set()
-    for z in (0.003, 0.3, 0.5 + 0.3j, 1.2, 2.0, 3.0):
-        for n_max in (None, 2, 8, 20, 30, 36):
-            want = _outcome(lambda: _per_band_state(model, z, n_max))
-            got = _outcome(lambda: pe.perelomov_state(model, z, n_max=n_max))
-            if isinstance(want, str):
-                assert got == want, (z, n_max)
-                kinds.add("refusal")
-            else:
-                assert got.coeffs.tobytes() == want.tobytes(), (z, n_max)
-                kinds.add("state")
-    assert kinds == ({"state", "refusal"} if levels == 40 else {"refusal"})
+def test_tabulated_state_refusals(custom_table):
+    twelve = SpectrumModel.custom(custom_table.table[:12])
+    refusals = [
+        # no band count certifies the tail of a state this wide before the table ends
+        (custom_table, 3.0, None, "not certified by N=39: its last two truncations agree on"),
+        # the 24- and 39-band truncations do not agree on 31 bands
+        (custom_table, 0.3, 30, r"not certified by N=39: its last two truncations agree on \d+ "),
+        # three bands cannot certify a tail
+        (custom_table, 0.3, 2, r"cannot certify the tail \(inf\) at n_max=2"),
+        (twelve, 0.3, None, "not certified by N=11: no pair of truncations covers the bands asked for"),
+    ]
+    for model, z, n_max, message in refusals:
+        with pytest.raises(TruncationError, match=message):
+            pe.perelomov_state(model, z, n_max=n_max)
 
 
 def test_harmonic_amplitude_logs_match_mpmath(harmonic):
