@@ -11,9 +11,10 @@ so that a+ a- = H exactly and [a-, a+] = G = diag(E_{n+1} - E_n) on every
 component except the top band, which a truncated a+ cannot reach.
 
 Both ladder operators live on one band, so a :class:`LadderRep` stores only
-that band and the H and G diagonals.  Moments are shifted-vector products,
-O(n) in time and memory; dense matrices exist only on request, through
-``a_minus`` / ``a_plus`` and :func:`quadratures`.
+that band and the H and G diagonals.  Every moment comes from two complex
+band sums, <a-> and <a-^2>, and real sums over |c|^2, O(n) in time and
+memory; dense matrices exist only on request, through ``a_minus`` /
+``a_plus`` and :func:`quadratures`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationError
 from .spectrum import SpectrumModel
-from .tolerances import IMAG_TOL, TAIL_CERT
+from .tolerances import TAIL_CERT
 
 _INV_RT2 = 1.0 / math.sqrt(2.0)
+_ROOT2 = math.sqrt(2.0)
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -90,17 +92,15 @@ class FockVector:
         of the underlying polynomials).  Returns ``inf`` when the blocks
         are not decaying, i.e. when no certificate is possible.
         """
-        mags = np.abs(self.coeffs)
-        if not mags.any():
-            return 0.0
-        half = min(6, mags.size // 2)
+        coeffs = self.coeffs
+        half = min(6, coeffs.size // 2)
         if half < 2:
-            return math.inf
-        tail = mags[-2 * half:]
-        mass_a = float(np.sum(tail[:half] ** 2))
-        mass_b = float(np.sum(tail[half:] ** 2))
+            return math.inf if coeffs.any() else 0.0
+        tail = np.abs(coeffs[-2 * half:]) ** 2
+        mass_a = float(tail[:half].sum())
+        mass_b = float(tail[half:].sum())
         if mass_b == 0.0:
-            # coefficients terminate exactly; nothing was dropped
+            # coefficients terminate exactly (or are all zero); nothing was dropped
             return 0.0
         if mass_a == 0.0 or mass_b >= mass_a:
             return math.inf
@@ -152,12 +152,16 @@ def build_ladder(model: SpectrumModel, n_max: int) -> LadderRep:
     energies = model.energies(n_max + 1)
     alpha = model.alpha
     g_diag = energies[1:] - energies[:-1]
-    phases = np.exp(1j * alpha * g_diag[:n_max])
+    band = np.sqrt(energies[1 : n_max + 1])
+    if alpha == 0.0:
+        band = band.astype(complex)
+    else:
+        band = band * np.exp(1j * alpha * g_diag[:n_max])
     return LadderRep(
         model=model,
         n_max=n_max,
         alpha=alpha,
-        lower_band=np.sqrt(energies[1 : n_max + 1]) * phases,
+        lower_band=band,
         h_diag=energies[: n_max + 1],
         g_diag=g_diag,
     )
@@ -178,38 +182,11 @@ def quadratures(rep: LadderRep):
     return x, p, h, g
 
 
-def _apply_x(rep: LadderRep, vec: np.ndarray) -> np.ndarray:
-    """X vec = (a+ + a-) vec / sqrt(2) from the band alone."""
-    out = np.zeros_like(vec)
-    out[1:] = rep.lower_band.conj() * vec[:-1]
-    out[:-1] += rep.lower_band * vec[1:]
-    return out * _INV_RT2
-
-
-def _apply_p(rep: LadderRep, vec: np.ndarray) -> np.ndarray:
-    """P vec = i (a+ - a-) vec / sqrt(2) from the band alone."""
-    out = np.zeros_like(vec)
-    out[1:] = rep.lower_band.conj() * vec[:-1]
-    out[:-1] -= rep.lower_band * vec[1:]
-    return out * (1j * _INV_RT2)
-
-
-def _real_expect(vec: np.ndarray, op_vec: np.ndarray, label: str) -> float:
-    """<vec | op vec> given op vec; the imaginary part must vanish."""
-    value = complex(np.vdot(vec, op_vec))
-    if abs(value.imag) > IMAG_TOL * max(1.0, abs(value.real)):
-        raise ConvergenceError(
-            f"<{label}> has imaginary part {value.imag:.3e}; truncation too aggressive"
-        )
-    return value.real
-
-
 def f_operator(rep: LadderRep, state: FockVector) -> np.ndarray:
     """Symmetrized covariance operator F = {X - <X>, P - <P>} for the state."""
-    vec = _prepare(rep, state)
+    a1, _, _, _ = _band_sums(rep, _prepare(rep, state))
+    mx, mp = _ROOT2 * a1.real, _ROOT2 * a1.imag
     x, p, _, _ = quadratures(rep)
-    mx = _real_expect(vec, _apply_x(rep, vec), "X")
-    mp = _real_expect(vec, _apply_p(rep, vec), "P")
     dx = x - mx * np.eye(rep.n_max + 1)
     dp = p - mp * np.eye(rep.n_max + 1)
     return dx @ dp + dp @ dx
@@ -255,7 +232,9 @@ def _suggest_growth(state: FockVector, target: float) -> int:
     need = math.log(max(target, 1e-300)) / math.log(rho)
     return state.n_max + int(need) + 8
 
+
 def _prepare(rep: LadderRep, state: FockVector) -> np.ndarray:
+    """The state's coefficients over the whole ladder, once its tail certifies."""
     if state.n_max > rep.n_max:
         raise DomainError("state is longer than the ladder truncation")
     tail = state.tail_bound()
@@ -264,34 +243,52 @@ def _prepare(rep: LadderRep, state: FockVector) -> np.ndarray:
             f"state tail bound {tail:.3e} exceeds {TAIL_CERT:.0e}",
             suggested_n_max=_suggest_growth(state, 1e-2 * TAIL_CERT),
         )
-    vec = np.zeros(rep.n_max + 1, dtype=complex)
-    vec[: state.coeffs.size] = state.coeffs
-    nrm = np.linalg.norm(vec)
-    if nrm == 0.0:
+    if state.n_max == rep.n_max:
+        return state.coeffs
+    return state.padded(rep.n_max).coeffs
+
+
+def _band_sums(rep: LadderRep, vec: np.ndarray):
+    """(<a->, <a-^2>, <a+ a- + a- a+>, <G>) in the state vec, from the band b alone.
+
+    <a-> = sum v*_m b_m v_{m+1} and <a-^2> = sum v*_m b_m b_{m+1} v_{m+2};
+    the truncated a+ a- + a- a+ is diag(0, E_1 .. E_n) + diag(E_1 .. E_n, 0).
+    Each sum runs over vec as given and is divided by its mass sum |v|^2.
+    """
+    mass = float(np.vdot(vec, vec).real)
+    if mass == 0.0:
         raise DomainError("cannot report uncertainties of the zero vector")
-    return vec / nrm
+    if not math.isfinite(mass):
+        raise ConvergenceError("coefficient norm overflows; cannot normalize")
+    # an overflowing sum is reported by the caller as a moment that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.abs(vec) ** 2
+        band = rep.lower_band
+        lowered = band * vec[1:]  # (a- v)_m for m < n
+        a1 = complex(np.vdot(vec[:-1], lowered)) / mass
+        a2 = complex(np.vdot(vec[:-2], band[:-1] * lowered[1:])) / mass
+        sym = float(np.dot(rep.h_diag[1:], weights[1:] + weights[:-1])) / mass
+        mean_g = float(np.dot(rep.g_diag, weights)) / mass
+    return a1, a2, sym, mean_g
 
 
 def uncertainty(rep: LadderRep, state: FockVector) -> UncertaintyReport:
     """Means and variances of X, P plus <G> and <F> in the given state.
 
-    Every moment is <v| A B v>, taken by applying the banded X or P twice.
+    Every moment is a real combination of the band sums A1 = <a->,
+    A2 = <a-^2> and N = <a+ a- + a- a+>, which hold for the truncated
+    matrices themselves: <X> = sqrt2 Re A1, <P> = sqrt2 Im A1,
+    <X^2> = N/2 + Re A2, <P^2> = N/2 - Re A2 and <XP + PX> = 2 Im A2.
+    A moment that is not finite is refused with ConvergenceError.
     """
-    vec = _prepare(rep, state)
-    xv = _apply_x(rep, vec)
-    pv = _apply_p(rep, vec)
-    mx = _real_expect(vec, xv, "X")
-    mp = _real_expect(vec, pv, "P")
-    var_x = _real_expect(vec, _apply_x(rep, xv), "X^2") - mx * mx
-    var_p = _real_expect(vec, _apply_p(rep, pv), "P^2") - mp * mp
-    mg = _real_expect(vec, rep.g_diag * vec, "G")
-    dxv = xv - mx * vec
-    dpv = pv - mp * vec
-    fv = (_apply_x(rep, dpv) - mx * dpv) + (_apply_p(rep, dxv) - mp * dxv)
-    mf = _real_expect(vec, fv, "F")
-    return UncertaintyReport(
-        mean_x=mx, mean_p=mp, var_x=var_x, var_p=var_p, mean_g=mg, mean_f=mf
-    )
+    a1, a2, sym, mg = _band_sums(rep, _prepare(rep, state))
+    mx, mp = _ROOT2 * a1.real, _ROOT2 * a1.imag
+    moments = (mx, mp, 0.5 * sym + a2.real - mx * mx, 0.5 * sym - a2.real - mp * mp,
+               mg, 2.0 * a2.imag - 2.0 * mx * mp)
+    if not all(map(math.isfinite, moments)):
+        raise ConvergenceError(f"moments (<X>, <P>, var X, var P, <G>, <F>) = {moments} "
+                               "are not all finite")
+    return UncertaintyReport(*moments)
 
 
 def eigenvalue_residual(rep: LadderRep, vec: FockVector, z: complex, drop: int = 2) -> float:
@@ -329,15 +326,18 @@ def gis_recurrence_oracle(
         n_max = rep.n_max
     if n_max > rep.n_max:
         raise DomainError("oracle length exceeds the ladder truncation")
-    lower = rep.lower_band  # lower[m] = a_minus[m, m+1]
-    d = np.zeros(n_max + 1, dtype=complex)
-    d[0] = 1.0
+    lower = rep.lower_band[:n_max]  # lower[m] = a_minus[m, m+1]
+    # Python complex scalars: the loop is O(n_max) and numpy scalars would dominate it
+    up = ((1.0 + lam) * lower).tolist()
+    # the a+ entry feeding component m is conj(lower[m-1])
+    back = ((1.0 - lam) * lower.conj()).tolist()
+    two_z = 2.0 * complex(z)
+    d = [1.0 + 0.0j]
     for m in range(n_max):
-        back = 0.0 + 0.0j
+        acc = two_z * d[m]
         if m >= 1:
-            # a+ entry feeding component m is conj(lower[m-1])
-            back = (1.0 - lam) * np.conj(lower[m - 1]) * d[m - 1]
-        d[m + 1] = (2.0 * z * d[m] - back) / ((1.0 + lam) * lower[m])
+            acc -= back[m - 1] * d[m - 1]
+        d.append(acc / up[m])
     out = FockVector(rep.model, d).normalized()
     tail = out.tail_bound()
     if not (tail < TAIL_CERT):

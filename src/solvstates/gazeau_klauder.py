@@ -26,22 +26,44 @@ from .spectrum import CUSTOM, HARMONIC, SpectrumModel
 from .tolerances import GK_TAIL_CERT
 
 
+def _first_scan(model: SpectrumModel, r: float) -> int:
+    """Levels past the estimated cut: r^2 + 14 r for linear levels, whose terms
+    spread like a Poisson law, r + 10 sqrt(r) for quadratic ones."""
+    spread = r * r + 14.0 * r if model.kind == HARMONIC else r + 10.0 * math.sqrt(r)
+    return min(int(spread) + 32, 20000)
+
+
 def _auto_n_max(model: SpectrumModel, r: float) -> int:
-    """First n with its term 1e-40 below the running peak and E_n > r^2, in 12..20,000."""
+    """First n with its term 1e-40 below the running peak and E_n > r^2, in 12..20,000.
+
+    A scan that falls short of the cut is extended, its cumsum and running
+    peak carried on, so every n sees the bits of one long scan.
+    """
     if model.kind == CUSTOM:
         return model.n_levels - 2
     log_r2 = 2.0 * math.log(r) if r > 0 else -math.inf
-    top = 64
+    top = _first_scan(model, r)
+    start, last, peak = 1, 0.0, 0.0
     while True:
-        e_n = model.energies(top)[1:]
-        log_terms = np.cumsum(log_r2 - np.log(e_n))
-        peaks = np.maximum(np.maximum.accumulate(log_terms), 0.0)
+        e_n = model.energies(top)[start:]
+        steps = log_r2 - np.log(e_n)
+        steps[0] += last  # the cumsum carries on from the last scan's end
+        log_terms = np.cumsum(steps)
+        peaks = np.maximum(np.maximum.accumulate(log_terms), peak)
         cut = (log_terms < peaks + math.log(1e-40)) & (e_n > r * r)
         if cut.any():
-            return max(int(np.argmax(cut)) + 1, 12)
+            return max(start + int(np.argmax(cut)), 12)
         if top >= 20000:
             return top
-        top = min(4 * top, 20000)
+        start, last, peak = top + 1, log_terms[-1], peaks[-1]
+        top = min(2 * top, 20000)
+
+
+def _log_series(logs: np.ndarray, r: float) -> float:
+    """log of sum_n r^{2n} / E(n) over n = 0 .. logs.size - 1, from logs = log E(n)."""
+    terms = 2.0 * np.arange(logs.size) * math.log(r) - logs
+    m = terms.max()
+    return float(m + math.log(np.exp(terms - m).sum()))
 
 
 def gk_log_normalization(model: SpectrumModel, r: float, n_max: int | None = None) -> float:
@@ -52,10 +74,7 @@ def gk_log_normalization(model: SpectrumModel, r: float, n_max: int | None = Non
         return 0.0
     if n_max is None:
         n_max = _auto_n_max(model, r)
-    logs = model.log_products(n_max)
-    terms = 2.0 * np.arange(n_max + 1) * math.log(r) - logs
-    m = terms.max()
-    return float(m + math.log(np.exp(terms - m).sum()))
+    return _log_series(model.log_products(n_max), r)
 
 
 def gk_normalization(model: SpectrumModel, r: float, n_max: int | None = None) -> float:
@@ -114,23 +133,25 @@ def gk_state(
     model = model.with_alpha(alpha)
     alpha = model.alpha
     r = abs(z)
-    radius = model.radius_estimate()
-    # the normalization series lives in u = |z|^2; outside u < radius it diverges
-    if r * r >= radius:
-        raise DomainError(
-            f"|z|^2 = {r * r:.6g} reaches the series radius {radius:.6g}; state diverges"
-        )
+    if model.kind == CUSTOM:
+        # the normalization series lives in u = |z|^2; outside u < radius it
+        # diverges (the analytic kinds have an infinite radius)
+        radius = model.radius_estimate()
+        if r * r >= radius:
+            raise DomainError(
+                f"|z|^2 = {r * r:.6g} reaches the series radius {radius:.6g}; state diverges"
+            )
     if n_max is None:
         n_max = _auto_n_max(model, r)
-    log_s = gk_log_normalization(model, r, n_max if r > 0 else None)
-    logs = model.log_products(n_max)
-    energies = model.energies(n_max)
-    ns = np.arange(n_max + 1)
     if r > 0:
+        logs = model.log_products(n_max)
+        log_s = _log_series(logs, r)
+        ns = np.arange(n_max + 1)
         log_mag = ns * math.log(r) - 0.5 * logs - 0.5 * log_s
-        phase = np.exp(1j * (ns * np.angle(z) - alpha * energies))
+        phase = np.exp(1j * (ns * np.angle(z) - alpha * model.energies(n_max)))
         coeffs = np.exp(log_mag) * phase
     else:
+        log_s = 0.0
         coeffs = np.zeros(n_max + 1, dtype=complex)
         coeffs[0] = 1.0
     vec = FockVector(model, coeffs)

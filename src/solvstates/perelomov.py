@@ -33,8 +33,8 @@ from . import specfun
 from .errors import ConvergenceError, DomainError, TruncationError
 from .fockspace import FockVector
 from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SQUARE_WELL, SpectrumModel
-from .tolerances import (FLOW_BAND_CAP, FLOW_GATE, FLOW_STEP_CAP, SERIES_TOL,
-                         TAIL_CERT)
+from .tolerances import (FLOW_BAND_CAP, FLOW_GATE, FLOW_STEP_CAP, KERNEL_TOL,
+                         SERIES_ROUNDING, SERIES_TOL, TAIL_CERT)
 
 METHOD_SERIES = "series"
 METHOD_ODE = "ode"
@@ -44,10 +44,12 @@ _METHODS = (METHOD_SERIES, METHOD_ODE, METHOD_CLOSED)
 # below this radius the flow's r^n underflows first; the series is exact there
 _ODE_R0 = 1e-3
 _SERIES_J_CAP = 160
-# automatic n_max trials: 24, then 1.7 n + 8 while n < 6000
+# automatic n_max trials: 24, then 1.7 n + 8 while n < 6000; one array per group
 _AUTO_TRIALS = (24, 48, 89, 159, 278, 480, 824, 1408, 2401, 4089, 6959)
+_AUTO_GROUPS = (_AUTO_TRIALS[:5], _AUTO_TRIALS[5:8], _AUTO_TRIALS[8:])
 # first cut of every series; up to r = 0.7 every Poschl-Teller band to 25 settles inside it
 _SHALLOW_DEPTH = 64
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,8 +158,12 @@ def _series_pass(model: SpectrumModel, bands: list, radii: list, depth: int):
     """One cut of the series for the pairs (bands[i], radii[i]), at depth terms.
 
     Rows are the pairs, padded past their depth with nan terms, which never
-    settle; returns the settled partial sums and the mask of the pairs that
-    settled inside the cut.
+    settle.  A settled sum is certified only if its rounding bound
+    16 eps sum_j |t_j| (|L_j| + j + 2) / |sum_j t_j|, L_j = log |t_j|, stays
+    within SERIES_ROUNDING: the alternating terms may cancel far below
+    their size.  Returns the settled partial sums, the mask of the pairs
+    certified inside the cut, and each pair's condition number
+    sum |t_j| / |sum t_j| (nan where the tail did not settle).
     """
     unique = {n: i for i, n in enumerate(dict.fromkeys(bands))}
     profiles = [_series_profile(model, n, depth) for n in unique]
@@ -170,14 +176,22 @@ def _series_pass(model: SpectrumModel, bands: list, radii: list, depth: int):
     log_r = np.array([math.log(r) for r in radii])
     # an overflowing term leaves its row unsettled (inf, then nan partial sums)
     with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.exp(stack[rows] + 2.0 * js * log_r[:, None] - lg_n[rows, None])
+        logs = stack[rows] + 2.0 * js * log_r[:, None] - lg_n[rows, None]
+        mags = np.exp(logs)
         terms = mags.copy()
         terms[:, 1::2] *= -1.0  # the series alternates
         partial = np.cumsum(terms, axis=1)
         small = mags <= SERIES_TOL * np.maximum(np.abs(partial), 1e-300)
-    settled = small[:, 1:] & small[:, :-1]
-    first = np.argmax(settled, axis=1)
-    return partial[np.arange(rows.size), first + 1], settled.any(axis=1)
+        settled = small[:, 1:] & small[:, :-1]
+        found = settled.any(axis=1)
+        ends = np.argmax(settled, axis=1) + 1
+        kept = js <= ends[:, None]
+        values = partial[np.arange(rows.size), ends]
+        size = np.where(kept, mags, 0.0).sum(axis=1)
+        spread = np.where(kept, mags * (np.abs(logs) + js + 2.0), 0.0).sum(axis=1)
+        cond = np.where(found, size / np.abs(values), math.nan)
+        ok = found & (16.0 * _EPS * spread / np.abs(values) <= SERIES_ROUNDING)
+    return values, ok, cond
 
 
 def _series_kernel(model: SpectrumModel, bands, radii, j_cap: int):
@@ -198,7 +212,7 @@ def _series_kernel(model: SpectrumModel, bands, radii, j_cap: int):
         todo = todo[_room(model, bands) >= 4]
     for depth in sorted({min(j_cap, _SHALLOW_DEPTH), j_cap}):
         if todo.size:
-            got, ok = _series_pass(model, bands[todo].tolist(), radii[todo].tolist(), depth)
+            got, ok, _ = _series_pass(model, bands[todo].tolist(), radii[todo].tolist(), depth)
             values[todo[ok]] = got[ok]
             failed[todo[ok]] = False
             todo = todo[~ok]
@@ -206,12 +220,21 @@ def _series_kernel(model: SpectrumModel, bands, radii, j_cap: int):
 
 
 def _refusal(model: SpectrumModel, n: int, r: float, j_cap: int) -> TruncationError:
-    """The error for band n, whose series at radius r did not certify by j_cap."""
+    """The error for band n, whose series at radius r did not certify by j_cap.
+
+    A settled tail refused by its rounding bound names its condition number;
+    an unsettled one names the depth a geometric extrapolation would need.
+    """
     if model.kind == CUSTOM and _room(model, n) < 4:
         return TruncationError(
             f"energy table too short for the band-{n} series "
             f"(room for {max(_room(model, n), 0)} terms)"
         )
+    _, _, cond = _series_pass(model, [n], [r], j_cap)
+    if not math.isnan(cond[0]):
+        return TruncationError(
+            f"series at r={r:.6g} (band {n}) cancels: condition number sum|t|/|sum t| = "
+            f"{cond[0]:.3g} puts its rounding bound above {SERIES_ROUNDING:.0e}")
     profile = _series_profile(model, n, j_cap)
     j_top = profile.size - 1
     message = f"series tail not below 1e-15 by j_cap={j_top} at r={r:.6g} (band {n})"
@@ -229,9 +252,11 @@ def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = _SERIES_J_CAP
 
     Terms are assembled in the log domain, so the nested sums never overflow.
     The terms alternate in sign; once they drop below 1e-15 of the running
-    sum (two j in a row) the tail is certified, and if that does not happen
+    sum (two j in a row) the tail is settled, and if that does not happen
     by j_cap the series is declared unusable at this radius; the error names
-    the j_cap a geometric extrapolation of the last terms would need.
+    the j_cap a geometric extrapolation of the last terms would need.  A
+    settled sum whose terms cancel so far that its rounding bound passes
+    SERIES_ROUNDING is refused too, naming its condition number.
     """
     if n < 0:
         raise DomainError("band index must be nonnegative")
@@ -432,12 +457,16 @@ def _amp_logs(model: SpectrumModel, r: float, n_top: int) -> np.ndarray:
 def _auto_amp_logs(model: SpectrumModel, r: float) -> np.ndarray:
     """_amp_logs to the first trial n_max whose last amplitude is 1e-20 below the peak.
 
-    The last trial, 6,959, is also kept when its tail bound certifies.
+    The trials are tested on prefixes of one array per group of trials: a
+    prefix of these cumsums is bitwise the shorter array.  The last trial,
+    6,959, is also kept when its tail bound certifies.
     """
-    for n in _AUTO_TRIALS:
-        logs = _amp_logs(model, r, n)
-        if logs[-1] < logs.max() + math.log(1e-20):
-            return logs
+    for group in _AUTO_GROUPS:
+        logs = _amp_logs(model, r, group[-1])
+        peaks = np.maximum.accumulate(logs)
+        for n in group:
+            if logs[n] < peaks[n] + math.log(1e-20):
+                return logs[: n + 1]
     tail = FockVector(model, np.exp(logs)).tail_bound()
     if not (tail < TAIL_CERT):
         raise TruncationError(
@@ -526,7 +555,7 @@ def _kernel_series(nu: float, w: np.ndarray, twist: float = 0.0):
         n += 1
         term = term * w * ((n + nu) / n)
         total = total + term * np.exp(1j * twist * n * (n + nu))
-        if np.all(np.abs(term) <= 1e-16 * np.maximum(np.abs(total), 1e-300)):
+        if np.all(np.abs(term) <= KERNEL_TOL * np.maximum(np.abs(total), 1e-300)):
             quiet += 1
             if quiet >= 3:
                 return total

@@ -6,9 +6,10 @@ single value (the CLI --tol flag does exactly that).  Keys group as
 suite.check.
 
 The constants below it are the certificates and gates the constructors apply
-before they return a result.  No flag overrides them.  The settling rules of
-the special-function kernels and of the propagator's Taylor sum stay next to
-their loops.
+before they return a result, and the settling thresholds of the displacement
+series and the disk-kernel series.  No flag overrides them.  The settling
+rules of the special-function kernels and of the propagator's Taylor sum stay
+next to their loops.
 """
 from .errors import DomainError
 
@@ -57,8 +58,6 @@ DEFAULTS = {
 TAIL_CERT = 1e-10
 #: the same certificate for lowering-operator eigenstates (gazeau_klauder)
 GK_TAIL_CERT = 1e-12
-#: relative imaginary part a Hermitian expectation value may carry
-IMAG_TOL = 1e-10
 #: distance of |lambda| from 1 within which a GIS state counts as coherent
 #: (|lambda| = 1 decided up to roundoff in e^{i theta})
 UNIT_TOL = 1e-12
@@ -66,6 +65,12 @@ UNIT_TOL = 1e-12
 CHECK_GATE = 1e-8
 #: a displacement-series term this far below the running sum settles the tail
 SERIES_TOL = 1e-15
+#: largest rounding bound 16 eps sum |t_j| (|log |t_j|| + j + 2) / |sum t_j| a
+#: settled displacement series may carry; its alternating terms can cancel
+SERIES_ROUNDING = 1e-10
+#: a disk-kernel series term this far below the running sum, three in a row,
+#: settles the tail
+KERNEL_TOL = 1e-16
 #: per-band relative agreement of two displacement-flow truncations, and the
 #: drift of the flow's norm from 1 that counts as a blow-up
 FLOW_GATE = 1e-8

@@ -307,13 +307,16 @@ def _gis_closed_form(model: SpectrumModel, z: complex, lam: complex, top: int) -
 
 
 def _suite_gis(model: SpectrumModel, tol) -> list[CaseResult]:
+    # one state and ladder per (z, lam), shared read-only by the cases
+    gis_pair = functools.cache(functools.partial(_gis_pair, model))
+
     def closed_vs_recurrence():
         # the state (recurrence in gis_coefficients) and the Delta-sum closed
         # form, scaled to the oracle's d_0, each against the ladder-band oracle
         worst = 0.0
         for lam, z in ((2.0, 1.0), (cmath.exp(1j * math.pi / 6), 2.0j),
                        (0.5 + 0.5j, 1.5 * cmath.exp(1j * math.pi / 4)), (1.0, 1.0)):
-            state, rep, _ = _gis_pair(model, z, lam)
+            state, rep, _ = gis_pair(z, lam)
             oracle = gis_recurrence_oracle(rep, z, lam)
             top = min(15, state.n_max, oracle.n_max)
             closed = _gis_closed_form(state.model, z, lam, top) * oracle.coeffs[0]
@@ -322,25 +325,25 @@ def _suite_gis(model: SpectrumModel, tol) -> list[CaseResult]:
         return worst
 
     def rs_equality():
-        state, rep, params = _gis_pair(model, 1.0, 2.0)
+        state, rep, params = gis_pair(1.0, 2.0)
         _, checks = intelligent.verify_rs(rep, state, params)
         return checks["equality_gap"]
 
     def variance_ratio():
         lam = 2.0
-        state, rep, _ = _gis_pair(model, 1.0, lam)
+        state, rep, _ = gis_pair(1.0, lam)
         report = uncertainty(rep, state)
         target = abs(lam) ** 2
         return abs(report.var_x / report.var_p - target) / target
 
     def theta_laws():
-        state, rep, params = _gis_pair(model, 1.0, cmath.exp(1j * math.pi / 6))
+        state, rep, params = gis_pair(1.0, cmath.exp(1j * math.pi / 6))
         _, checks = intelligent.verify_rs(rep, state, params)
         return max(checks["equal_variance"], checks["variance_theta"],
                    checks["anticommutator_theta"])
 
     def lambda_one():
-        state, rep, _ = _gis_pair(model, 0.7, 1.0)
+        state, rep, _ = gis_pair(0.7, 1.0)
         report = uncertainty(rep, state)
         worst = abs(report.mean_f) / report.mean_g
         if model.kind == HARMONIC:
@@ -350,7 +353,7 @@ def _suite_gis(model: SpectrumModel, tol) -> list[CaseResult]:
     def bargmann_taylor():
         nu = _nu_of(model)
         lam, z_prime, top = 2.0, 1.0, 10
-        state, _, _ = _gis_pair(model, z_prime, lam)
+        state, _, _ = gis_pair(z_prime, lam)
         logs = model.log_products(top)
         radius = math.exp(0.5 * logs[top] / top)
         taylor = taylor_coefficients(

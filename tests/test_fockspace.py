@@ -1,4 +1,5 @@
 """Truncated ladder algebra: matrices, tail certificates, uncertainty."""
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from solvstates import (ConvergenceError, DomainError, FockVector, SpectrumModel, TruncationError,
                         build_ladder, eigenvalue_residual, f_operator,
                         gis_recurrence_oracle, quadratures, uncertainty)
+from solvstates import fockspace
 from solvstates.gazeau_klauder import gk_state
+from solvstates.intelligent import GISParameters, gis_state
 
 # the banded core against dense matrices: one model per spectrum kind, with
 # a nonzero phase twist and a table long enough for the largest truncation
@@ -263,3 +266,152 @@ def test_uncertainty_memory_stays_linear(harmonic):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+# every moment from the band sums against the dense truncated matrices
+MOMENT_MODELS = {
+    "harmonic": SpectrumModel.harmonic(),
+    "well": SpectrumModel.square_well(),
+    "pt": SpectrumModel.poschl_teller(2.7, 3.1),
+    "custom": BANDED_MODELS["custom"],
+}
+
+
+def dense_moments(rep, coeffs):
+    """The six report moments from dense X, P, G, with their largest imaginary part."""
+    c = np.zeros(rep.n_max + 1, dtype=complex)
+    c[: coeffs.size] = coeffs
+    c = c / np.linalg.norm(c)
+    x, p, _, g = quadratures(rep)
+    mean = lambda op: complex(c.conj() @ op @ c)
+    raw = [mean(x), mean(p), mean(x @ x), mean(p @ p), mean(g)]
+    mx, mp = raw[0].real, raw[1].real
+    eye = np.eye(rep.n_max + 1)
+    dx, dp = x - mx * eye, p - mp * eye
+    raw.append(mean(dx @ dp + dp @ dx))
+    want = (mx, mp, raw[2].real - mx * mx, raw[3].real - mp * mp, raw[4].real, raw[5].real)
+    return want, max(abs(value.imag) for value in raw)
+
+
+def assert_moments_match_dense(rep, state):
+    want, imag = dense_moments(rep, state.coeffs)
+    assert imag < 1e-10
+    got = uncertainty(rep, state)
+    for field, value in zip(("mean_x", "mean_p", "var_x", "var_p", "mean_g", "mean_f"), want):
+        assert abs(getattr(got, field) - value) <= 1e-12 * max(1.0, abs(value)), (field, value)
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_MODELS))
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+@pytest.mark.parametrize("n_max, n_state", [(12, 12), (60, 60), (60, 40)])
+def test_band_sum_moments_match_dense_matrices(name, alpha, n_max, n_state):
+    # (60, 40): a state shorter than its ladder is padded with zeros
+    model = MOMENT_MODELS[name].with_alpha(alpha)
+    assert_moments_match_dense(build_ladder(model, n_max), spread_state(model, n_state))
+
+
+@pytest.mark.parametrize("name", ["harmonic", "pt"])
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_band_sum_moments_of_lowering_eigenstates(name, alpha):
+    model = MOMENT_MODELS[name]
+    for z in (0.5, 2.0 * cmath.exp(0.9j)):
+        vector = gk_state(model, z, alpha=alpha).vector
+        assert_moments_match_dense(build_ladder(vector.model, vector.n_max), vector)
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_MODELS))
+def test_band_sum_moments_of_gis_states(name):
+    model = MOMENT_MODELS[name]
+    for z, lam in ((1.0, 2.0), (2.0j, cmath.exp(1j * math.pi / 6)), (0.7 - 0.4j, 0.5 + 0.5j)):
+        state = gis_state(model, GISParameters(z, lam, alpha=0.3))
+        assert_moments_match_dense(build_ladder(state.model, state.n_max), state)
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_MODELS))
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+@pytest.mark.parametrize("n_max", [2, 3, 25])
+def test_band_sums_match_dense_ladder_products(name, alpha, n_max):
+    # n_max = 2 leaves <a-^2> a single term; no state that short certifies its tail
+    rep = build_ladder(MOMENT_MODELS[name].with_alpha(alpha), n_max)
+    rng = np.random.default_rng(n_max)
+    c = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+    a = rep.a_minus
+    ad = a.conj().T
+    mass = float(np.vdot(c, c).real)
+    want = [complex(c.conj() @ op @ c) / mass
+            for op in (a, a @ a, ad @ a + a @ ad, np.diag(rep.g_diag))]
+    got = fockspace._band_sums(rep, c)
+    for value, expect in zip(got, want):
+        assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect)), (value, expect)
+
+
+def test_ladder_band_without_phase_twist_is_the_twisted_formula_at_zero():
+    for model in MOMENT_MODELS.values():
+        rep = build_ladder(model, 30)
+        energies = model.energies(31)
+        twisted = np.sqrt(energies[1:31]) * np.exp(1j * 0.0 * np.diff(energies)[:30])
+        assert rep.lower_band.dtype == complex
+        assert np.array_equal(rep.lower_band, twisted)
+        assert np.array_equal(np.signbit(rep.lower_band.imag), np.signbit(twisted.imag))
+
+
+def test_uncertainty_refuses_a_moment_that_is_not_finite():
+    # levels near the float limit: <a+ a- + a- a+> overflows while the state is tame
+    model = SpectrumModel.custom([0.0, 1.5e308, 1.6e308, 1.7e308, 1.75e308])
+    rep = build_ladder(model, 3)
+    state = FockVector(model, np.array([1.0, 1.0, 1e-10, 0.0]))
+    assert state.tail_bound() < 1e-30
+    with pytest.raises(ConvergenceError, match="not all finite"):
+        uncertainty(rep, state)
+
+
+def test_uncertainty_refuses_an_overflowing_norm(harmonic):
+    # the state's mass overflows although every coefficient is finite
+    state = FockVector(harmonic, np.concatenate(([1e200, 1e170], np.zeros(18))))
+    with pytest.raises(ConvergenceError, match="norm overflows"):
+        uncertainty(build_ladder(harmonic, 19), state)
+
+
+def _parent_tail_bound(coeffs):
+    """FockVector.tail_bound as it read before it looked at the last twelve magnitudes only."""
+    mags = np.abs(coeffs)
+    if not mags.any():
+        return 0.0
+    half = min(6, mags.size // 2)
+    if half < 2:
+        return math.inf
+    tail = mags[-2 * half:]
+    mass_a = float(np.sum(tail[:half] ** 2))
+    mass_b = float(np.sum(tail[half:] ** 2))
+    if mass_b == 0.0:
+        return 0.0
+    if mass_a == 0.0 or mass_b >= mass_a:
+        return math.inf
+    q = mass_b / mass_a
+    return mass_b * q / (1.0 - q)
+
+
+def _tail_cases():
+    rng = np.random.default_rng(5)
+    cases = [np.zeros(size) for size in (1, 2, 3, 4, 5, 12, 13, 40)]
+    cases += [rng.normal(size=size) + 1j * rng.normal(size=size) for size in (1, 2, 3)]
+    cases += [np.array([0.0, 0.0, 1e-3]), np.array([1.0, 0.0, 0.0])]
+    for size in (4, 5, 7, 12, 13, 24, 40, 300):
+        decay = 0.6 ** np.arange(size) * np.exp(0.4j * np.arange(size))
+        cases.append(decay)
+        cases.append(decay[::-1].copy())  # growing: no certificate
+        zero_tail = decay.copy()
+        zero_tail[size // 2:] = 0.0
+        cases.append(zero_tail)
+        ends_zero = decay.copy()
+        ends_zero[-6:] = 0.0
+        cases.append(ends_zero)
+        cases.append(decay * 1e-170)  # squares underflow
+    return cases
+
+
+def test_tail_bound_equals_the_whole_vector_formula():
+    for coeffs in _tail_cases():
+        got = FockVector(SpectrumModel.harmonic(), coeffs).tail_bound()
+        want = _parent_tail_bound(coeffs)
+        assert got == want or (math.isinf(got) and math.isinf(want)), (coeffs, got, want)

@@ -173,12 +173,42 @@ def _walk_n_max(model, r):
     return max(n, 12)
 
 
+_WALK_MODELS = [SpectrumModel.harmonic(), SpectrumModel.square_well()] + [
+    SpectrumModel.poschl_teller(k, kp) for k, kp in
+    ((1.05, 1.2), (1.2, 1.2), (1.5, 2.0), (2.0, 2.0), (2.7, 3.1), (3.5, 1.2),
+     (3.9, 3.9), (1.1, 6.8), (5.0, 5.0))]
+_WALK_RADII = [0.0, 1e-3] + np.linspace(0.05, 20.0, 80).tolist() + [3.0, 8.0, 60.0, 150.0]
+
+
 def test_auto_n_max_equals_the_level_walk():
-    models = [SpectrumModel.harmonic(), SpectrumModel.square_well()] + [
-        SpectrumModel.poschl_teller(k, kp) for k, kp in
-        ((1.05, 1.2), (1.2, 1.2), (1.5, 2.0), (2.0, 2.0), (2.7, 3.1), (3.5, 1.2),
-         (3.9, 3.9), (1.1, 6.8), (5.0, 5.0))]
-    radii = [0.0, 1e-3] + np.linspace(0.05, 20.0, 80).tolist() + [3.0, 8.0, 60.0, 150.0]
-    for model in models:
-        for r in radii:
+    for model in _WALK_MODELS:
+        for r in _WALK_RADII:
             assert gk._auto_n_max(model, r) == _walk_n_max(model, r), (model, r)
+
+
+@pytest.mark.parametrize("first", [1, 5, 40])
+def test_auto_n_max_extends_a_short_scan_to_the_same_cut(monkeypatch, first):
+    # every search starts too short and is extended, several times over
+    monkeypatch.setattr(gk, "_first_scan", lambda model, r: first)
+    for model in _WALK_MODELS:
+        for r in _WALK_RADII:
+            assert gk._auto_n_max(model, r) == _walk_n_max(model, r), (model, r)
+
+
+# automatic n_max of gk_state(harmonic, r e^{0.7i}), captured from the search
+# that restarted its scan at 64, 256, 1,024, ... levels
+GK_PINNED_N_MAX = {0.1: 15, 0.5: 25, 1.0: 35, 2.0: 55, 3.0: 75, 5.0: 119, 8.0: 200,
+                   10.0: 264, 15.0: 457, 20.0: 701, 30.0: 1337, 40.0: 2173}
+
+
+def test_gk_states_are_pinned(harmonic):
+    for r, n_max in GK_PINNED_N_MAX.items():
+        z = r * cmath.exp(0.7j)
+        vector = gk.gk_state(harmonic, z).vector
+        assert vector.n_max == n_max, r
+        # the coefficients as built with a separate log_products for the normalization
+        ns = np.arange(n_max + 1)
+        log_s = gk.gk_log_normalization(harmonic, abs(z), n_max)
+        log_mag = ns * math.log(abs(z)) - 0.5 * harmonic.log_products(n_max) - 0.5 * log_s
+        phase = np.exp(1j * (ns * np.angle(z) - 0.0 * harmonic.energies(n_max)))
+        assert np.array_equal(vector.coeffs, np.exp(log_mag) * phase), r

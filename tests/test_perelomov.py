@@ -16,13 +16,18 @@ from solvstates import perelomov as pe
 
 
 def test_routes_agree_inside_series_radius(pt22):
-    for r in (0.3, 1.0):
+    # at r = 1 the series certifies bands 0..3; from band 4 on its terms cancel
+    # by more than 3e3 and its rounding bound passes 1e-10, so it refuses
+    for r, certified in ((0.3, 9), (1.0, 4)):
         closed = pe.cn_closed(pt22, 8, r).values
         ode = pe.cn_ode(pt22, r, 8).values
-        series = np.array([pe.cn_series(pt22, n, r) for n in range(9)])
+        series = np.array([pe.cn_series(pt22, n, r) for n in range(certified)])
         scale = np.max(np.abs(closed))
         assert np.max(np.abs(closed - ode)) < 1e-7 * scale
-        assert np.max(np.abs(closed - series)) < 1e-7 * scale
+        assert np.max(np.abs(closed[:certified] - series)) < 1e-7 * scale
+        for n in range(certified, 9):
+            with pytest.raises(TruncationError, match="cancels: condition number"):
+                pe.cn_series(pt22, n, r)
 
 
 def test_series_refuses_beyond_its_radius(pt22):
@@ -128,9 +133,15 @@ def test_series_refusal_names_the_depth_it_needs(pt22):
     assert "n_max" not in str(err.value)
     needed = int(re.search(r"about j_cap >= (\d+) needed", str(err.value)).group(1))
     assert needed > 160
-    # the estimate is actionable: at that depth the series certifies
-    got = pe.cn_series(pt22, 10, 1.2, j_cap=needed)
-    assert got == pytest.approx(pe.cn_closed(pt22, 10, 1.2).values[10], rel=1e-9)
+    # at that depth the tail settles, but the sum has lost its digits to
+    # cancellation: the refusal names the condition number, and the settled
+    # value is indeed far off the closed form
+    with pytest.raises(TruncationError, match=r"condition number sum\|t\|/\|sum t\| = 2\.44e\+08"):
+        pe.cn_series(pt22, 10, 1.2, j_cap=needed)
+    values, ok, _ = pe._series_pass(pt22, [10], [1.2], needed)
+    closed = pe.cn_closed(pt22, 10, 1.2).values[10]
+    assert not ok[0]
+    assert abs(values[0] - closed) > 1e-7 * closed
 
 
 def test_shared_nested_sum_table_rows_equal_per_band_tables(all_models):
@@ -160,8 +171,33 @@ def test_displacement_route_refusals_are_pinned(harmonic, pt22):
                 pe.cn_ode(model, r, 10)
             except ConvergenceError:
                 refusals.append(f"{name} ode r={r:g}")
-    # the flow certifies pt(2,2) at r = 2 by N = 384, its band cap, and not at r = 3
-    assert refusals == ["pt(2,2) series r=2", "pt(2,2) series r=3", "pt(2,2) ode r=3"]
+    # the flow certifies pt(2,2) at r = 2 by N = 384, its band cap, and not at r = 3;
+    # the series refuses where its terms cancel: harmonic at r = 3 (by e^9) and
+    # pt(2,2) from band 4 at r = 1
+    assert refusals == ["harmonic series r=3", "pt(2,2) series r=1", "pt(2,2) series r=2",
+                        "pt(2,2) series r=3", "pt(2,2) ode r=3"]
+
+
+@pytest.mark.parametrize("n, r, error", [(4, 1.4, 4.7e-6), (11, 1.3, 1.2e-3),
+                                         (21, 1.2, 0.21), (25, 1.3, 1.4e5)])
+def test_series_refuses_where_its_terms_cancel(pt22, n, r, error):
+    # each of these settles its tail by j_cap = 400 to a value far off the closed form
+    closed = pe.cn_closed(pt22, n, r).values[n]
+    values, ok, cond = pe._series_pass(pt22, [n], [r], 400)
+    assert not ok[0]
+    assert abs(values[0] - closed) == pytest.approx(error * closed, rel=0.05)
+    named = re.escape(f"condition number sum|t|/|sum t| = {cond[0]:.3g}")
+    with pytest.raises(TruncationError, match=named):
+        pe.cn_series(pt22, n, r, j_cap=400)
+
+
+def test_verify_series_column_stays_certified(all_models):
+    # verify's series column: bands 0..8 at r = 0.5, on every kind of spectrum
+    models = list(all_models.values()) + [SpectrumModel.poschl_teller(3.9, 3.9),
+                                          SpectrumModel.poschl_teller(1.2, 1.2)]
+    for model in models:
+        _, failed = pe._series_kernel(model, np.arange(9), np.full(9, 0.5), pe._SERIES_J_CAP)
+        assert not failed.any(), model
 
 
 def test_ode_refuses_at_the_band_cap(pt22):
@@ -209,9 +245,15 @@ def test_harmonic_routes_cover_every_radius(harmonic):
     for r in (0.5, 2.0, 3.0):
         closed = pe.cn_closed(harmonic, 6, r).values
         ode = pe.cn_ode(harmonic, r, 6).values
-        series = np.array([pe.cn_series(harmonic, n, r) for n in range(7)])
         scale = np.max(np.abs(closed))
         assert np.max(np.abs(closed - ode)) < 1e-7 * scale
+        if r == 3.0:
+            # the harmonic terms cancel by e^{r^2} = 8.1e3, past the series' rounding bound
+            for n in range(7):
+                with pytest.raises(TruncationError, match=r"condition number .* = 8\.1e\+03"):
+                    pe.cn_series(harmonic, n, r)
+            continue
+        series = np.array([pe.cn_series(harmonic, n, r) for n in range(7)])
         assert np.max(np.abs(closed - series)) < 1e-7 * scale
 
 
@@ -374,6 +416,32 @@ def test_auto_state_n_max_equals_the_trial_walk():
             else:
                 assert pe._auto_amp_logs(model, r).size - 1 == want, (model, r)
     assert refused, "the cap refusal is exercised"
+
+
+# automatic n_max of perelomov_state(model, r e^{-1.1i}), captured from the search
+# that built one array per trial; None marks the "automatic cap" refusal
+PE_PINNED_N_MAX = {
+    (2.0, 2.0): (24, 24, 48, 89, 278, 824, 2401, 4089, 6959, None),
+    (3.5, 1.2): (24, 24, 48, 89, 278, 824, 2401, 6959, 6959, None),
+    "well": (24, 24, 48, 89, 278, 824, 1408, 4089, 6959, None),
+}
+PE_PINNED_RADII = (0.05, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0)
+
+
+def test_perelomov_states_are_pinned():
+    for key, pinned in PE_PINNED_N_MAX.items():
+        model = SpectrumModel.square_well() if key == "well" else SpectrumModel.poschl_teller(*key)
+        for r, n_max in zip(PE_PINNED_RADII, pinned):
+            z = r * cmath.exp(-1.1j)
+            if n_max is None:
+                with pytest.raises(TruncationError, match="automatic cap"):
+                    pe.perelomov_state(model, z)
+                continue
+            state = pe.perelomov_state(model, z)
+            assert state.n_max == n_max, (key, r)
+            # the coefficients as built from the trial's own array
+            want = np.exp(pe._amp_logs(model, abs(z), n_max)) * pe._state_phases(model, z, n_max)
+            assert np.array_equal(state.coeffs, want), (key, r)
 
 
 def test_auto_state_refuses_a_state_past_the_cap(pt22):
