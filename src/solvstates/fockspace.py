@@ -30,6 +30,19 @@ from .tolerances import TAIL_CERT
 
 _INV_RT2 = 1.0 / math.sqrt(2.0)
 _ROOT2 = math.sqrt(2.0)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _lifted(coeffs: np.ndarray) -> tuple[np.ndarray, int]:
+    """(coeffs 2^k, k) for the k that takes the largest |c| into [1/2, 1).
+
+    For a nonzero vector whose squares underflow: the scale is exact, so every
+    normalized coefficient, moment and decay ratio stays what it is.  k is
+    capped where 2^k would overflow; a subnormal largest |c| still comes out
+    far above the square root of the smallest normal number.
+    """
+    k = min(-math.frexp(float(np.max(np.abs(coeffs))))[1], 1020)
+    return coeffs * math.ldexp(1.0, k), k
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -61,6 +74,8 @@ class FockVector:
     def normalized(self) -> "FockVector":
         with np.errstate(over="ignore"):
             nrm = self.norm()
+        if nrm * nrm < _TINY and self.coeffs.any():  # the mass underflows
+            return FockVector(self.model, _lifted(self.coeffs)[0]).normalized()
         if nrm == 0.0:
             raise DomainError("cannot normalize the zero vector")
         if not math.isfinite(nrm):
@@ -78,6 +93,8 @@ class FockVector:
         energies = self.model.energies(self.n_max)
         weights = np.abs(self.coeffs) ** 2
         total = weights.sum()
+        if total < _TINY and self.coeffs.any():
+            return FockVector(self.model, _lifted(self.coeffs)[0]).energy_mean()
         if total == 0.0:
             raise DomainError("cannot average over the zero vector")
         return float(np.dot(energies, weights) / total)
@@ -99,13 +116,19 @@ class FockVector:
         tail = np.abs(coeffs[-2 * half:]) ** 2
         mass_a = float(tail[:half].sum())
         mass_b = float(tail[half:].sum())
+        lift = 0
+        if mass_b == 0.0 and coeffs[-half:].any():
+            # the squares underflow: judge the decay on the blocks times 2^lift
+            block, lift = _lifted(coeffs[-2 * half:])
+            tail = np.abs(block) ** 2
+            mass_a, mass_b = float(tail[:half].sum()), float(tail[half:].sum())
         if mass_b == 0.0:
             # coefficients terminate exactly (or are all zero); nothing was dropped
             return 0.0
         if mass_a == 0.0 or mass_b >= mass_a:
             return math.inf
         q = mass_b / mass_a
-        return mass_b * q / (1.0 - q)
+        return math.ldexp(mass_b * q / (1.0 - q), -2 * lift)
 
     def padded(self, n_max: int) -> "FockVector":
         if n_max < self.n_max:
@@ -253,9 +276,12 @@ def _band_sums(rep: LadderRep, vec: np.ndarray):
 
     <a-> = sum v*_m b_m v_{m+1} and <a-^2> = sum v*_m b_m b_{m+1} v_{m+2};
     the truncated a+ a- + a- a+ is diag(0, E_1 .. E_n) + diag(E_1 .. E_n, 0).
-    Each sum runs over vec as given and is divided by its mass sum |v|^2.
+    Each sum runs over vec as given and is divided by its mass sum |v|^2; a
+    vector whose mass underflows is lifted by a power of two first.
     """
     mass = float(np.vdot(vec, vec).real)
+    if mass < _TINY and vec.any():
+        return _band_sums(rep, _lifted(vec)[0])
     if mass == 0.0:
         raise DomainError("cannot report uncertainties of the zero vector")
     if not math.isfinite(mass):

@@ -13,8 +13,8 @@ magnitudes are the y_n themselves: |y_n| <= 1, so nothing overflows.
 
 The series has a finite radius for the trigonometric well family (pi/2, set
 by the poles of sech) and reports its own breakdown instead of returning
-drifted numbers; one kernel evaluates it for an array of (band, radius)
-pairs.  For the well family the same states live on the unit disk via
+drifted numbers; one pass evaluates it for bands 0..n at one radius.  For
+the well family the same states live on the unit disk via
 zeta = z tanh|z| / |z|, where the overlap kernel and the resolving measure
 are elementary.
 The closed-form states take log Gamma(n+nu+1) / (n! Gamma(nu+1)) as a cumsum
@@ -24,7 +24,6 @@ of log(1 + nu/k); their automatic n_max refuses past its cap of 6,959 levels.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -47,8 +46,6 @@ _SERIES_J_CAP = 160
 # automatic n_max trials: 24, then 1.7 n + 8 while n < 6000; one array per group
 _AUTO_TRIALS = (24, 48, 89, 159, 278, 480, 824, 1408, 2401, 4089, 6959)
 _AUTO_GROUPS = (_AUTO_TRIALS[:5], _AUTO_TRIALS[5:8], _AUTO_TRIALS[8:])
-# first cut of every series; up to r = 0.7 every Poschl-Teller band to 25 settles inside it
-_SHALLOW_DEPTH = 64
 _EPS = float(np.finfo(float).eps)
 
 
@@ -94,157 +91,104 @@ class DiskPoint:
 # nested energy sums
 
 
-_BAND_BLOCK = 32
+def _series_bands(model: SpectrumModel, n_top: int, r: float, j_cap: int):
+    """c_0(r) .. c_n_top(r) by the nested-sum series, r >= 0, one column of terms at a time.
 
-
-def _room(model: SpectrumModel, n: int) -> int:
-    """Series depth a tabulated spectrum supports for band n: depth j needs E up to n + 2j + 2."""
-    return (model.n_levels - n - 3) // 2
-
-
-def _table_shape(model: SpectrumModel, n: int, depth: int) -> tuple[int, int]:
-    """(n_top, j_top) of the shared nested-sum table holding band n to ``depth`` terms.
-
-    Row n of the table does not depend on how many rows it has, so one table
-    per model and depth serves a whole block of bands; a tabulated spectrum's
-    table stops at its last level instead.
+    Column j holds log pi(n+1, j) = log(pi(n, j) + E_{n+1} pi(n+2, j-1)) for every
+    band, a prefix accumulation (so row n never depends on n_top), and the terms
+    t_j = (-r^2)^j pi(n+1, j) / (n+2j)!.  Columns are added until every band has
+    settled or reached its depth: j_cap, or the (n_levels - n - 3) // 2 terms a
+    table supports (a band with room for fewer than four is not evaluated).
+    Returns (values, ok, cond, slope): the settled sums, the certified mask (see
+    cn_series), the condition numbers sum |t_j| / |sum t_j| and, for a band that
+    did not settle, the log ratio of its last two terms; nan where they do not apply.
     """
-    n_top = (n // _BAND_BLOCK + 1) * _BAND_BLOCK - 1
-    if model.kind != CUSTOM:
-        return n_top, depth
-    j_top = min(depth, _room(model, 0))
-    return min(n_top, model.n_levels - 3 - 2 * j_top), j_top
-
-
-@functools.lru_cache(maxsize=8)
-def _pi_log_table(model: SpectrumModel, n_top: int, j_top: int) -> np.ndarray:
-    """log pi(n+1, j) for 0 <= n <= n_top, 0 <= j <= j_top.
-
-    Filled column by column from pi(n+1, j) = pi(n, j) + E_{n+1} pi(n+2, j-1);
-    all summands are positive so log-domain accumulation is cancellation-free.
-    Rows extend beyond n_top because column j at row n consumes column j-1 at
-    row n+1; column j is filled on its first rows - 2j rows only.
-    """
-    rows = n_top + 2 * j_top + 2
-    log_e = np.log(model.energies(rows)[1:])
-    table = np.full((rows, j_top + 1), -math.inf)
-    table[:, 0] = 0.0
-    for j in range(1, j_top + 1):
-        # pi(0, j>=1) = 0 is the empty base of the prefix accumulation
-        live = rows - 2 * j
-        table[:live, j] = np.logaddexp.accumulate(log_e[:live] + table[1 : live + 1, j - 1])
-    return table
-
-
-@functools.lru_cache(maxsize=4096)
-def _log_factorial(m: int) -> float:
-    """log m!, shared by every model's series profiles."""
-    return specfun.log_gamma(m + 1.0)
-
-
-@functools.lru_cache(maxsize=512)
-def _series_profile(model: SpectrumModel, n: int, depth: int) -> np.ndarray:
-    """log of pi(n+1, j) n! / (n+2j)! for j = 0..depth; the r-independent part.
-
-    A tabulated spectrum cuts the depth to what its levels support.
-    """
-    j_cap = min(depth, _room(model, n)) if model.kind == CUSTOM else depth
-    table = _pi_log_table(model, *_table_shape(model, n, depth))
-    lg = np.array([_log_factorial(n + 2 * j) for j in range(j_cap + 1)])
-    return table[n, : j_cap + 1] + _log_factorial(n) - lg
-
-
-def _series_pass(model: SpectrumModel, bands: list, radii: list, depth: int):
-    """One cut of the series for the pairs (bands[i], radii[i]), at depth terms.
-
-    Rows are the pairs, padded past their depth with nan terms, which never
-    settle.  A settled sum is certified only if its rounding bound
-    16 eps sum_j |t_j| (|L_j| + j + 2) / |sum_j t_j|, L_j = log |t_j|, stays
-    within SERIES_ROUNDING: the alternating terms may cancel far below
-    their size.  Returns the settled partial sums, the mask of the pairs
-    certified inside the cut, and each pair's condition number
-    sum |t_j| / |sum t_j| (nan where the tail did not settle).
-    """
-    unique = {n: i for i, n in enumerate(dict.fromkeys(bands))}
-    profiles = [_series_profile(model, n, depth) for n in unique]
-    rows = np.array([unique[n] for n in bands])
-    stack = np.full((len(profiles), max(profile.size for profile in profiles)), math.nan)
-    for row, profile in zip(stack, profiles):
-        row[: profile.size] = profile
-    lg_n = np.array([_log_factorial(n) for n in unique])
-    js = np.arange(stack.shape[1])
-    log_r = np.array([math.log(r) for r in radii])
-    # an overflowing term leaves its row unsettled (inf, then nan partial sums)
+    values, cond, slope = (np.full(n_top + 1, math.nan) for _ in range(3))
+    ok = np.zeros(n_top + 1, dtype=bool)
+    depth = np.full(n_top + 1, j_cap)
+    tabulated = model.kind == CUSTOM
+    if tabulated:
+        depth = np.minimum(depth, (model.n_levels - 3 - np.arange(n_top + 1)) // 2)
+    live = int(np.count_nonzero(depth >= 4))  # depth falls with n: bands 0..live-1
+    if live == 0:
+        return values, ok, cond, slope
+    depth, top = depth[:live], int(depth[0])
+    lf = np.empty(live + 2 * top)  # log m!, two more per column
+    lf[:live] = [specfun.log_gamma(m + 1.0) for m in range(live)]
+    lf_n = lf[:live]
+    if r == 0.0:  # only the j = 0 term is left
+        values[:live] = [math.exp(-v) for v in lf_n.tolist()]
+        ok[:live], cond[:live] = True, 1.0
+        return values, ok, cond, slope
+    # column j is filled on rows 0..live+top-j-1, all that the columns after it read
+    rows = live + top
+    energies = model.energies(min(rows, model.n_levels - 1) if tabulated else rows)
+    log_e = np.full(rows, math.nan)  # past a table's end: only bands beyond their depth read it
+    log_e[: energies.size - 1] = np.log(energies[1:])
+    log_r = math.log(r)
+    column, partial = np.zeros(rows), np.zeros(live)
+    small, done = np.zeros(live, dtype=bool), np.zeros(live, dtype=bool)
+    profiles, logs, mags, partials, smalls = [], [], [], [], []
+    # an overflowing term leaves its band unsettled (inf, then nan partial sums)
     with np.errstate(over="ignore", invalid="ignore"):
-        logs = stack[rows] + 2.0 * js * log_r[:, None] - lg_n[rows, None]
-        mags = np.exp(logs)
-        terms = mags.copy()
-        terms[:, 1::2] *= -1.0  # the series alternates
-        partial = np.cumsum(terms, axis=1)
-        small = mags <= SERIES_TOL * np.maximum(np.abs(partial), 1e-300)
-        settled = small[:, 1:] & small[:, :-1]
-        found = settled.any(axis=1)
-        ends = np.argmax(settled, axis=1) + 1
-        kept = js <= ends[:, None]
-        values = partial[np.arange(rows.size), ends]
-        size = np.where(kept, mags, 0.0).sum(axis=1)
-        spread = np.where(kept, mags * (np.abs(logs) + js + 2.0), 0.0).sum(axis=1)
-        cond = np.where(found, size / np.abs(values), math.nan)
-        ok = found & (16.0 * _EPS * spread / np.abs(values) <= SERIES_ROUNDING)
-    return values, ok, cond
+        for j in range(top + 1):
+            if j:
+                column = np.logaddexp.accumulate(log_e[: rows - j] + column[1 : rows - j + 1])
+                lf[live + 2 * j - 2] = specfun.log_gamma(live + 2 * j - 1.0)
+                lf[live + 2 * j - 1] = specfun.log_gamma(live + 2 * j + 0.0)
+            profiles.append((column[:live] + lf_n) - lf[2 * j : 2 * j + live])
+            logs.append(profiles[-1] + 2.0 * j * log_r - lf_n)
+            mags.append(np.exp(logs[-1]))
+            partial = partial - mags[-1] if j % 2 else partial + mags[-1]  # the series alternates
+            partials.append(partial)
+            was_small, small = small, mags[-1] <= SERIES_TOL * np.maximum(np.abs(partial), 1e-300)
+            smalls.append(small)
+            done |= small & was_small
+            if tabulated:
+                done |= depth <= j
+            if np.count_nonzero(done) == live:
+                break
+        # band n settles at the first j <= its depth where two terms in a row are small
+        js = np.arange(len(mags))[:, None]
+        pairs = np.array(smalls)
+        pairs = pairs[1:] & pairs[:-1] & (js[1:] <= depth)
+        found = pairs.any(axis=0)
+        ends = np.where(found, np.argmax(pairs, axis=0) + 1, -1)
+        values[:live] = np.where(found, np.array(partials)[ends, np.arange(live)], math.nan)
+        kept = js <= ends
+        mags, logs = np.array(mags), np.array(logs)
+        size = np.where(kept, mags, 0.0).sum(axis=0)
+        spread = np.where(kept, mags * (np.abs(logs) + js + 2.0), 0.0).sum(axis=0)
+        cond[:live] = np.where(found, size / np.abs(values[:live]), math.nan)
+        # the rounding bound 16 eps sum_j |t_j| (|log |t_j|| + j + 2) / |sum_j t_j|
+        ok[:live] = found & (16.0 * _EPS * spread / np.abs(values[:live]) <= SERIES_ROUNDING)
+        for n in np.flatnonzero(~found):
+            slope[n] = profiles[depth[n]][n] - profiles[depth[n] - 1][n] + 2.0 * log_r
+    return values, ok, cond, slope
 
 
-def _series_kernel(model: SpectrumModel, bands, radii, j_cap: int):
-    """c_n(r) for the 1-d pairs (bands[i], radii[i]), r > 0, capped at j_cap terms.
-
-    Returns (values, failed); failed marks the pairs whose tail did not
-    certify, tabulated bands without room for four terms included, and their
-    values are nan.  Pairs that do not settle inside _SHALLOW_DEPTH terms are
-    redone at j_cap; a settled pair gets the same bits from both cuts,
-    because the nested sums and the partial sums are prefix accumulations.
-    """
-    bands = np.asarray(bands, dtype=int)
-    radii = np.asarray(radii, dtype=float)
-    values = np.full(bands.size, math.nan)
-    failed = np.ones(bands.size, dtype=bool)
-    todo = np.arange(bands.size)
-    if model.kind == CUSTOM:
-        todo = todo[_room(model, bands) >= 4]
-    for depth in sorted({min(j_cap, _SHALLOW_DEPTH), j_cap}):
-        if todo.size:
-            got, ok, _ = _series_pass(model, bands[todo].tolist(), radii[todo].tolist(), depth)
-            values[todo[ok]] = got[ok]
-            failed[todo[ok]] = False
-            todo = todo[~ok]
-    return values, failed
-
-
-def _refusal(model: SpectrumModel, n: int, r: float, j_cap: int) -> TruncationError:
-    """The error for band n, whose series at radius r did not certify by j_cap.
-
-    A settled tail refused by its rounding bound names its condition number;
-    an unsettled one names the depth a geometric extrapolation would need.
-    """
-    if model.kind == CUSTOM and _room(model, n) < 4:
-        return TruncationError(
-            f"energy table too short for the band-{n} series "
-            f"(room for {max(_room(model, n), 0)} terms)"
-        )
-    _, _, cond = _series_pass(model, [n], [r], j_cap)
-    if not math.isnan(cond[0]):
-        return TruncationError(
+def _series_values(model: SpectrumModel, n_top: int, r: float, j_cap: int,
+                   first: int = 0) -> np.ndarray:
+    """c_0(r) .. c_n_top(r), or the refusal of the lowest band from ``first`` on that did not certify."""
+    values, ok, cond, slope = _series_bands(model, n_top, r, j_cap)
+    if ok[first:].all():
+        return values
+    n = first + int(np.argmin(ok[first:]))
+    room = (model.n_levels - n - 3) // 2 if model.kind == CUSTOM else math.inf
+    if room < 4:
+        raise TruncationError(f"energy table too short for the band-{n} series "
+                              f"(room for {max(room, 0)} terms)")
+    if not math.isnan(cond[n]):
+        raise TruncationError(
             f"series at r={r:.6g} (band {n}) cancels: condition number sum|t|/|sum t| = "
-            f"{cond[0]:.3g} puts its rounding bound above {SERIES_ROUNDING:.0e}")
-    profile = _series_profile(model, n, j_cap)
-    j_top = profile.size - 1
+            f"{cond[n]:.3g} puts its rounding bound above {SERIES_ROUNDING:.0e}")
+    j_top = min(room, j_cap)
     message = f"series tail not below 1e-15 by j_cap={j_top} at r={r:.6g} (band {n})"
-    # geometric estimate of the series depth that would certify the tail
-    log_ratio = profile[-1] - profile[-2] + 2.0 * math.log(r)
     if j_top < j_cap:
         message += "; the energy table has room for no more terms"
-    elif log_ratio < 0.0:
-        message += f"; about j_cap >= {int(j_top + math.log(1e-15) / log_ratio) + 4} needed"
-    return TruncationError(message)
+    elif slope[n] < 0.0:
+        message += f"; about j_cap >= {int(j_top + math.log(1e-15) / slope[n]) + 4} needed"
+    raise TruncationError(message)
 
 
 def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = _SERIES_J_CAP) -> float:
@@ -262,16 +206,10 @@ def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = _SERIES_J_CAP
         raise DomainError("band index must be nonnegative")
     if r < 0:
         raise DomainError("radial argument must be nonnegative")
-    if model.kind == CUSTOM and _room(model, n) < 4:
-        raise _refusal(model, n, r, j_cap)
-    if j_cap < 4:
+    # a tabulated band without room for four terms is refused before j_cap is looked at
+    if j_cap < 4 and (model.kind != CUSTOM or model.n_levels - n >= 11):
         raise DomainError("j_cap too small to certify a tail")
-    if r == 0.0:
-        return math.exp(-_log_factorial(n))
-    values, failed = _series_kernel(model, [n], [r], j_cap)
-    if failed[0]:
-        raise _refusal(model, n, r, j_cap)
-    return float(values[0])
+    return float(_series_values(model, n, r, j_cap, first=n)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +344,7 @@ def cn_ode(model: SpectrumModel, r_target: float, n_max: int) -> DisplacementCoe
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     if r_target <= _ODE_R0:
-        vals = np.array([cn_series(model, n, r_target) for n in range(n_max + 1)])
+        vals = _series_values(model, n_max, r_target, _SERIES_J_CAP)
         return DisplacementCoeffs(model, r_target, vals, METHOD_ODE)
     y = _certified_flow(model, r_target, 2 * n_max + 4, n_max + 1)[: n_max + 1]
     if not np.all(np.abs(y) >= np.finfo(float).tiny):

@@ -227,10 +227,9 @@ def _suite_gk(model: SpectrumModel, tol) -> list[CaseResult]:
 def _suite_perelomov(model: SpectrumModel, tol) -> list[CaseResult]:
     def routes():
         r, top = 0.5, 8
-        series, failed = perelomov._series_kernel(
-            model, np.arange(top + 1), np.full(top + 1, r), perelomov._SERIES_J_CAP)
-        columns = [] if failed.any() else [series]  # one uncertified band drops the column
-        for build in (lambda: perelomov.cn_ode(model, r, top).values,
+        columns = []
+        for build in (lambda: perelomov._series_values(model, top, r, perelomov._SERIES_J_CAP),
+                      lambda: perelomov.cn_ode(model, r, top).values,
                       lambda: perelomov.cn_closed(model, top, r).values):
             try:
                 columns.append(build())

@@ -88,6 +88,23 @@ def test_normalized_keeps_large_finite_norm(harmonic):
     assert np.allclose(w.coeffs, 0.5, rtol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-160])
+def test_a_state_whose_mass_underflows_is_not_the_zero_vector(harmonic, scale):
+    # the mass sum |c|^2 underflows to 0 (1e-170) or to a subnormal with 12 bits (1e-160)
+    rep = build_ladder(harmonic, 29)
+    plain, tiny = (FockVector(harmonic, s * 0.5 ** np.arange(30)) for s in (1.0, scale))
+    assert np.max(np.abs(tiny.normalized().coeffs - plain.normalized().coeffs)) <= 1e-12
+    assert tiny.energy_mean() == pytest.approx(plain.energy_mean(), abs=1e-12)
+    want = dataclasses.asdict(uncertainty(rep, plain))
+    for name, got in dataclasses.asdict(uncertainty(rep, tiny)).items():
+        assert got == pytest.approx(want[name], abs=1e-12), name
+    # a flat state has no tail certificate at any scale, also where its squares underflow
+    flat = FockVector(harmonic, np.full(30, scale))
+    assert flat.tail_bound() == math.inf
+    with pytest.raises(TruncationError, match="tail bound inf"):
+        uncertainty(rep, flat)
+
+
 def test_energy_mean_matches_dense(pt22):
     coeffs = np.exp(-0.3 * np.arange(25)) * np.exp(1j * 0.1 * np.arange(25))
     v = FockVector(pt22, coeffs).normalized()

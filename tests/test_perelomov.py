@@ -97,33 +97,17 @@ def _scalar_series(model, n, r, j_cap):
 
 @pytest.mark.parametrize("j_cap", [160, 400])
 def test_series_kernel_equals_scalar_series_bitwise(all_models, j_cap):
-    radii = (1e-3, 0.3, 0.5, 1.0, 1.3, 1.5, 2.0, 3.0)
+    # row n of one pass over bands 0..37 is band n's own series: every column is a prefix
+    # accumulation, so verify's column and cn_series agree bit for bit, refusals included
     for name, model in all_models.items():
-        bands = np.repeat(np.arange(0, 38, 3), len(radii))
-        rs = np.tile(radii, bands.size // len(radii))
-        values, failed = pe._series_kernel(model, bands, rs, j_cap)
-        want = [_scalar_series(model, n, r, j_cap) for n, r in zip(bands.tolist(), rs.tolist())]
-        assert failed.tolist() == [bad for _, bad in want], name
-        assert np.array_equal(values, [value for value, _ in want], equal_nan=True), name
-        assert failed.any() or name in ("harmonic", "well"), "the refusal mask is exercised"
-
-
-def test_shallow_cut_gives_the_full_depth_bits(monkeypatch, all_models):
-    radii = (0.3, 0.5, 1.0, 1.3, 1.5, 2.0)
-    results = []
-    for shallow in (pe._SHALLOW_DEPTH, 4, 400):  # the default, nearly always redone, never cut
-        monkeypatch.setattr(pe, "_SHALLOW_DEPTH", shallow)
-        pe._series_profile.cache_clear()
-        pe._pi_log_table.cache_clear()
-        run = []
-        for model in all_models.values():
-            bands = np.repeat(np.arange(0, 30, 4), len(radii))
-            run.append(pe._series_kernel(model, bands, np.tile(radii, 8), 400))
-        results.append(run)
-    for run in results[1:]:
-        for (values, failed), (want, want_failed) in zip(run, results[0]):
-            assert np.array_equal(failed, want_failed)
-            assert np.array_equal(values, want, equal_nan=True)
+        for r in (1e-3, 0.3, 0.5, 1.0, 1.3, 1.5, 2.0, 3.0):
+            values, ok, _, _ = pe._series_bands(model, 37, r, j_cap)
+            want = [_scalar_series(model, n, r, j_cap) for n in range(38)]
+            assert (~ok).tolist() == [bad for _, bad in want], (name, r)
+            got = np.where(ok, values, math.nan)
+            assert np.array_equal(got, [value for value, _ in want], equal_nan=True), (name, r)
+        if name not in ("harmonic", "well"):
+            assert not pe._series_bands(model, 37, 1.5, j_cap)[1].all(), "refusals are exercised"
 
 
 def test_series_refusal_names_the_depth_it_needs(pt22):
@@ -138,25 +122,10 @@ def test_series_refusal_names_the_depth_it_needs(pt22):
     # value is indeed far off the closed form
     with pytest.raises(TruncationError, match=r"condition number sum\|t\|/\|sum t\| = 2\.44e\+08"):
         pe.cn_series(pt22, 10, 1.2, j_cap=needed)
-    values, ok, _ = pe._series_pass(pt22, [10], [1.2], needed)
+    values, ok, _, _ = pe._series_bands(pt22, 10, 1.2, needed)
     closed = pe.cn_closed(pt22, 10, 1.2).values[10]
-    assert not ok[0]
-    assert abs(values[0] - closed) > 1e-7 * closed
-
-
-def test_shared_nested_sum_table_rows_equal_per_band_tables(all_models):
-    for name in ("harmonic", "well", "pt_soft", "custom"):
-        model = all_models[name]
-        for depth in (160, 400):
-            # bands of one 32-band block and the block after; all of them on the 40-level table
-            bands = range(30) if name == "custom" else (0, 1, 2, 9, 10, 11, 24, 25, 26)
-            shapes = {pe._table_shape(model, n, depth) for n in bands}
-            assert len(shapes) == 1, f"{name}: one table serves every band of a block"
-            shared = pe._pi_log_table(model, *shapes.pop())
-            for n in bands:
-                j_cap = min(depth, pe._room(model, n)) if name == "custom" else depth
-                own = pe._pi_log_table.__wrapped__(model, n, j_cap)
-                assert np.array_equal(shared[n, : j_cap + 1], own[n]), (name, depth, n)
+    assert not ok[10]
+    assert abs(values[10] - closed) > 1e-7 * closed
 
 
 def test_displacement_route_refusals_are_pinned(harmonic, pt22):
@@ -183,10 +152,10 @@ def test_displacement_route_refusals_are_pinned(harmonic, pt22):
 def test_series_refuses_where_its_terms_cancel(pt22, n, r, error):
     # each of these settles its tail by j_cap = 400 to a value far off the closed form
     closed = pe.cn_closed(pt22, n, r).values[n]
-    values, ok, cond = pe._series_pass(pt22, [n], [r], 400)
-    assert not ok[0]
-    assert abs(values[0] - closed) == pytest.approx(error * closed, rel=0.05)
-    named = re.escape(f"condition number sum|t|/|sum t| = {cond[0]:.3g}")
+    values, ok, cond, _ = pe._series_bands(pt22, n, r, 400)
+    assert not ok[n]
+    assert abs(values[n] - closed) == pytest.approx(error * closed, rel=0.05)
+    named = re.escape(f"condition number sum|t|/|sum t| = {cond[n]:.3g}")
     with pytest.raises(TruncationError, match=named):
         pe.cn_series(pt22, n, r, j_cap=400)
 
@@ -196,8 +165,8 @@ def test_verify_series_column_stays_certified(all_models):
     models = list(all_models.values()) + [SpectrumModel.poschl_teller(3.9, 3.9),
                                           SpectrumModel.poschl_teller(1.2, 1.2)]
     for model in models:
-        _, failed = pe._series_kernel(model, np.arange(9), np.full(9, 0.5), pe._SERIES_J_CAP)
-        assert not failed.any(), model
+        _, ok, _, _ = pe._series_bands(model, 8, 0.5, pe._SERIES_J_CAP)
+        assert ok.all(), model
 
 
 def test_ode_refuses_at_the_band_cap(pt22):
@@ -213,6 +182,25 @@ def test_ode_refuses_at_the_end_of_a_table(custom_table):
         pe.cn_ode(short, 3.0, 8)
     with pytest.raises(TruncationError, match="N=29: no pair of truncations covers the bands asked for"):
         pe.cn_ode(short, 0.5, 14)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "well", "pt22", "custom"])
+@pytest.mark.parametrize("r", [0.0, 1e-4, 1e-3])
+def test_ode_below_its_flow_radius_is_the_series(all_models, name, r):
+    # up to r = 1e-3 cn_ode takes bands 0..n_max from one series pass
+    model = all_models[name]
+    for n_max in (0, 8, 29):
+        got = pe.cn_ode(model, r, n_max).values
+        assert np.array_equal(got, [pe.cn_series(model, n, r) for n in range(n_max + 1)])
+        if name != "custom":
+            closed = pe.cn_closed(model, n_max, r).values
+            assert np.max(np.abs(got - closed) / closed) <= 1e-12, n_max
+    if name == "custom":
+        # band 30 of the 40-level table has room for three terms: the lowest such band refuses
+        with pytest.raises(TruncationError, match=r"band-30 series \(room for 3 terms\)"):
+            pe.cn_series(model, 30, r)
+        with pytest.raises(TruncationError, match=r"band-30 series \(room for 3 terms\)"):
+            pe.cn_ode(model, r, 35)
 
 
 def test_closed_route_covers_large_radius(pt22):
