@@ -128,7 +128,7 @@ def _series_bands(model: SpectrumModel, n_top: int, r: float, j_cap: int):
     log_r = math.log(r)
     column, partial = np.zeros(rows), np.zeros(live)
     small, done = np.zeros(live, dtype=bool), np.zeros(live, dtype=bool)
-    profiles, logs, mags, partials, smalls = [], [], [], [], []
+    profiles, partials, smalls = [], [], []
     # an overflowing term leaves its band unsettled (inf, then nan partial sums)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(top + 1):
@@ -137,11 +137,10 @@ def _series_bands(model: SpectrumModel, n_top: int, r: float, j_cap: int):
                 lf[live + 2 * j - 2] = specfun.log_gamma(live + 2 * j - 1.0)
                 lf[live + 2 * j - 1] = specfun.log_gamma(live + 2 * j + 0.0)
             profiles.append((column[:live] + lf_n) - lf[2 * j : 2 * j + live])
-            logs.append(profiles[-1] + 2.0 * j * log_r - lf_n)
-            mags.append(np.exp(logs[-1]))
-            partial = partial - mags[-1] if j % 2 else partial + mags[-1]  # the series alternates
+            mags = np.exp(profiles[-1] + 2.0 * j * log_r - lf_n)
+            partial = partial - mags if j % 2 else partial + mags  # the series alternates
             partials.append(partial)
-            was_small, small = small, mags[-1] <= SERIES_TOL * np.maximum(np.abs(partial), 1e-300)
+            was_small, small = small, mags <= SERIES_TOL * np.maximum(np.abs(partial), 1e-300)
             smalls.append(small)
             done |= small & was_small
             if tabulated:
@@ -149,14 +148,15 @@ def _series_bands(model: SpectrumModel, n_top: int, r: float, j_cap: int):
             if np.count_nonzero(done) == live:
                 break
         # band n settles at the first j <= its depth where two terms in a row are small
-        js = np.arange(len(mags))[:, None]
+        js = np.arange(len(profiles))[:, None]
         pairs = np.array(smalls)
         pairs = pairs[1:] & pairs[:-1] & (js[1:] <= depth)
         found = pairs.any(axis=0)
         ends = np.where(found, np.argmax(pairs, axis=0) + 1, -1)
         values[:live] = np.where(found, np.array(partials)[ends, np.arange(live)], math.nan)
         kept = js <= ends
-        mags, logs = np.array(mags), np.array(logs)
+        logs = np.array(profiles) + 2.0 * js * log_r - lf_n  # the terms again, as one array
+        mags = np.exp(logs)
         size = np.where(kept, mags, 0.0).sum(axis=0)
         spread = np.where(kept, mags * (np.abs(logs) + js + 2.0), 0.0).sum(axis=0)
         cond[:live] = np.where(found, size / np.abs(values[:live]), math.nan)
