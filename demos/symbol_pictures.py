@@ -11,7 +11,6 @@ import numpy as np
 
 from solvstates import SpectrumModel
 from solvstates import intelligent as it
-from solvstates import specfun
 from solvstates.analytic import taylor_coefficients
 
 
@@ -45,8 +44,8 @@ def main():
     vec = it.gis_disk_expansion(nu, zeta_prime, lam, 60)
     taylor = taylor_coefficients(
         lambda w: it.gis_disk_function(nu, zeta_prime, lam, w), top, radius=0.6)
-    weights = np.array([specfun.log_gamma(n + 1.0) + specfun.log_gamma(nu + 1.0)
-                        - specfun.log_gamma(nu + 1.0 + n) for n in range(top + 1)])
+    weights = np.array([math.lgamma(n + 1.0) + math.lgamma(nu + 1.0)
+                        - math.lgamma(nu + 1.0 + n) for n in range(top + 1)])
     symbol = taylor * np.exp(0.5 * weights)
     gap = np.max(np.abs(symbol / symbol[0] - vec.coeffs[: top + 1] / vec.coeffs[0])
                  / np.abs(vec.coeffs[: top + 1] / vec.coeffs[0]))

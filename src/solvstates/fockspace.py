@@ -257,10 +257,17 @@ def _suggest_growth(state: FockVector, target: float) -> int:
 
 
 def _prepare(rep: LadderRep, state: FockVector) -> np.ndarray:
-    """The state's coefficients over the whole ladder, once its tail certifies."""
+    """The state's coefficients over the whole ladder, once its tail certifies relative
+    to its mass, as every moment is: a mass outside [tiny, inf) is judged lifted by 2^k."""
     if state.n_max > rep.n_max:
         raise DomainError("state is longer than the ladder truncation")
-    tail = state.tail_bound()
+    judged = state
+    mass = float(np.vdot(state.coeffs, state.coeffs).real)
+    if not _TINY <= mass < math.inf and state.coeffs.any():
+        judged = FockVector(state.model, _lifted(state.coeffs)[0])
+        mass = float(np.vdot(judged.coeffs, judged.coeffs).real)
+    # the zero vector has no tail; _band_sums refuses it
+    tail = judged.tail_bound() / mass if mass else 0.0
     if not (tail < TAIL_CERT):
         raise TruncationError(
             f"state tail bound {tail:.3e} exceeds {TAIL_CERT:.0e}",

@@ -93,7 +93,7 @@ def gk_normalization_closed(model: SpectrumModel, r: float) -> float:
     if r == 0.0:
         return 1.0
     log_val = (
-        specfun.log_gamma(nu + 1.0)
+        math.lgamma(nu + 1.0)
         + math.log(specfun.bessel_i(nu, 2.0 * r))
         - nu * math.log(r)
     )
@@ -164,7 +164,7 @@ def gk_state(
     if model.kind == CUSTOM or model.kind == HARMONIC:
         log_gnu = 0.0
     else:
-        log_gnu = specfun.log_gamma(model.nu + 1.0)
+        log_gnu = math.lgamma(model.nu + 1.0)
     norm_const = math.exp(0.5 * (log_gnu - log_s))
     return GKState(z=z, alpha=alpha, vector=vec, norm_const=norm_const)
 
@@ -290,7 +290,7 @@ def identity_moment_check(model: SpectrumModel, measure: RadialMeasure, n: int) 
         raise DomainError("measure index does not match the model")
     if n < 0:
         raise DomainError("moment order must be nonnegative")
-    log_rho = specfun.log_gamma(n + 1.0) + specfun.log_gamma(n + measure.nu + 1.0)
+    log_rho = math.lgamma(n + 1.0) + math.lgamma(n + measure.nu + 1.0)
     fine = specfun.settled(f"identity moment n={n}", _moment(measure, n, log_rho, 200),
                            _moment(measure, n, log_rho, 400), 1e-9)
     return abs(fine - 1.0)

@@ -29,7 +29,6 @@ monomials; laplace_bridge quantifies that correspondence by quadrature.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationError
 from .fockspace import FockVector, LadderRep, UncertaintyReport, uncertainty
 from .perelomov import _log_gamma_ratio
-from .specfun import graded_edges, hyp0f1, hyp1f1, log_gamma, panel_rule, settled
+from .specfun import graded_edges, hyp0f1, hyp1f1, panel_rule, settled
 from .spectrum import SpectrumModel
 from .tolerances import CHECK_GATE, TAIL_CERT, UNIT_TOL
 
@@ -49,17 +48,6 @@ SQUEEZED = "squeezed"
 
 # coefficient size at which the recurrence prefix is divided down
 _RESCALE = 1e150
-
-# Reference grids for cross-validating the closed form against the
-# recurrence oracle.  Every lam here passes validate_lambda.
-LAMBDA_GRID = (
-    1.0,
-    2.0,
-    0.5 + 0.5j,
-    cmath.exp(1j * math.pi / 6),
-    cmath.exp(-1j * math.pi / 3),
-)
-Z_GRID = (0.0, 1.0, 2.0j, 1.5 * cmath.exp(1j * math.pi / 4))
 
 
 def validate_lambda(lam: complex) -> str:
@@ -79,24 +67,14 @@ def validate_lambda(lam: complex) -> str:
 
 @dataclass(frozen=True)
 class GISParameters:
-    """Defining data of one generalized intelligent state.
-
-    alpha_plus / alpha_minus are the disk branch exponents; they stay None
-    until with_disk_exponents fills them for a given nu and disk eigenvalue.
-    """
+    """Defining data of one generalized intelligent state."""
 
     z: complex
     lam: complex
     alpha: float = 0.0
-    alpha_plus: complex | None = None
-    alpha_minus: complex | None = None
 
     def __post_init__(self):
         validate_lambda(self.lam)
-
-    def with_disk_exponents(self, nu: float, zeta_prime: complex) -> "GISParameters":
-        ap, am = _disk_exponents(nu, zeta_prime, self.lam)
-        return dataclasses.replace(self, alpha_plus=ap, alpha_minus=am)
 
 
 def _branch_root(lam: complex) -> tuple[complex, complex]:
@@ -378,7 +356,7 @@ def _monomial_transform(nu: float, n: int, zeta: float, panels: int, order: int,
     edges = np.concatenate([graded_edges(0.0, edges[1], levels), edges[2:]])
     xs, ws = panel_rule(edges, order)
     log_front = -(nu + 1.0) * math.log(zeta) - 0.5 * (
-        log_gamma(nu + 1.0) + log_gamma(n + 1.0) + log_gamma(nu + n + 1.0))
+        math.lgamma(nu + 1.0) + math.lgamma(n + 1.0) + math.lgamma(nu + n + 1.0))
     return float(np.sum(ws * np.exp((nu + n) * np.log(xs) - xs / zeta + log_front)))
 
 
@@ -396,12 +374,14 @@ def laplace_bridge(nu: float, n: int, zeta: float) -> float:
     standard cure for an algebraic endpoint singularity (P. J. Davis &
     P. Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984).
     """
+    if not nu > -1.0:
+        raise DomainError("laplace_bridge needs nu > -1")
     if n < 0:
         raise DomainError("monomial degree must be >= 0")
     if not 0.0 < zeta < 1.0:
         raise DomainError("zeta must lie in (0, 1) for the transform to converge")
     target = zeta**n * math.exp(
-        0.5 * (log_gamma(nu + n + 1.0) - log_gamma(n + 1.0) - log_gamma(nu + 1.0))
+        0.5 * (math.lgamma(nu + n + 1.0) - math.lgamma(n + 1.0) - math.lgamma(nu + 1.0))
     )
     fine = settled(f"Laplace bridge nu={nu} n={n} zeta={zeta}",
                    _monomial_transform(nu, n, zeta, panels=30, order=16, levels=14),

@@ -114,7 +114,7 @@ def _series_bands(model: SpectrumModel, n_top: int, r: float, j_cap: int):
         return values, ok, cond, slope
     depth, top = depth[:live], int(depth[0])
     lf = np.empty(live + 2 * top)  # log m!, two more per column
-    lf[:live] = [specfun.log_gamma(m + 1.0) for m in range(live)]
+    lf[:live] = [math.lgamma(m + 1.0) for m in range(live)]
     lf_n = lf[:live]
     if r == 0.0:  # only the j = 0 term is left
         values[:live] = [math.exp(-v) for v in lf_n.tolist()]
@@ -134,8 +134,8 @@ def _series_bands(model: SpectrumModel, n_top: int, r: float, j_cap: int):
         for j in range(top + 1):
             if j:
                 column = np.logaddexp.accumulate(log_e[: rows - j] + column[1 : rows - j + 1])
-                lf[live + 2 * j - 2] = specfun.log_gamma(live + 2 * j - 1.0)
-                lf[live + 2 * j - 1] = specfun.log_gamma(live + 2 * j + 0.0)
+                lf[live + 2 * j - 2] = math.lgamma(live + 2 * j - 1.0)
+                lf[live + 2 * j - 1] = math.lgamma(live + 2 * j + 0.0)
             profiles.append((column[:live] + lf_n) - lf[2 * j : 2 * j + live])
             mags = np.exp(profiles[-1] + 2.0 * j * log_r - lf_n)
             partial = partial - mags if j % 2 else partial + mags  # the series alternates
@@ -413,6 +413,16 @@ def _auto_amp_logs(model: SpectrumModel, r: float) -> np.ndarray:
     return logs
 
 
+def _mass_certified(log_mag: np.ndarray) -> np.ndarray:
+    """log |c_n| of a closed-form state, once 1 - sum |c_n|^2 is below TAIL_CERT: the
+    prefactor normalizes the whole series, so that is the mass its bands leave out."""
+    lost, n_max = 1.0 - math.fsum(np.exp(2.0 * log_mag)), log_mag.size - 1
+    if not lost < TAIL_CERT:
+        raise TruncationError(f"bands 0..{n_max} miss {lost:.3e} of the closed-form mass",
+                              suggested_n_max=2 * n_max + 16)
+    return log_mag
+
+
 def _state_phases(model: SpectrumModel, z: complex, n_top: int) -> np.ndarray:
     energies = model.energies(n_top)
     return np.exp(1j * (np.arange(n_top + 1) * np.angle(z) - model.alpha * energies))
@@ -427,11 +437,12 @@ def perelomov_state(
     """Normalized displacement state, coefficients z^n e^{-i alpha E_n} / sqrt(F_n).
 
     The closed prefactor makes the 2-norm equal 1 without renormalization for
-    the harmonic and trigonometric-well families.  A tabulated spectrum's
-    state is the displacement flow y(|z|) times the phases, certified by
-    doubling from 24 bands and by a tail bound below TAIL_CERT: without
-    n_max, on the bands where two truncations agree; with n_max, on bands
-    0..n_max of the first truncation that agrees on all of them.
+    the harmonic and trigonometric-well families, so an explicit n_max is
+    refused when bands 0..n_max miss TAIL_CERT of that mass.  A tabulated
+    spectrum's state is the displacement flow y(|z|) times the phases,
+    certified by doubling from 24 bands and by a tail bound below TAIL_CERT:
+    without n_max, on the bands where two truncations agree; with n_max, on
+    bands 0..n_max of the first truncation that agrees on all of them.
     """
     z = complex(z)
     model = model.with_alpha(alpha)
@@ -450,7 +461,8 @@ def perelomov_state(
                 f"tabulated spectrum cannot certify the tail ({tail:.3e}) at n_max={out.n_max}"
             )
         return out
-    log_mag = _auto_amp_logs(model, r) if n_max is None else _amp_logs(model, r, n_max)
+    log_mag = (_auto_amp_logs(model, r) if n_max is None
+               else _mass_certified(_amp_logs(model, r, n_max)))
     return FockVector(model, np.exp(log_mag) * _state_phases(model, z, log_mag.size - 1))
 
 
@@ -460,7 +472,8 @@ def disk_coefficients(
     alpha: float | None = None,
     n_max: int | None = None,
 ) -> FockVector:
-    """State labeled by a disk point: (1-|z|^2)^{(nu+1)/2} z^n sqrt(G_n) e^{-i alpha E_n}."""
+    """State labeled by a disk point: (1-|z|^2)^{(nu+1)/2} z^n sqrt(G_n) e^{-i alpha E_n};
+    its bands are certified by their mass, as an explicit n_max is in perelomov_state."""
     if model.kind not in (POSCHL_TELLER, SQUARE_WELL):
         raise DomainError("the disk picture needs a nu-type spectrum")
     point = DiskPoint(zeta)
@@ -473,7 +486,7 @@ def disk_coefficients(
         return FockVector(model, vec)
     if n_max is None:
         n_max = _auto_amp_logs(model, math.atanh(rho)).size - 1
-    log_mag = _disk_logs(model.nu, math.log(rho), math.log1p(-rho * rho), n_max)
+    log_mag = _mass_certified(_disk_logs(model.nu, math.log(rho), math.log1p(-rho * rho), n_max))
     return FockVector(model, np.exp(log_mag) * _state_phases(model, zeta, n_max))
 
 
@@ -551,9 +564,9 @@ def disk_identity_check(nu: float, n: int) -> float:
     if n < 0 or n > 20:
         raise DomainError("moment order must lie in 0..20")
     log_g = (
-        specfun.log_gamma(n + nu + 1.0)
-        - specfun.log_gamma(n + 1.0)
-        - specfun.log_gamma(nu + 1.0)
+        math.lgamma(n + nu + 1.0)
+        - math.lgamma(n + 1.0)
+        - math.lgamma(nu + 1.0)
     )
     fine = specfun.settled(f"disk moment n={n}", _disk_moment(nu, n, log_g, 24),
                            _disk_moment(nu, n, log_g, 48), 1e-10)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import jacobi_rows, log_gamma, panel_rule, settled
+from .specfun import jacobi_rows, panel_rule, settled
 
 #: central-difference step for all finite-difference residuals
 H_STEP = 1e-5
@@ -148,8 +148,8 @@ def _log_norm(p: PTParameters, n: int) -> float:
     # c_n = a Gamma(n+k+1/2) Gamma(n+k'+1/2) / [n! Gamma(n+k+k') (2n+k+k')]
     k, kp = p.kappa, p.kappa_prime
     return (math.log(p.a)
-            + log_gamma(n + k + 0.5) + log_gamma(n + kp + 0.5)
-            - log_gamma(n + 1.0) - log_gamma(n + k + kp)
+            + math.lgamma(n + k + 0.5) + math.lgamma(n + kp + 0.5)
+            - math.lgamma(n + 1.0) - math.lgamma(n + k + kp)
             - math.log(2.0 * n + k + kp))
 
 

@@ -4,9 +4,10 @@ Everything here is series- or quadrature-based and tuned for the moderate
 arguments this package needs (|z| up to about 50).  Series stop on a
 relative tail below 1e-16 and abort with ConvergenceError past a hard cap
 of 10000 terms; there are no reflection formulas and no asymptotic
-branches.  ``hyp1f1`` and ``hyp0f1`` take an array argument and sum it in
-one pass, each element by exactly the arithmetic of a scalar call;
-``bessel_k`` takes an array as well.  The Jacobi evaluator deliberately
+branches.  log Gamma is not here: callers use the standard library's
+``math.lgamma``.  ``hyp1f1`` and ``hyp0f1`` take an array argument and
+sum it in one pass, each element by exactly the arithmetic of a scalar
+call; ``bessel_k`` takes an array as well.  The Jacobi evaluator deliberately
 runs the three-term recurrence as a formal identity in the parameters, so
 it stays valid for the complex and below -1 parameter values required by
 the disk-representation expansions, a regime standard libraries refuse;
@@ -33,36 +34,6 @@ REL_TAIL = 1e-16
 # terms per vectorized step of the hypergeometric series
 _BLOCK = 24
 
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# B_{2k} / (2k (2k-1)) for k = 1..8; enough for 1e-13 accuracy once the
-# argument has been shifted above 12
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 via an upward shift and the Stirling series."""
-    if x <= 0:
-        raise DomainError("log_gamma needs x > 0")
-    shift = 0.0
-    while x < 12.0:
-        shift += math.log(x)
-        x += 1.0
-    z = 1.0 / (x * x)
-    s = _STIRLING[-1]
-    for c in _STIRLING[-2::-1]:
-        s = s * z + c
-    return (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + s / x - shift
-
 
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function I_nu(x) by the ascending series.
@@ -75,7 +46,7 @@ def bessel_i(nu: float, x: float) -> float:
         raise DomainError("bessel_i needs nu >= 0 and x >= 0")
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
-    log_lead = nu * math.log(0.5 * x) - log_gamma(nu + 1.0)
+    log_lead = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
     q = 0.25 * x * x
     term = 1.0
     total = 1.0

@@ -217,8 +217,8 @@ def test_criterion_11_disk_symbol_and_laplace():
     vec = it.gis_disk_expansion(nu, zeta_prime, lam, 60)
     taylor = taylor_coefficients(
         lambda w: it.gis_disk_function(nu, zeta_prime, lam, w), top, radius=0.6)
-    logs = np.array([specfun.log_gamma(n + 1.0) + specfun.log_gamma(nu + 1.0)
-                     - specfun.log_gamma(nu + 1.0 + n) for n in range(top + 1)])
+    logs = np.array([math.lgamma(n + 1.0) + math.lgamma(nu + 1.0)
+                     - math.lgamma(nu + 1.0 + n) for n in range(top + 1)])
     symbol = taylor * np.exp(0.5 * logs)
     want = vec.coeffs[: top + 1] / vec.coeffs[0]
     got = symbol / symbol[0]

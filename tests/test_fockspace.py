@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ def test_a_state_whose_mass_underflows_is_not_the_zero_vector(harmonic, scale):
     assert flat.tail_bound() == math.inf
     with pytest.raises(TruncationError, match="tail bound inf"):
         uncertainty(rep, flat)
+
+
+def test_state_certificate_does_not_depend_on_scale(harmonic):
+    # the tail bound is read relative to the mass, as the moments are; a mass that
+    # overflows (1e200, 1e300) is judged lifted: a report or a refusal, never a warning
+    rep = build_ladder(harmonic, 29)
+    plain = 0.5 ** np.arange(30)
+    want = dataclasses.asdict(uncertainty(rep, FockVector(harmonic, plain)))
+    for scale in (1e150, 1e200, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                got = dataclasses.asdict(uncertainty(rep, FockVector(harmonic, scale * plain)))
+            except ConvergenceError:
+                assert scale > 1e150
+                continue
+        for name, value in got.items():
+            assert value == pytest.approx(want[name], abs=1e-12), (scale, name)
 
 
 def test_energy_mean_matches_dense(pt22):

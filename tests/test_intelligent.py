@@ -263,9 +263,8 @@ def test_disk_expansion_matches_taylor_of_its_symbol():
     vec = it.gis_disk_expansion(nu, zeta_prime, lam, 60)
     taylor = taylor_coefficients(
         lambda w: it.gis_disk_function(nu, zeta_prime, lam, w), top, radius=0.6)
-    import solvstates.specfun as specfun
-    logs = np.array([specfun.log_gamma(n + 1.0) + specfun.log_gamma(nu + 1.0)
-                     - specfun.log_gamma(nu + 1.0 + n) for n in range(top + 1)])
+    logs = np.array([math.lgamma(n + 1.0) + math.lgamma(nu + 1.0)
+                     - math.lgamma(nu + 1.0 + n) for n in range(top + 1)])
     symbol = taylor * np.exp(0.5 * logs)
     want = vec.coeffs[: top + 1] / vec.coeffs[0]
     got = symbol / symbol[0]
@@ -279,8 +278,8 @@ def _disk_expansion_by_jacobi(nu, zeta_prime, lam, n_max, alpha):
     ap, am = it._disk_exponents(nu, zeta_prime, lam)
     coeffs = np.array([
         (2.0 * s) ** n * specfun.jacobi_p(n, ap - n, am - n, 0.0)
-        * math.exp(0.5 * (specfun.log_gamma(n + 1.0) + specfun.log_gamma(nu + 1.0)
-                          - specfun.log_gamma(nu + 1.0 + n)))
+        * math.exp(0.5 * (math.lgamma(n + 1.0) + math.lgamma(nu + 1.0)
+                          - math.lgamma(nu + 1.0 + n)))
         * cmath.exp(-1j * alpha * model.energy(n)) for n in range(n_max + 1)])
     return coeffs / np.linalg.norm(coeffs)
 
@@ -315,6 +314,12 @@ def test_symbols_on_arrays_equal_pointwise_calls(pt22):
     # s = 1/sqrt(3) at lam = 2: one point at |s zeta| >= 1 refuses the whole array
     with pytest.raises(DomainError, match="leaves the analyticity disk"):
         it.gis_disk_function(nu, 0.5, 2.0, np.array([0.1, 1.8]))
+
+
+@pytest.mark.parametrize("nu", [-1.0, -1.5, -2.0])
+def test_laplace_bridge_refuses_nu_at_or_below_minus_one(nu):
+    with pytest.raises(DomainError, match="nu > -1"):
+        it.laplace_bridge(nu, 0, 0.5)
 
 
 @pytest.mark.parametrize("zeta", [0.3, 0.5, 0.8])

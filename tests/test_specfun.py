@@ -12,19 +12,6 @@ from solvstates import ConvergenceError, DomainError
 from solvstates import specfun
 
 
-def test_log_gamma_against_scipy():
-    xs = np.array([0.5, 1.0, 2.7, 11.25, 140.0, 3000.5])
-    got = np.array([specfun.log_gamma(x) for x in xs])
-    assert np.allclose(got, sp.gammaln(xs), rtol=1e-14, atol=1e-13)
-
-
-def test_log_gamma_positive_domain():
-    with pytest.raises(DomainError):
-        specfun.log_gamma(0.0)
-    with pytest.raises(DomainError):
-        specfun.log_gamma(-1.5)
-
-
 @pytest.mark.parametrize("n,a,b", [(0, 1.5, 0.7), (3, 1.5, 0.7), (7, 0.5, 2.5), (12, 3.0, 3.0)])
 def test_jacobi_matches_scipy(n, a, b):
     xs = np.linspace(-0.95, 0.95, 11)
