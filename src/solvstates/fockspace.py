@@ -15,6 +15,11 @@ that band and the H and G diagonals.  Every moment comes from two complex
 band sums, <a-> and <a-^2>, and real sums over |c|^2, O(n) in time and
 memory; dense matrices exist only on request, through ``a_minus`` /
 ``a_plus`` and :func:`quadratures`.
+
+Every state the package returns or reads moments from passes
+:meth:`FockVector.certified` (tail bound over mass below TAIL_CERT, else
+TruncationError suggesting n_max >= 2 n_max + 16), and every mass is summed,
+lifted from underflow or refused by :func:`_mass`.
 """
 
 from __future__ import annotations
@@ -45,6 +50,20 @@ def _lifted(coeffs: np.ndarray) -> tuple[np.ndarray, int]:
     return coeffs * math.ldexp(1.0, k), k
 
 
+def _mass(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(coeffs, sum |c|^2), lifted by _lifted where the sum underflows; refuses the zero
+    vector and an overflowing sum, whose quotients would be zeros with a tail bound of 0."""
+    mass = float(np.vdot(coeffs, coeffs).real)
+    if mass < _TINY and coeffs.any():
+        coeffs = _lifted(coeffs)[0]
+        mass = float(np.vdot(coeffs, coeffs).real)
+    if mass == 0.0:
+        raise DomainError("the zero vector is not a state")
+    if not math.isfinite(mass):
+        raise ConvergenceError("coefficient norm overflows")
+    return coeffs, mass
+
+
 def _as_coeffs(values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
@@ -72,16 +91,8 @@ class FockVector:
         return float(np.linalg.norm(self.coeffs))
 
     def normalized(self) -> "FockVector":
-        with np.errstate(over="ignore"):
-            nrm = self.norm()
-        if nrm * nrm < _TINY and self.coeffs.any():  # the mass underflows
-            return FockVector(self.model, _lifted(self.coeffs)[0]).normalized()
-        if nrm == 0.0:
-            raise DomainError("cannot normalize the zero vector")
-        if not math.isfinite(nrm):
-            # dividing by an overflowed norm would return zeros that pass the tail check
-            raise ConvergenceError("coefficient norm overflows; cannot normalize")
-        return FockVector(self.model, self.coeffs / nrm)
+        coeffs, mass = _mass(self.coeffs)
+        return FockVector(self.model, coeffs / math.sqrt(mass))
 
     def inner(self, other: "FockVector") -> complex:
         # conjugate-linear in self, padded with zeros to the longer length
@@ -90,14 +101,8 @@ class FockVector:
         return complex(np.vdot(a[:n], b[:n]))
 
     def energy_mean(self) -> float:
-        energies = self.model.energies(self.n_max)
-        weights = np.abs(self.coeffs) ** 2
-        total = weights.sum()
-        if total < _TINY and self.coeffs.any():
-            return FockVector(self.model, _lifted(self.coeffs)[0]).energy_mean()
-        if total == 0.0:
-            raise DomainError("cannot average over the zero vector")
-        return float(np.dot(energies, weights) / total)
+        coeffs, mass = _mass(self.coeffs)
+        return float(np.dot(self.model.energies(self.n_max), np.abs(coeffs) ** 2) / mass)
 
     def tail_bound(self) -> float:
         """Certified upper bound on the truncated probability mass.
@@ -136,6 +141,18 @@ class FockVector:
         out = np.zeros(n_max + 1, dtype=complex)
         out[: self.coeffs.size] = self.coeffs
         return FockVector(self.model, out)
+
+    def certified(self, what: str, cert: float = TAIL_CERT) -> "FockVector":
+        """self, once its tail bound relative to its mass is below ``cert``; else
+        TruncationError, labelled ``what``, suggesting n_max >= 2 n_max + 16."""
+        coeffs, mass = _mass(self.coeffs)
+        judged = self if coeffs is self.coeffs else FockVector(self.model, coeffs)
+        tail = judged.tail_bound() / mass
+        if not tail < cert:
+            raise TruncationError(
+                f"{what} tail bound {tail:.3e} not certified below {cert:.0e} at n_max={self.n_max}",
+                suggested_n_max=2 * self.n_max + 16)
+        return self
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,35 +261,11 @@ class UncertaintyReport:
         return self.rs_product - self.rs_bound
 
 
-def _suggest_growth(state: FockVector, target: float) -> int:
-    mags = np.abs(state.coeffs)
-    nz = mags[mags > 0]
-    if nz.size < 3:
-        return state.n_max * 2 + 16
-    rho = float((nz[-1] / nz.max()) ** (1.0 / max(1, nz.size - 1)))
-    if rho >= 1.0:
-        return state.n_max * 2 + 16
-    need = math.log(max(target, 1e-300)) / math.log(rho)
-    return state.n_max + int(need) + 8
-
-
 def _prepare(rep: LadderRep, state: FockVector) -> np.ndarray:
-    """The state's coefficients over the whole ladder, once its tail certifies relative
-    to its mass, as every moment is: a mass outside [tiny, inf) is judged lifted by 2^k."""
+    """The state's coefficients over the whole ladder, once its tail certifies."""
     if state.n_max > rep.n_max:
         raise DomainError("state is longer than the ladder truncation")
-    judged = state
-    mass = float(np.vdot(state.coeffs, state.coeffs).real)
-    if not _TINY <= mass < math.inf and state.coeffs.any():
-        judged = FockVector(state.model, _lifted(state.coeffs)[0])
-        mass = float(np.vdot(judged.coeffs, judged.coeffs).real)
-    # the zero vector has no tail; _band_sums refuses it
-    tail = judged.tail_bound() / mass if mass else 0.0
-    if not (tail < TAIL_CERT):
-        raise TruncationError(
-            f"state tail bound {tail:.3e} exceeds {TAIL_CERT:.0e}",
-            suggested_n_max=_suggest_growth(state, 1e-2 * TAIL_CERT),
-        )
+    state.certified("state")
     if state.n_max == rep.n_max:
         return state.coeffs
     return state.padded(rep.n_max).coeffs
@@ -283,16 +276,10 @@ def _band_sums(rep: LadderRep, vec: np.ndarray):
 
     <a-> = sum v*_m b_m v_{m+1} and <a-^2> = sum v*_m b_m b_{m+1} v_{m+2};
     the truncated a+ a- + a- a+ is diag(0, E_1 .. E_n) + diag(E_1 .. E_n, 0).
-    Each sum runs over vec as given and is divided by its mass sum |v|^2; a
-    vector whose mass underflows is lifted by a power of two first.
+    Each sum runs over vec as given (lifted by _mass where its mass underflows)
+    and is divided by that mass.
     """
-    mass = float(np.vdot(vec, vec).real)
-    if mass < _TINY and vec.any():
-        return _band_sums(rep, _lifted(vec)[0])
-    if mass == 0.0:
-        raise DomainError("cannot report uncertainties of the zero vector")
-    if not math.isfinite(mass):
-        raise ConvergenceError("coefficient norm overflows; cannot normalize")
+    vec, mass = _mass(vec)
     # an overflowing sum is reported by the caller as a moment that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.abs(vec) ** 2
@@ -371,11 +358,4 @@ def gis_recurrence_oracle(
         if m >= 1:
             acc -= back[m - 1] * d[m - 1]
         d.append(acc / up[m])
-    out = FockVector(rep.model, d).normalized()
-    tail = out.tail_bound()
-    if not (tail < TAIL_CERT):
-        raise TruncationError(
-            f"recurrence tail bound {tail:.3e} not certified below {TAIL_CERT:.0e}",
-            suggested_n_max=_suggest_growth(out, 1e-2 * TAIL_CERT),
-        )
-    return out
+    return FockVector(rep.model, d).normalized().certified("recurrence")

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, TruncationError
+from .errors import DomainError
 from .fockspace import FockVector
 from .spectrum import CUSTOM, HARMONIC, SpectrumModel
 from .tolerances import GK_TAIL_CERT
@@ -154,13 +154,7 @@ def gk_state(
         log_s = 0.0
         coeffs = np.zeros(n_max + 1, dtype=complex)
         coeffs[0] = 1.0
-    vec = FockVector(model, coeffs)
-    tail = vec.tail_bound()
-    if not (tail < GK_TAIL_CERT):
-        raise TruncationError(
-            f"tail bound {tail:.3e} exceeds {GK_TAIL_CERT:.0e} at n_max={n_max}",
-            suggested_n_max=2 * n_max + 16,
-        )
+    vec = FockVector(model, coeffs).certified("GK state", GK_TAIL_CERT)
     if model.kind == CUSTOM or model.kind == HARMONIC:
         log_gnu = 0.0
     else:

@@ -41,7 +41,7 @@ from .fockspace import FockVector, LadderRep, UncertaintyReport, uncertainty
 from .perelomov import _log_gamma_ratio
 from .specfun import graded_edges, hyp0f1, hyp1f1, panel_rule, settled
 from .spectrum import SpectrumModel
-from .tolerances import CHECK_GATE, TAIL_CERT, UNIT_TOL
+from .tolerances import CHECK_GATE, UNIT_TOL
 
 COHERENT = "coherent"
 SQUEEZED = "squeezed"
@@ -157,14 +157,7 @@ def gis_coefficients(model: SpectrumModel, params: GISParameters, n_max: int) ->
             scale = abs(d[n])
             d[: n + 1] = [c / scale for c in d[: n + 1]]
     coeffs = np.array(d) * np.exp(-1j * model.alpha * energies)
-    out = FockVector(model, coeffs).normalized()
-    tail = out.tail_bound()
-    if not (tail < TAIL_CERT):
-        raise TruncationError(
-            f"coefficient tail bound {tail:.3e} not certified below {TAIL_CERT:.0e}",
-            suggested_n_max=2 * n_max + 16,
-        )
-    return out
+    return FockVector(model, coeffs).normalized().certified("coefficient")
 
 
 def gis_state(
@@ -336,14 +329,8 @@ def gis_disk_expansion(
             taylor.append(nxt)
     weights = np.exp(-0.5 * _log_gamma_ratio(nu, n_max))
     phases = np.exp(-1j * model.alpha * model.energies(n_max))
-    out = FockVector(model, np.array(taylor) * weights * phases).normalized()
-    tail = out.tail_bound()
-    if not (tail < TAIL_CERT):
-        raise TruncationError(
-            f"disk expansion tail bound {tail:.3e} not certified below {TAIL_CERT:.0e}",
-            suggested_n_max=2 * n_max + 16,
-        )
-    return out
+    return FockVector(model, np.array(taylor) * weights * phases).normalized().certified(
+        "disk expansion")
 
 
 def _monomial_transform(nu: float, n: int, zeta: float, panels: int, order: int,

@@ -405,11 +405,7 @@ def _auto_amp_logs(model: SpectrumModel, r: float) -> np.ndarray:
         for n in group:
             if logs[n] < peaks[n] + math.log(1e-20):
                 return logs[: n + 1]
-    tail = FockVector(model, np.exp(logs)).tail_bound()
-    if not (tail < TAIL_CERT):
-        raise TruncationError(
-            f"tail bound {tail:.3e} at r={r:.6g} and n_max={n}, the automatic cap"
-        )
+    FockVector(model, np.exp(logs)).certified(f"automatic cap at r={r:.6g}:")
     return logs
 
 
@@ -454,13 +450,8 @@ def perelomov_state(
     if model.kind == CUSTOM:
         stop = None if n_max is None else n_max + 1
         y = _certified_flow(model, r, _AUTO_TRIALS[0], stop)[:stop]
-        out = FockVector(model, y * _state_phases(model, z, y.size - 1))
-        tail = out.tail_bound()
-        if not (tail < TAIL_CERT):
-            raise TruncationError(
-                f"tabulated spectrum cannot certify the tail ({tail:.3e}) at n_max={out.n_max}"
-            )
-        return out
+        return FockVector(model, y * _state_phases(model, z, y.size - 1)).certified(
+            "tabulated state")
     log_mag = (_auto_amp_logs(model, r) if n_max is None
                else _mass_certified(_amp_logs(model, r, n_max)))
     return FockVector(model, np.exp(log_mag) * _state_phases(model, z, log_mag.size - 1))

@@ -54,9 +54,9 @@ DEFAULTS = {
     "specfun.quadrature_exactness": 1e-13,
 }
 
-#: truncated mass a state may leave beyond its last band (fockspace, intelligent, perelomov)
+#: mass a state may leave beyond its last band (FockVector.certified, perelomov closed forms)
 TAIL_CERT = 1e-10
-#: the same certificate for lowering-operator eigenstates (gazeau_klauder)
+#: the same certificate for lowering-operator eigenstates (gk_state)
 GK_TAIL_CERT = 1e-12
 #: distance of |lambda| from 1 within which a GIS state counts as coherent
 #: (|lambda| = 1 decided up to roundoff in e^{i theta})

@@ -368,6 +368,23 @@ def test_state_gis_exit_code_contract(model, z, lam, nmax):
 
 
 @settings(max_examples=300)
+@example(model=("harmonic", ()), z=(5.0, 0.0), nmax=10)
+@given(model=_models, z=st.tuples(_coord, _coord),
+       nmax=st.none() | st.integers(min_value=0, max_value=800))
+def test_state_gk_exit_code_contract(model, z, nmax):
+    name, strengths = model
+    argv = ["state", "--model", name, "--family", "gk", "--z", _flag(complex(*z))]
+    if nmax is not None:
+        argv += ["--nmax", str(nmax)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = _run_quiet(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 3:
+        assert _inadmissible([], strengths), argv
+
+
+@settings(max_examples=300)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(20.0, 0.0), nmax=10)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(20.0, 0.0), nmax=None)
 @example(model=(_ladder_copy(400, 2.0, 2.0), None), z=(0.5, 0.0), nmax=None)

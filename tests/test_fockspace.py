@@ -15,7 +15,7 @@ from solvstates import (ConvergenceError, DomainError, FockVector, SpectrumModel
                         gis_recurrence_oracle, quadratures, uncertainty)
 from solvstates import fockspace
 from solvstates.gazeau_klauder import gk_state
-from solvstates.intelligent import GISParameters, gis_state
+from solvstates.intelligent import GISParameters, gis_disk_expansion, gis_state
 
 # the banded core against dense matrices: one model per spectrum kind, with
 # a nonzero phase twist and a table long enough for the largest truncation
@@ -76,12 +76,19 @@ def test_fockvector_norm_and_inner(harmonic):
     assert w.inner(w) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("coeffs", [np.full(4, 1e200), np.array([1e200, 3e199j, 1.0]),
-                                    np.full(8, 1e160 - 1e160j)])
-def test_normalized_refuses_overflowed_norm(harmonic, coeffs):
-    # dividing by an infinite norm would give zeros whose tail bound reads 0
-    with pytest.raises(ConvergenceError):
-        FockVector(harmonic, coeffs).normalized()
+_OVERFLOWED = [np.full(4, 1e200), np.array([1e200, 3e199j, 1.0]), np.full(8, 1e160 - 1e160j)]
+
+
+@pytest.mark.parametrize(
+    "method, coeffs",
+    [("normalized", c) for c in _OVERFLOWED] + [("energy_mean", c) for c in _OVERFLOWED],
+    ids=[f"coeffs{i}" for i in range(3)] + [f"energy_mean-coeffs{i}" for i in range(3)])
+def test_normalized_refuses_overflowed_norm(harmonic, method, coeffs):
+    # dividing by an infinite norm would give zeros whose tail bound reads 0, or a nan mean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConvergenceError, match="norm overflows"):
+            getattr(FockVector(harmonic, coeffs), method)()
 
 
 def test_normalized_keeps_large_finite_norm(harmonic):
@@ -197,11 +204,26 @@ def test_f_operator_hermitian(pt22):
     assert np.max(np.abs(f_op - f_op.conj().T)) < 1e-12
 
 
-def test_uncertain_state_must_certify_tail(pt22):
-    rep = build_ladder(pt22, 10)
-    fat = FockVector(pt22, 0.95 ** np.arange(11)).normalized()
-    with pytest.raises(TruncationError):
-        uncertainty(rep, fat)
+def test_uncertain_state_must_certify_tail(harmonic, pt22):
+    # the refusal at last band N suggests 2 N + 16
+    for model, ratio, n_max in ((pt22, 0.95, 10), (harmonic, 0.9, 29)):
+        fat = FockVector(model, ratio ** np.arange(n_max + 1)).normalized()
+        with pytest.raises(TruncationError) as err:
+            uncertainty(build_ladder(model, n_max), fat)
+        assert err.value.suggested_n_max == 2 * n_max + 16
+
+
+def test_every_uncertified_truncation_suggests_one_n_max(harmonic, pt22):
+    # FockVector.certified is the one tail certificate: a refusal at N suggests 2 N + 16
+    refusals = [
+        (lambda: gis_recurrence_oracle(build_ladder(pt22, 12), 2.5, 8.0), 12),
+        (lambda: gk_state(harmonic, 5, n_max=10), 10),
+        (lambda: gis_disk_expansion(3.0, 0.9, 2.0, 12), 12),
+    ]
+    for build, n_max in refusals:
+        with pytest.raises(TruncationError, match=f"not certified below .* at n_max={n_max} ") as err:
+            build()
+        assert err.value.suggested_n_max == 2 * n_max + 16
 
 
 def test_recurrence_oracle_satisfies_defining_relation(pt22):

@@ -334,7 +334,7 @@ def test_laplace_bridge_residuals(zeta):
 def test_truncation_error_carries_suggestion(pt22):
     with pytest.raises(TruncationError) as err:
         it.gis_coefficients(pt22, it.GISParameters(2.5, 8.0), 12)
-    assert err.value.suggested_n_max > 12
+    assert err.value.suggested_n_max == 40
 
 
 def test_adaptive_builder_follows_suggestions(pt22):

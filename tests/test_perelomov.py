@@ -456,8 +456,9 @@ def test_auto_state_refuses_a_state_past_the_cap(pt22):
     assert st.tail_bound() < 1e-23
     assert st.norm() == pytest.approx(1.0, abs=1e-12)
     for r in (5.0, 8.0):
-        with pytest.raises(TruncationError, match="automatic cap"):
+        with pytest.raises(TruncationError, match="automatic cap") as err:
             pe.perelomov_state(pt22, r)
+        assert err.value.suggested_n_max == 2 * 6959 + 16
         with pytest.raises(TruncationError, match="automatic cap"):
             pe.disk_coefficients(pt22, math.tanh(r))
     # an explicit n_max is refused too: its bands hold a mass of 1.6e-12
@@ -490,16 +491,20 @@ def test_tabulated_state_refusals(custom_table):
     twelve = SpectrumModel.custom(custom_table.table[:12])
     refusals = [
         # no band count certifies the tail of a state this wide before the table ends
-        (custom_table, 3.0, None, "not certified by N=39: its last two truncations agree on"),
+        (custom_table, 3.0, None, "not certified by N=39: its last two truncations agree on", None),
         # the 24- and 39-band truncations do not agree on 31 bands
-        (custom_table, 0.3, 30, r"not certified by N=39: its last two truncations agree on \d+ "),
+        (custom_table, 0.3, 30, r"not certified by N=39: its last two truncations agree on \d+ ",
+         None),
         # three bands cannot certify a tail
-        (custom_table, 0.3, 2, r"cannot certify the tail \(inf\) at n_max=2"),
-        (twelve, 0.3, None, "not certified by N=11: no pair of truncations covers the bands asked for"),
+        (custom_table, 0.3, 2, "tabulated state tail bound inf not certified below 1e-10 at n_max=2",
+         20),
+        (twelve, 0.3, None, "not certified by N=11: no pair of truncations covers the bands asked for",
+         None),
     ]
-    for model, z, n_max, message in refusals:
-        with pytest.raises(TruncationError, match=message):
+    for model, z, n_max, message, suggested in refusals:
+        with pytest.raises(TruncationError, match=message) as err:
             pe.perelomov_state(model, z, n_max=n_max)
+        assert err.value.suggested_n_max == suggested
 
 
 def test_harmonic_amplitude_logs_match_mpmath(harmonic):
