@@ -32,8 +32,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-# unused here, but perfbench/tracing.py wraps intelligent.mpmath, so the name stays bound
-import mpmath
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationError
@@ -45,6 +43,9 @@ from .tolerances import CHECK_GATE, UNIT_TOL
 
 COHERENT = "coherent"
 SQUEEZED = "squeezed"
+
+# perfbench/tracing.py is the only reader: it wraps intelligent.mpmath when a traced run starts
+mpmath = None
 
 # coefficient size at which the recurrence prefix is divided down
 _RESCALE = 1e150

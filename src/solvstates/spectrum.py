@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 
 HARMONIC = "harmonic"
 POSCHL_TELLER = "poschl_teller"
@@ -107,6 +107,8 @@ class SpectrumModel:
         return len(self.table) if self.kind == CUSTOM else None
 
     def energy(self, n: int) -> float:
+        """E_n.  A negative n is a DomainError; a level past a table's end is a
+        TruncationError that suggests no n_max, since no larger one can help."""
         if n < 0:
             raise DomainError("level index must be >= 0")
         if self.kind == HARMONIC:
@@ -114,7 +116,7 @@ class SpectrumModel:
         if self.kind in (POSCHL_TELLER, SQUARE_WELL):
             return n * (n + self.nu)
         if n >= len(self.table):
-            raise DomainError(
+            raise TruncationError(
                 f"custom spectrum has {len(self.table)} levels, index {n} out of range")
         return self.table[n]
 
@@ -122,7 +124,7 @@ class SpectrumModel:
         """E_0 .. E_{n_max} as a float64 array, bitwise equal to ``energy(n)``."""
         if self.kind == CUSTOM:
             if n_max >= len(self.table):
-                self.energy(len(self.table))  # raises the out-of-range DomainError
+                self.energy(len(self.table))  # raises the out-of-range TruncationError
             return np.array(self.table[: n_max + 1], dtype=float)
         ns = np.arange(n_max + 1, dtype=float)
         if self.kind == HARMONIC:

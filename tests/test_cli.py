@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import types
 import warnings
@@ -304,6 +306,32 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
     assert shared[0][1] != shared[2][1]
 
 
+def _python(code, *args):
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    done = _python("import sys, solvstates.cli; print('mpmath' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    "state --family gk --model harmonic --z=1,0",
+    "verify --suite all --model harmonic",
+    "sweep --family gis --grid lambda-mod:0.5:2:3 --model well --z=1,0.5",
+])
+def test_commands_run_without_mpmath(argv):
+    # mpmath is a test oracle only: with every import of it failing, each command still runs
+    done = _python("import sys; sys.modules['mpmath'] = None\n"
+                   "from solvstates.cli import main; sys.exit(main(sys.argv[1:]))", *argv.split())
+    assert done.returncode == 0, done.stderr
+
+
 def _run_quiet(argv):
     """Exit code of main(argv), with SystemExit read as its code."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -351,37 +379,60 @@ _tables = st.one_of(
 ).map(lambda levels: (levels, None))
 
 
+def _run_model(model, argv):
+    """Exit code and argv of argv[0] --model <drawn model> argv[1:], RuntimeWarning as error.
+
+    A table (strengths None) is written to a file for the custom: model flag.
+    """
+    name, strengths = model
+    with tempfile.TemporaryDirectory() as tmp:
+        if strengths is None:
+            path = os.path.join(tmp, "levels.txt")
+            with open(path, "w") as fh:
+                fh.write("\n".join(repr(level) for level in name))
+            name = f"custom:{path}"
+        argv = [argv[0], "--model", name, *argv[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return _run_quiet(argv), argv
+
+
+# a 40-level table: --nmax 60, or the 90 bands gis_state starts from, run past its end
+_TABLE40 = (_perturbed_linear(40, 0.35, 20260814), None)
+
+
 @settings(max_examples=300)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(1.0, 0.0), lam=-1.0 + 0.0j, nmax=30)
-@given(model=_models, z=st.tuples(_coord, _coord), lam=_lambda,
+@example(model=_TABLE40, z=(0.5, 0.0), lam=2.0 + 0.0j, nmax=60)
+@given(model=_models | _tables, z=st.tuples(_coord, _coord), lam=_lambda,
        nmax=st.integers(min_value=0, max_value=800))
 def test_state_gis_exit_code_contract(model, z, lam, nmax):
-    name, strengths = model
-    argv = ["state", "--model", name, "--family", "gis", "--z", _flag(complex(*z)),
-            "--lambda", _flag(lam), "--nmax", str(nmax)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = _run_quiet(argv)
+    code, argv = _run_model(model, ["state", "--family", "gis", "--z", _flag(complex(*z)),
+                                    "--lambda", _flag(lam), "--nmax", str(nmax)])
     assert code in (0, 2, 3, 4)
     if code == 3:
-        assert _inadmissible([lam], strengths), argv
+        assert _inadmissible([lam], model[1] or ()), argv
 
 
 @settings(max_examples=300)
 @example(model=("harmonic", ()), z=(5.0, 0.0), nmax=10)
-@given(model=_models, z=st.tuples(_coord, _coord),
+@example(model=_TABLE40, z=(0.5, 0.0), nmax=60)
+@given(model=_models | _tables, z=st.tuples(_coord, _coord),
        nmax=st.none() | st.integers(min_value=0, max_value=800))
 def test_state_gk_exit_code_contract(model, z, nmax):
-    name, strengths = model
-    argv = ["state", "--model", name, "--family", "gk", "--z", _flag(complex(*z))]
+    argv = ["state", "--family", "gk", "--z", _flag(complex(*z))]
     if nmax is not None:
         argv += ["--nmax", str(nmax)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = _run_quiet(argv)
+    code, argv = _run_model(model, argv)
     assert code in (0, 2, 3, 4)
     if code == 3:
-        assert _inadmissible([], strengths), argv
+        name, strengths = model
+        if strengths is None:
+            # the one inadmissible input on a table: |z|^2 at or past its series radius
+            r = abs(complex(*z))
+            assert r * r >= SpectrumModel.custom(name).radius_estimate(), argv
+        else:
+            assert _inadmissible([], strengths), argv
 
 
 @settings(max_examples=300)
@@ -391,19 +442,11 @@ def test_state_gk_exit_code_contract(model, z, nmax):
 @given(model=_models | _tables, z=st.tuples(_coord, _coord),
        nmax=st.none() | st.integers(min_value=0, max_value=800))
 def test_state_perelomov_exit_code_contract(model, z, nmax):
-    name, strengths = model
-    with tempfile.TemporaryDirectory() as tmp:
-        if strengths is None:
-            path = os.path.join(tmp, "levels.txt")
-            with open(path, "w") as fh:
-                fh.write("\n".join(repr(level) for level in name))
-            name = f"custom:{path}"
-        argv = ["state", "--model", name, "--family", "perelomov", "--z", _flag(complex(*z))]
-        if nmax is not None:
-            argv += ["--nmax", str(nmax)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = _run_quiet(argv)
+    argv = ["state", "--family", "perelomov", "--z", _flag(complex(*z))]
+    if nmax is not None:
+        argv += ["--nmax", str(nmax)]
+    code, argv = _run_model(model, argv)
+    strengths = model[1]
     # a table is admissible by construction: only usage errors and refusals may fail it
     assert code in ((0, 2, 4) if strengths is None else (0, 2, 3, 4))
     if code == 3:
@@ -411,19 +454,17 @@ def test_state_perelomov_exit_code_contract(model, z, nmax):
 
 
 @settings(max_examples=300)
-@given(model=_models, z=st.tuples(_coord, _coord),
+@example(model=_TABLE40, z=(0.5, 0.0), kind="lambda-mod", bounds=(0.5, 2.0), steps=3)
+@given(model=_models | _tables, z=st.tuples(_coord, _coord),
        kind=st.sampled_from(["lambda-mod", "lambda-theta"]),
        bounds=st.tuples(st.floats(-1.0, 4.0), st.floats(-1.0, 4.0)),
        steps=st.integers(min_value=1, max_value=3))
 def test_sweep_gis_exit_code_contract(model, z, kind, bounds, steps):
-    name, strengths = model
-    argv = ["sweep", "--family", "gis", "--grid", f"{kind}:{bounds[0]!r}:{bounds[1]!r}:{steps}",
-            "--model", name, "--z", _flag(complex(*z))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = _run_quiet(argv)
+    code, argv = _run_model(model, [
+        "sweep", "--family", "gis", "--grid", f"{kind}:{bounds[0]!r}:{bounds[1]!r}:{steps}",
+        "--z", _flag(complex(*z))])
     assert code in (0, 2, 3, 4)
     if code == 3:
         values = np.linspace(bounds[0], bounds[1], steps)
         lams = [np.exp(1j * v) if kind == "lambda-theta" else complex(v) for v in values]
-        assert _inadmissible(lams, strengths), argv
+        assert _inadmissible(lams, model[1] or ()), argv

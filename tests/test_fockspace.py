@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvstates import (ConvergenceError, DomainError, FockVector, SpectrumModel, TruncationError,
+from solvstates import (ConvergenceError, FockVector, SpectrumModel, TruncationError,
                         build_ladder, eigenvalue_residual, f_operator,
                         gis_recurrence_oracle, quadratures, uncertainty)
 from solvstates import fockspace
@@ -63,7 +63,7 @@ def test_quadratures_hermitian(pt22):
 
 def test_ladder_needs_one_spare_level(custom_table):
     top = custom_table.n_levels - 1
-    with pytest.raises(DomainError):
+    with pytest.raises(TruncationError):
         build_ladder(custom_table, top)  # no level left for the raising edge
     build_ladder(custom_table, top - 1)
 

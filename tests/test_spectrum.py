@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvstates import DomainError, SpectrumModel
+from solvstates import DomainError, SpectrumModel, TruncationError
 
 
 def test_harmonic_levels(harmonic):
@@ -43,6 +43,16 @@ def test_log_products_match_direct_sum(pt_soft):
 @given(st.integers(min_value=0, max_value=30))
 def test_custom_energy_matches_table(custom_table, n):
     assert custom_table.energy(n) == pytest.approx(custom_table.table[n])
+
+
+def test_table_end_is_a_truncation(custom_table):
+    end = custom_table.n_levels
+    for past_end in (lambda: custom_table.energy(end), lambda: custom_table.energies(end)):
+        with pytest.raises(TruncationError, match="index 40 out of range") as err:
+            past_end()
+        assert err.value.suggested_n_max is None  # no larger n_max can help
+    with pytest.raises(DomainError, match="level index must be >= 0"):
+        custom_table.energy(-1)
 
 
 def test_custom_guards():
