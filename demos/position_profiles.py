@@ -1,8 +1,9 @@
 """Position-space picture: well, ladder of bound states, partner well.
 
 Writes CSV profiles next to this script (delete them freely) and prints
-the finite-difference evidence that the abstract ladder and the
-concrete differential operator describe the same physics.
+the evidence, from exact derivatives of the closed-form states, that the
+abstract ladder and the concrete differential operator describe the same
+physics.
 """
 import pathlib
 

@@ -144,14 +144,16 @@ class FockVector:
 
     def certified(self, what: str, cert: float = TAIL_CERT) -> "FockVector":
         """self, once its tail bound relative to its mass is below ``cert``; else
-        TruncationError, labelled ``what``, suggesting n_max >= 2 n_max + 16."""
+        TruncationError, labelled ``what``, suggesting n_max >= 2 n_max + 16, or
+        a table's last level if that comes first, or nothing if none is left."""
         coeffs, mass = _mass(self.coeffs)
         judged = self if coeffs is self.coeffs else FockVector(self.model, coeffs)
         tail = judged.tail_bound() / mass
         if not tail < cert:
+            suggest = min(2 * self.n_max + 16, (self.model.n_levels or math.inf) - 1)
             raise TruncationError(
                 f"{what} tail bound {tail:.3e} not certified below {cert:.0e} at n_max={self.n_max}",
-                suggested_n_max=2 * self.n_max + 16)
+                suggested_n_max=suggest if suggest > self.n_max else None)
         return self
 
 

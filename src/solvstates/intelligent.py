@@ -168,13 +168,16 @@ def gis_state(
 
     Slowly decaying squeezed states (envelope ratio near 1 combined with a
     large displacement) can need a couple of growth rounds before the tail
-    certifies; the last attempt propagates its failure untouched.
+    certifies; the last attempt propagates its failure untouched, and so
+    does a refusal that suggests no n_max (a table's end).
     """
     for _ in range(max(attempts - 1, 0)):
         try:
             return gis_coefficients(model, params, n_max)
         except TruncationError as err:
-            n_max = max(err.suggested_n_max or 0, n_max + 16)
+            if err.suggested_n_max is None:
+                raise
+            n_max = max(err.suggested_n_max, n_max + 16)
     return gis_coefficients(model, params, n_max)
 
 

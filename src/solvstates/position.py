@@ -3,9 +3,10 @@
 Everything lives on the open interval (0, pi*a): the confining potential,
 its superpotential W = -psi_0'/psi_0, normalized bound states of
 H = -d^2/dx^2 + V and of the factorized partner H_+ = A^- A^+, plus the
-finite-difference residuals and quadrature matrices used to check the
-factorization numerically.  Energies scale as 1/a^2 with the box size;
-the a = 1 default reproduces E_n = n (n + kappa + kappa').
+residuals and quadrature matrices used to check the factorization
+numerically.  The residuals take psi' and psi'' in closed form and
+integrate on the Gauss nodes the matrices use.  Energies scale as 1/a^2
+with the box size; the a = 1 default reproduces E_n = n (n + kappa + kappa').
 """
 from __future__ import annotations
 
@@ -18,11 +19,6 @@ import numpy as np
 from .errors import DomainError
 from .specfun import jacobi_rows, panel_rule, settled
 
-#: central-difference step for all finite-difference residuals
-H_STEP = 1e-5
-#: finite-difference grids stay this far from the walls so x +/- h is interior
-FD_MARGIN = 10 * H_STEP
-FD_POINTS = 2001
 #: quadrature grids exclude the walls with this relative margin
 QUAD_MARGIN = 1e-6
 
@@ -164,9 +160,14 @@ def eigenfunctions(p: PTParameters, n_max: int, x):
     x = _interior(p, x)
     u = x / (2.0 * p.a)
     envelope = np.cos(u) ** p.kappa_prime * np.sin(u) ** p.kappa
-    polys = jacobi_rows(n_max, p.kappa - 0.5, p.kappa_prime - 0.5, np.cos(x / p.a))
-    return np.array([math.exp(-0.5 * _log_norm(p, n)) * (envelope * poly)
-                     for n, poly in enumerate(polys)])
+    return _normalized(p, envelope, jacobi_rows(n_max, p.kappa - 0.5, p.kappa_prime - 0.5,
+                                                np.cos(x / p.a)))
+
+
+def _normalized(p: PTParameters, envelope, rows):
+    # row n of rows times the envelope and c_n^(-1/2)
+    return np.array([math.exp(-0.5 * _log_norm(p, n)) * (envelope * row)
+                     for n, row in enumerate(rows)])
 
 
 def eigenfunction(p: PTParameters, n: int, x):
@@ -184,56 +185,63 @@ def partner_eigenfunction(p: PTParameters, n: int, x):
     return eigenfunction(_partner(p), n, x)
 
 
-def _fd_grid(p: PTParameters, margin: float = FD_MARGIN):
-    return np.linspace(margin, p.box - margin, FD_POINTS)
+def _jet(p: PTParameters, n_max: int, x):
+    """psi_n, psi_n' and psi_n'' for n = 0 .. n_max at the points x, three row arrays.
+
+    The Jacobi factor P_n(t), t = cos(x/a), is differentiated by
+    d/dt P_n^(al,be) = (n + al + be + 1)/2 P_{n-1}^(al+1,be+1) (DLMF 18.9.15),
+    two more recurrence passes.  The envelope e = sin^kappa cos^kappa' enters
+    through its own log-derivative L = e'/e, with e''/e = L' + L^2: W and V
+    are not read, so the residuals that use them still check them.
+    """
+    x = _interior(p, x)
+    u = x / (2.0 * p.a)
+    s, c, t = np.sin(u), np.cos(u), np.cos(x / p.a)
+    al, be = p.kappa - 0.5, p.kappa_prime - 0.5
+    poly = [np.array(jacobi_rows(n_max, al + j, be + j, t)) for j in range(3)]
+    # d^j/dt^j P_n = prod_{i=1..j} (n + al + be + i)/2 P_{n-j}^(al+j,be+j)
+    ns, zero = np.arange(n_max + 1)[:, None] + (al + be), np.zeros_like(t)
+    dp = 0.5 * (ns + 1) * np.vstack([zero, poly[1]])[:-1]
+    ddp = 0.25 * (ns + 1) * (ns + 2) * np.vstack([zero, zero, poly[2]])[:-2]
+    # chain rule through t(x): t' = -sin(x/a)/a, t'' = -t/a^2
+    t1 = -np.sin(x / p.a) / p.a
+    d1, d2 = t1 * dp, t1 * t1 * ddp - t / (p.a * p.a) * dp
+    log_d = (p.kappa * c / s - p.kappa_prime * s / c) / (2.0 * p.a)
+    log_d2 = log_d * log_d - (p.kappa / s ** 2 + p.kappa_prime / c ** 2) / (4.0 * p.a * p.a)
+    envelope = c ** p.kappa_prime * s ** p.kappa
+    return [_normalized(p, envelope, rows) for rows in (
+        poly[0], log_d * poly[0] + d1, log_d2 * poly[0] + 2.0 * log_d * d1 + d2)]
 
 
-def _second_diff_margin(p: PTParameters) -> float:
-    # second differences see the fourth derivative, which grows like
-    # t^(kappa-4) toward a wall; soft exponents below 2 need more room
-    # than the first-derivative margin to keep the truncation error down
-    return max(FD_MARGIN, 0.01 * p.a)
+def _quad_jet(p: PTParameters, n_max: int):
+    """Nodes and weights of the order-200 Gauss rule, then psi, psi', psi'' on them."""
+    nodes, weights = _quad_nodes(p, 200)
+    return (nodes, weights, *_jet(p, n_max, nodes))
 
 
-def _grid_norm(values, xs) -> float:
-    # trapezoid L2 norm; xs is uniform
-    dx = xs[1] - xs[0]
-    mass = float(np.dot(values, values)
-                 - 0.5 * (values[0] ** 2 + values[-1] ** 2))
-    return math.sqrt(max(mass * dx, 0.0))
+def _quad_norm(weights, values) -> float:
+    return math.sqrt(float(np.dot(weights, values * values)))
 
 
-def _stencil(p: PTParameters, n_max: int, xs):
-    """psi_0 .. psi_{n_max} at xs + h, xs and xs - h: shape (3, n_max + 1, xs.size)."""
-    return eigenfunctions(p, n_max, np.stack([xs + H_STEP, xs, xs - H_STEP])).transpose(1, 0, 2)
-
-
-def _lower_apply(p: PTParameters, stencil, xs):
-    # A^- f = -f' - W f on every row of the stencil.  H = A^+ A^- fixes the pair
-    # only up to a joint sign; this choice is the one that sends psi_{n+1}
-    # onto +sqrt(E_{n+1}) theta_n when both families carry their positive
+def _factorization_rows(p: PTParameters, jet, theta):
+    # A^- f = -f' - W f on every psi row.  H = A^+ A^- fixes the pair only up to
+    # a joint sign; this choice is the one that sends psi_{n+1} onto
+    # +sqrt(E_{n+1}) theta_n when both families carry their positive
     # normalization constants.
-    up, mid, down = stencil
-    return -(up - down) / (2.0 * H_STEP) - superpotential(p, xs) * mid
+    nodes, weights, psi, d1, _ = jet
+    lowered = -d1 - superpotential(p, nodes) * psi
+    r1 = np.array([_quad_norm(weights, lowered[n + 1] - math.sqrt(energy(p, n + 1)) * theta[n])
+                   for n in range(len(psi) - 1)])
+    return r1, _quad_norm(weights, lowered[0])
 
 
 def factorization_residuals(p: PTParameters, n_max: int):
-    """Grid norms r1[n] of A^- psi_{n+1} - sqrt(E_{n+1}) theta_n for n = 0 .. n_max,
-    and r2 of A^- psi_0.
-
-    Derivatives are central differences with step H_STEP on a grid that
-    keeps FD_MARGIN away from the walls; both residuals should come out
-    finite-difference-limited, well under 1e-4.  One stencil pass of psi
-    and one pass of theta on the grid give every row.
-    """
+    """Quadrature norms r1[n] of A^- psi_{n+1} - sqrt(E_{n+1}) theta_n for
+    n = 0 .. n_max, and r2 of A^- psi_0, with exact psi' from one ``_jet`` pass."""
     if not 0 <= n_max <= 10:
         raise DomainError("factorization_residual covers 0 <= n <= 10")
-    xs = _fd_grid(p)
-    lowered = _lower_apply(p, _stencil(p, n_max + 1, xs), xs)
-    theta = eigenfunctions(_partner(p), n_max, xs)
-    r1 = np.array([_grid_norm(lowered[n + 1] - math.sqrt(energy(p, n + 1)) * theta[n], xs)
-                   for n in range(n_max + 1)])
-    return r1, _grid_norm(lowered[0], xs)
+    jet = _quad_jet(p, n_max + 1)
+    return _factorization_rows(p, jet, eigenfunctions(_partner(p), n_max, jet[0]))
 
 
 def factorization_residual(p: PTParameters, n: int):
@@ -242,36 +250,21 @@ def factorization_residual(p: PTParameters, n: int):
     return float(r1[n]), r2
 
 
-def _second_differences(p: PTParameters, n_max: int):
-    # the second-difference grid, psi_0 .. psi_n_max on it and -psi_n'' + V psi_n
-    xs = _fd_grid(p, _second_diff_margin(p))
-    up, mid, down = _stencil(p, n_max, xs)
-    second = (up - 2.0 * mid + down) / (H_STEP * H_STEP)
-    return xs, mid, -second + potential(p, xs) * mid
-
-
-def _schrodinger_rows(p: PTParameters, xs, mid, acted):
-    # row 0 has E_0 = 0 and no relative residual
-    return np.array([math.nan] + [_grid_norm(acted[n] / energy(p, n) - mid[n], xs)
-                                  for n in range(1, len(mid))])
-
-
-def _rayleigh_rows(xs, mid, acted):
-    dx = xs[1] - xs[0]
-    out = []
-    for psi, h_psi in zip(mid, acted):
-        num = float(np.dot(psi, h_psi) - 0.5 * (psi[0] * h_psi[0] + psi[-1] * h_psi[-1]))
-        den = float(np.dot(psi, psi) - 0.5 * (psi[0] ** 2 + psi[-1] ** 2))
-        out.append((num * dx) / (den * dx))
-    return np.array(out)
+def _hamiltonian_rows(p: PTParameters, jet):
+    """Schrodinger residual rows (row 0 NaN, since E_0 = 0) and Rayleigh quotients."""
+    nodes, weights, psi, _, d2 = jet
+    acted = -d2 + potential(p, nodes) * psi
+    quotients = [np.dot(weights, f * h) / np.dot(weights, f * f) for f, h in zip(psi, acted)]
+    return np.array([math.nan] + [_quad_norm(weights, acted[n] / energy(p, n) - psi[n])
+                                  for n in range(1, len(psi))]), np.array(quotients)
 
 
 def schrodinger_residuals(p: PTParameters, n_max: int):
-    """Grid norms of (-psi_n'' + V psi_n)/E_n - psi_n for n = 0 .. n_max, second
-    differences from one stencil pass; entry 0 is NaN because E_0 = 0."""
+    """Quadrature norms of (-psi_n'' + V psi_n)/E_n - psi_n for n = 0 .. n_max,
+    with exact psi'' from one ``_jet`` pass; entry 0 is NaN because E_0 = 0."""
     if not 1 <= n_max <= 10:
         raise DomainError("schrodinger_residual covers 1 <= n <= 10")
-    return _schrodinger_rows(p, *_second_differences(p, n_max))
+    return _hamiltonian_rows(p, _quad_jet(p, n_max))[0]
 
 
 def schrodinger_residual(p: PTParameters, n: int) -> float:
@@ -280,11 +273,11 @@ def schrodinger_residual(p: PTParameters, n: int) -> float:
 
 
 def rayleigh_quotients(p: PTParameters, n_max: int):
-    """<psi_n|H|psi_n> / <psi_n|psi_n> for n = 0 .. n_max, with finite-difference
-    derivatives from one stencil pass."""
+    """<psi_n|H|psi_n> / <psi_n|psi_n> for n = 0 .. n_max, by Gauss quadrature
+    with exact psi'' from one ``_jet`` pass."""
     if not 0 <= n_max <= 10:
         raise DomainError("rayleigh_quotient covers 0 <= n <= 10")
-    return _rayleigh_rows(*_second_differences(p, n_max))
+    return _hamiltonian_rows(p, _quad_jet(p, n_max))[1]
 
 
 def rayleigh_quotient(p: PTParameters, n: int) -> float:

@@ -414,20 +414,21 @@ def _suite_position(model: SpectrumModel, tol) -> list[CaseResult]:
     def quad_rows(order):
         return position._quad_rows(params, 20, order)
 
+    # psi, psi' and psi'' of rows 0..6 on the nodes of quad_rows(200)
     @functools.cache
-    def second_differences():
-        return position._second_differences(params, 4)
+    def jet():
+        return position._quad_jet(params, 6)
 
     def gram():
         weights, psi, _ = quad_rows(200)
         return np.max(np.abs(position._inner(psi[:9], weights, psi[:9]) - np.eye(9)))
 
     def factorization():
-        r1, r2 = position.factorization_residuals(params, 5)
+        r1, r2 = position._factorization_rows(params, jet(), quad_rows(200)[2])
         return max(float(np.max(r1[[0, 2, 5]])), r2)
 
     def schrodinger():
-        return max(position._schrodinger_rows(params, *second_differences())[1:5])
+        return max(position._hamiltonian_rows(params, jet())[0][1:5])
 
     def overlap():
         u = position._settled_overlap(20, quad_rows(200), quad_rows(260))
@@ -435,7 +436,7 @@ def _suite_position(model: SpectrumModel, tol) -> list[CaseResult]:
         return max(abs(row0 - 1.0), float(np.max(np.abs(u.imag))))
 
     def rayleigh():
-        quotients = position._rayleigh_rows(*second_differences())
+        quotients = position._hamiltonian_rows(params, jet())[1]
         worst = 0.0
         for n in (1, 3):
             want = position.energy(params, n)

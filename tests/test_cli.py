@@ -468,3 +468,12 @@ def test_sweep_gis_exit_code_contract(model, z, kind, bounds, steps):
         values = np.linspace(bounds[0], bounds[1], steps)
         lams = [np.exp(1j * v) if kind == "lambda-theta" else complex(v) for v in values]
         assert _inadmissible(lams, model[1] or ()), argv
+
+
+@settings(max_examples=60)
+@given(model=_tables)
+def test_verify_exit_code_contract_on_tables(model):
+    # a table is admissible by construction: a report (exit 0 or 4) or a usage error,
+    # never a domain rejection; a traceback or RuntimeWarning would escape _run_model
+    code, argv = _run_model(model, ["verify", "--suite", "all"])
+    assert code in (0, 2, 4), argv

@@ -226,6 +226,14 @@ def test_every_uncertified_truncation_suggests_one_n_max(harmonic, pt22):
         assert err.value.suggested_n_max == 2 * n_max + 16
 
 
+def test_refusal_suggests_no_level_past_a_table_end(custom_table):
+    # 40 levels: 2 N + 16 is cut to the last level 39, and at 39 no larger n_max is left
+    for n_max, suggested in ((38, 39), (39, None)):
+        with pytest.raises(TruncationError) as err:
+            FockVector(custom_table, np.ones(n_max + 1)).certified("flat")
+        assert err.value.suggested_n_max == suggested
+
+
 def test_recurrence_oracle_satisfies_defining_relation(pt22):
     z, lam = 1.0, 2.0
     rep = build_ladder(pt22, 60)

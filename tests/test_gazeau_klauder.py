@@ -155,7 +155,7 @@ def test_short_table_truncation_refused():
     model = SpectrumModel.custom([0.0, 2.1, 4.6, 7.5, 10.8, 14.5])
     with pytest.raises(TruncationError) as err:
         gk.gk_state(model, 0.8)
-    assert err.value.suggested_n_max == 24  # 2 N + 16 at N = 4
+    assert err.value.suggested_n_max == 5  # 2 N + 16 at N = 4, cut to the last level 5
 
 
 def _walk_n_max(model, r):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvstates import (DomainError, LambdaRejected, TruncationError, build_ladder,
-                        gis_recurrence_oracle, uncertainty)
+from solvstates import (DomainError, LambdaRejected, SpectrumModel, TruncationError,
+                        build_ladder, gis_recurrence_oracle, uncertainty)
 from solvstates import gazeau_klauder as gk
 from solvstates import intelligent as it
 from solvstates import perelomov as pe
@@ -335,6 +335,28 @@ def test_truncation_error_carries_suggestion(pt22):
     with pytest.raises(TruncationError) as err:
         it.gis_coefficients(pt22, it.GISParameters(2.5, 8.0), 12)
     assert err.value.suggested_n_max == 40
+
+
+def test_adaptive_builder_stops_at_a_table_end(pt22, monkeypatch):
+    calls = []
+    build = it.gis_coefficients
+
+    def counted(model, params, n_max):
+        calls.append(n_max)
+        return build(model, params, n_max)
+
+    monkeypatch.setattr(it, "gis_coefficients", counted)
+    # 90 bands on a 40-level table: the refusal suggests nothing, so nothing is retried
+    table, params = SpectrumModel.custom(np.arange(40.0)), it.GISParameters(0.5, 2.0)
+    with pytest.raises(TruncationError) as once:
+        build(table, params, 90)
+    with pytest.raises(TruncationError) as err:
+        it.gis_state(table, params)
+    assert calls == [90]
+    assert type(err.value) is type(once.value) and str(err.value) == str(once.value)
+    calls.clear()
+    it.gis_state(pt22, it.GISParameters(3.0, 0.1 + 0.05j))
+    assert len(calls) > 1  # a suggestion is still followed
 
 
 def test_adaptive_builder_follows_suggestions(pt22):

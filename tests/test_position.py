@@ -1,6 +1,7 @@
 """Position realization: eigenfunctions, factorization, partner family."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -13,6 +14,7 @@ from solvstates.verify import run_suite
 P22 = po.PTParameters(2.0, 2.0)
 PSOFT = po.PTParameters(3.5, 1.2)
 PWIDE = po.PTParameters(2.5, 3.0, a=1.7)
+PLOW = po.PTParameters(1.2, 1.2)  # psi'' grows like x^(kappa - 2) at both walls
 
 
 def test_box_and_nu():
@@ -142,17 +144,53 @@ def test_residual_families_equal_their_row_readers_bitwise(p):
         if n:
             assert po.schrodinger_residual(p, n) == schrodinger[n]
     # row n of the family against A^- psi_{n+1} - sqrt(E_{n+1}) theta_n built row by row
-    xs, h = po._fd_grid(p), po.H_STEP
-    w = po.superpotential(p, xs)
+    nodes, weights = po._quad_nodes(p, 200)
+    w = po.superpotential(p, nodes)
     for n in (0, 4, 10):
-        up, down = po.eigenfunction(p, n + 1, xs + h), po.eigenfunction(p, n + 1, xs - h)
-        lowered = -(up - down) / (2.0 * h) - w * po.eigenfunction(p, n + 1, xs)
-        target = math.sqrt(po.energy(p, n + 1)) * po.partner_eigenfunction(p, n, xs)
-        assert r1[n] == po._grid_norm(lowered - target, xs)
+        slope = po._jet(p, n + 1, nodes)[1][n + 1]
+        lowered = -slope - w * po.eigenfunction(p, n + 1, nodes)
+        miss = lowered - math.sqrt(po.energy(p, n + 1)) * po.partner_eigenfunction(p, n, nodes)
+        assert r1[n] == math.sqrt(np.dot(weights, miss * miss))
     with pytest.raises(DomainError):
         po.schrodinger_residuals(p, 0)
     with pytest.raises(DomainError):
         po.factorization_residuals(p, 11)
+
+
+def _closed_form(p, n):
+    """psi_n as a function of x at mpmath's working precision."""
+    k, kp, a = (mpmath.mpf(v) for v in (p.kappa, p.kappa_prime, p.a))
+    log_c = (mpmath.log(a) + mpmath.loggamma(n + k + 0.5) + mpmath.loggamma(n + kp + 0.5)
+             - mpmath.loggamma(n + 1) - mpmath.loggamma(n + k + kp) - mpmath.log(2 * n + k + kp))
+    scale = mpmath.exp(-log_c / 2)
+    return lambda x: (scale * mpmath.cos(x / (2 * a)) ** kp * mpmath.sin(x / (2 * a)) ** k
+                      * mpmath.jacobi(n, k - 0.5, kp - 0.5, mpmath.cos(x / a)))
+
+
+@pytest.mark.parametrize("p", [P22, PSOFT, PWIDE, PLOW])
+def test_derivative_rows_match_mpmath_diff(p):
+    # seven points, two of them 1e-3 from a wall, where psi'' grows like x^(kappa - 2)
+    xs = np.array([1e-3, 0.1, 0.3 * p.box, 0.5 * p.box, 0.77 * p.box, p.box - 0.1, p.box - 1e-3])
+    psi, *derivatives = po._jet(p, 10, xs)
+    assert np.array_equal(psi, po.eigenfunctions(p, 10, xs))
+    with mpmath.workdps(30):
+        for n in range(11):
+            f = _closed_form(p, n)
+            for order, rows in enumerate(derivatives, start=1):
+                want = np.array([float(mpmath.diff(f, mpmath.mpf(x), order)) for x in xs])
+                miss = np.max(np.abs(rows[n] - want)) / np.max(np.abs(want))
+                assert miss < 1e-12, (n, order, miss)
+
+
+@pytest.mark.parametrize("p", [P22, PSOFT, PWIDE, PLOW, po.PTParameters(1.05, 1.05)])
+def test_residual_families_sit_at_rounding_level(p):
+    r1, r2 = po.factorization_residuals(p, 10)
+    assert max(np.max(r1), r2) <= 1e-12
+    assert np.max(po.schrodinger_residuals(p, 10)[1:]) <= 1e-12
+    quotients = po.rayleigh_quotients(p, 10)
+    assert abs(quotients[0]) <= 1e-13  # E_0 = 0
+    for n in range(1, 11):
+        assert abs(quotients[n] - po.energy(p, n)) <= 1e-13 * po.energy(p, n)
 
 
 def test_partner_functions_solve_partner_problem():
@@ -260,10 +298,8 @@ def test_position_suite_makes_one_pass_per_grid(monkeypatch):
     monkeypatch.setattr(po, "eigenfunctions", counted)
     report = run_suite("position")
     assert report.ok
-    # FD stencil and partner, second-difference stencil, psi and theta at 200 and 260 nodes
-    assert len(passes) <= 7
+    # psi and theta at 200 and 260 nodes; the derivative pass reuses the 200 nodes and theta
     assert sorted(passes) == sorted([
-        (2.0, 6, (3, po.FD_POINTS)), (3.0, 5, (po.FD_POINTS,)), (2.0, 4, (3, po.FD_POINTS)),
         (2.0, 20, (200,)), (3.0, 20, (200,)), (2.0, 20, (260,)), (3.0, 20, (260,))])
 
 
