@@ -25,13 +25,13 @@ def main():
         resid = eigenvalue_residual(rep, state.vector, z)
         print(f"{name}")
         print(f"  levels kept          : {state.vector.n_max + 1}")
-        print(f"  norm constant        : {state.norm_const:.10f}")
+        print(f"  c_0 = 1/sqrt(S(|z|)) : {state.vector.coeffs[0].real:.10f}")
         print(f"  |a- v - z v|         : {resid:.3e}")
         print(f"  <H> - |z|^2          : {state.vector.energy_mean() - abs(z) ** 2:+.3e}")
         print(f"  certified tail mass  : {state.vector.tail_bound():.3e}")
 
         moved = gk.evolve(state, 0.75)
-        rebuilt = gk.gk_state(model, z, alpha=0.75)
+        rebuilt = gk.gk_state(model.with_alpha(0.75), z)
         drift = np.max(np.abs(moved.vector.coeffs - rebuilt.vector.coeffs))
         print(f"  evolve vs rebuilt    : {drift:.3e}  (same ray at alpha = 0.75)\n")
 

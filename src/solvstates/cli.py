@@ -87,21 +87,20 @@ def _write_rows(out_path, header, rows, fmt, meta):
 
 
 def _cmd_state(args, parser) -> int:
-    model = _build_model(args.model, parser)
+    model = _build_model(args.model, parser).with_alpha(args.alpha)
     if args.family in ("gk", "perelomov"):
         if args.lam is not None:
             parser.error("--lambda only applies to --family gis")
         if args.family == "gk":
-            vec = gk_state(model, args.z, alpha=args.alpha, n_max=args.nmax).vector
+            vec = gk_state(model, args.z, n_max=args.nmax).vector
         else:
-            vec = perelomov_state(model, args.z, alpha=args.alpha, n_max=args.nmax)
+            vec = perelomov_state(model, args.z, n_max=args.nmax)
     else:
         if args.lam is None:
             parser.error("--family gis requires --lambda RE,IM")
         if args.nmax is None:
             parser.error("--family gis requires --nmax")
-        params = GISParameters(args.z, args.lam, args.alpha)
-        vec = gis_coefficients(model, params, args.nmax)
+        vec = gis_coefficients(model, GISParameters(args.z, args.lam), args.nmax)
     probs = np.abs(vec.coeffs) ** 2
     cum = np.cumsum(probs)
     rows = [
@@ -137,13 +136,12 @@ def _cmd_sweep(args, parser) -> int:
         parser.error(f"malformed grid bounds in {args.grid!r}")
     if steps < 1:
         parser.error("empty grid: STEPS must be >= 1")
-    model = _build_model(args.model, parser)
+    model = _build_model(args.model, parser).with_alpha(args.alpha)
     rows = []
     for value in np.linspace(lo, hi, steps):
         lam = cmath.exp(1j * value) if parts[0] == "lambda-theta" else complex(value)
-        params = GISParameters(args.z, lam, args.alpha)
-        state = gis_state(model, params)
-        rep = build_ladder(model, state.n_max)
+        state = gis_state(model, GISParameters(args.z, lam))
+        rep = build_ladder(state.model, state.n_max)
         report = uncertainty(rep, state)
         rows.append((float(value), report.var_x, report.var_p,
                      report.mean_g, report.mean_f, report.equality_gap))

@@ -161,13 +161,13 @@ class FockVector:
 class LadderRep:
     """Truncated ladder pair held as its one band plus the H and G diagonals.
 
-    ``lower_band[m]`` is the entry a-[m, m+1] (alpha phase twist included),
-    m = 0 .. n_max-1; a+ is its conjugate transpose.
+    ``lower_band[m]`` is the entry a-[m, m+1] (the twist by model.alpha
+    included), m = 0 .. n_max-1; a+ is its conjugate transpose.  Moments are
+    read only from states on the same model.
     """
 
     model: SpectrumModel
     n_max: int
-    alpha: float
     lower_band: np.ndarray
     h_diag: np.ndarray
     g_diag: np.ndarray
@@ -192,17 +192,15 @@ def build_ladder(model: SpectrumModel, n_max: int) -> LadderRep:
         raise DomainError("ladder truncation needs n_max >= 2")
     # the top commutator band needs E_{n_max + 1}
     energies = model.energies(n_max + 1)
-    alpha = model.alpha
     g_diag = energies[1:] - energies[:-1]
     band = np.sqrt(energies[1 : n_max + 1])
-    if alpha == 0.0:
+    if model.alpha == 0.0:
         band = band.astype(complex)
     else:
-        band = band * np.exp(1j * alpha * g_diag[:n_max])
+        band = band * np.exp(1j * model.alpha * g_diag[:n_max])
     return LadderRep(
         model=model,
         n_max=n_max,
-        alpha=alpha,
         lower_band=band,
         h_diag=energies[: n_max + 1],
         g_diag=g_diag,
@@ -267,6 +265,8 @@ def _prepare(rep: LadderRep, state: FockVector) -> np.ndarray:
     """The state's coefficients over the whole ladder, once its tail certifies."""
     if state.n_max > rep.n_max:
         raise DomainError("state is longer than the ladder truncation")
+    if state.model != rep.model:
+        raise DomainError("state and ladder are built on different models")
     state.certified("state")
     if state.n_max == rep.n_max:
         return state.coeffs

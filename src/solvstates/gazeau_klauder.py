@@ -4,11 +4,8 @@ The state attached to (z, alpha) has number-basis coefficients
 
     c_n = norm * z^n e^{-i alpha E_n} / sqrt(E(n)),   E(n) = E_1 E_2 ... E_n,
 
-so a- |z, alpha> = z |z, alpha> and <H> = |z|^2 exactly.  The exposed
-``norm_const`` follows the Bessel convention of the solvable-model family:
-for level products E(n) = n! Gamma(n+nu+1) / Gamma(nu+1) it equals
-sqrt(|z|^nu / I_nu(2|z|)), the prefactor paired with 1/sqrt(n! Gamma(n+nu+1))
-denominators; harmonic reduces to e^{-|z|^2/2}.
+so a- |z, alpha> = z |z, alpha> and <H> = |z|^2 exactly.  The label alpha is
+the model's own (``SpectrumModel.with_alpha``), the same one the ladder twists by.
 """
 
 from __future__ import annotations
@@ -105,13 +102,15 @@ class GKState:
     """Eigenstate of a- with its construction parameters."""
 
     z: complex
-    alpha: float
     vector: FockVector
-    norm_const: float
 
     @property
     def model(self) -> SpectrumModel:
         return self.vector.model
+
+    @property
+    def alpha(self) -> float:
+        return self.vector.model.alpha
 
     @property
     def radius(self) -> float:
@@ -121,17 +120,10 @@ class GKState:
         return self.vector.energy_mean()
 
 
-def gk_state(
-    model: SpectrumModel,
-    z: complex,
-    alpha: float | None = None,
-    n_max: int | None = None,
-) -> GKState:
-    """Construct the normalized eigenstate of a- with eigenvalue z."""
+def gk_state(model: SpectrumModel, z: complex, *, n_max: int | None = None) -> GKState:
+    """Construct the normalized eigenstate of a- with eigenvalue z, phased by the
+    model's alpha, the eigenvector of the a- that build_ladder(model, ...) twists."""
     z = complex(z)
-    # keep the carried model consistent with the phases actually used
-    model = model.with_alpha(alpha)
-    alpha = model.alpha
     r = abs(z)
     if model.kind == CUSTOM:
         # the normalization series lives in u = |z|^2; outside u < radius it
@@ -148,31 +140,24 @@ def gk_state(
         log_s = _log_series(logs, r)
         ns = np.arange(n_max + 1)
         log_mag = ns * math.log(r) - 0.5 * logs - 0.5 * log_s
-        phase = np.exp(1j * (ns * np.angle(z) - alpha * model.energies(n_max)))
+        phase = np.exp(1j * (ns * np.angle(z) - model.alpha * model.energies(n_max)))
         coeffs = np.exp(log_mag) * phase
     else:
-        log_s = 0.0
         coeffs = np.zeros(n_max + 1, dtype=complex)
         coeffs[0] = 1.0
-    vec = FockVector(model, coeffs).certified("GK state", GK_TAIL_CERT)
-    if model.kind == CUSTOM or model.kind == HARMONIC:
-        log_gnu = 0.0
-    else:
-        log_gnu = math.lgamma(model.nu + 1.0)
-    norm_const = math.exp(0.5 * (log_gnu - log_s))
-    return GKState(z=z, alpha=alpha, vector=vec, norm_const=norm_const)
+    return GKState(z=z, vector=FockVector(model, coeffs).certified("GK state", GK_TAIL_CERT))
 
 
 def evolve(state: GKState, t: float) -> GKState:
-    """Time evolution acts as a shift of the phase parameter: alpha -> alpha + t."""
+    """Time evolution acts as a shift of the phase parameter: alpha -> alpha + t.
+
+    The evolved vector lives on model.with_alpha(alpha + t), whose ladder it is
+    the eigenvector of.
+    """
     energies = state.model.energies(state.vector.n_max)
     twisted = state.vector.coeffs * np.exp(-1j * t * energies)
-    return GKState(
-        z=state.z,
-        alpha=state.alpha + t,
-        vector=FockVector(state.model, twisted),
-        norm_const=state.norm_const,
-    )
+    return GKState(z=state.z,
+                   vector=FockVector(state.model.with_alpha(state.alpha + t), twisted))
 
 
 def action_identity(state: GKState, rep=None) -> float:
@@ -189,8 +174,8 @@ def action_identity(state: GKState, rep=None) -> float:
     return mean - abs(state.z) ** 2
 
 
-def bargmann_eval(coeffs: FockVector, z: complex, alpha: float) -> complex:
-    """Analytic symbol sum_n f_n z^n e^{+i alpha E_n} / sqrt(E(n)).
+def bargmann_eval(coeffs: FockVector, z: complex) -> complex:
+    """Analytic symbol sum_n f_n z^n e^{+i alpha E_n} / sqrt(E(n)), alpha the model's.
 
     Maps the basis vector e_n to a monomial and intertwines a+ with
     multiplication by z.
@@ -205,7 +190,7 @@ def bargmann_eval(coeffs: FockVector, z: complex, alpha: float) -> complex:
         monomials = np.zeros(n_top + 1, dtype=complex)
         monomials[0] = 1.0
     else:
-        monomials = np.exp(ns * np.log(complex(z)) - 0.5 * logs + 1j * alpha * energies)
+        monomials = np.exp(ns * np.log(complex(z)) - 0.5 * logs + 1j * model.alpha * energies)
     return complex(np.dot(coeffs.coeffs, monomials))
 
 

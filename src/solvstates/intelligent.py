@@ -72,7 +72,6 @@ class GISParameters:
 
     z: complex
     lam: complex
-    alpha: float = 0.0
 
     def __post_init__(self):
         validate_lambda(self.lam)
@@ -135,13 +134,13 @@ def gis_coefficients(model: SpectrumModel, params: GISParameters, n_max: int) ->
     (1+lam) sqrt(E_n) d_n = 2z d_{n-1} - (1-lam) sqrt(E_{n-1}) d_{n-2},
 
     which is run here in O(n_max) floats before the e^{-i alpha E_n}
-    phases are attached.  The prefix is divided down whenever a
-    coefficient passes _RESCALE, so large displacements cannot overflow.
+    phases of the model's alpha are attached.  The prefix is divided down
+    whenever a coefficient passes _RESCALE, so large displacements cannot
+    overflow.
     """
     validate_lambda(params.lam)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    model = model.with_alpha(params.alpha)
     lam = complex(params.lam)
     two_z = 2.0 * complex(params.z)
     energies = model.energies(n_max)
@@ -292,7 +291,7 @@ def gis_disk_expansion(
     zeta_prime: complex,
     lam: complex,
     n_max: int,
-    alpha: float = 0.0,
+    *,
     model: SpectrumModel | None = None,
 ) -> FockVector:
     """Ladder-basis coefficients read off the disk-picture function.
@@ -306,7 +305,8 @@ def gis_disk_expansion(
 
     t_0 = 1; lam = 1 gives t_n = zeta_prime^n / n!.  Dividing by the disk
     monomial weights sqrt(Gamma(nu+1+n) / (n! Gamma(nu+1))) and attaching
-    the e^{-i alpha E_n} phases yields the state, normalized here.
+    the e^{-i alpha E_n} phases of the model's alpha (0 on the default
+    model) yields the state, normalized here.
     """
     validate_lambda(lam)
     if n_max < 0:
@@ -315,7 +315,6 @@ def gis_disk_expansion(
         model = _nu_model(nu)
     elif abs(model.nu - nu) > 1e-12:
         raise DomainError("model strength disagrees with nu")
-    model = model.with_alpha(alpha)
     lam = complex(lam)
     zp = complex(zeta_prime)
     taylor = [1.0 + 0.0j]

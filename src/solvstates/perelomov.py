@@ -424,13 +424,9 @@ def _state_phases(model: SpectrumModel, z: complex, n_top: int) -> np.ndarray:
     return np.exp(1j * (np.arange(n_top + 1) * np.angle(z) - model.alpha * energies))
 
 
-def perelomov_state(
-    model: SpectrumModel,
-    z: complex,
-    alpha: float | None = None,
-    n_max: int | None = None,
-) -> FockVector:
-    """Normalized displacement state, coefficients z^n e^{-i alpha E_n} / sqrt(F_n).
+def perelomov_state(model: SpectrumModel, z: complex, *, n_max: int | None = None) -> FockVector:
+    """Normalized displacement state, coefficients z^n e^{-i alpha E_n} / sqrt(F_n), alpha
+    the model's.
 
     The closed prefactor makes the 2-norm equal 1 without renormalization for
     the harmonic and trigonometric-well families, so an explicit n_max is
@@ -441,7 +437,6 @@ def perelomov_state(
     bands 0..n_max of the first truncation that agrees on all of them.
     """
     z = complex(z)
-    model = model.with_alpha(alpha)
     r = abs(z)
     if r == 0.0:
         vec = np.zeros((n_max or 0) + 1, dtype=complex)
@@ -457,19 +452,15 @@ def perelomov_state(
     return FockVector(model, np.exp(log_mag) * _state_phases(model, z, log_mag.size - 1))
 
 
-def disk_coefficients(
-    model: SpectrumModel,
-    zeta: complex,
-    alpha: float | None = None,
-    n_max: int | None = None,
-) -> FockVector:
-    """State labeled by a disk point: (1-|z|^2)^{(nu+1)/2} z^n sqrt(G_n) e^{-i alpha E_n};
-    its bands are certified by their mass, as an explicit n_max is in perelomov_state."""
+def disk_coefficients(model: SpectrumModel, zeta: complex, *,
+                      n_max: int | None = None) -> FockVector:
+    """State labeled by a disk point: (1-|z|^2)^{(nu+1)/2} z^n sqrt(G_n) e^{-i alpha E_n},
+    alpha the model's; its bands are certified by their mass, as an explicit n_max is in
+    perelomov_state."""
     if model.kind not in (POSCHL_TELLER, SQUARE_WELL):
         raise DomainError("the disk picture needs a nu-type spectrum")
     point = DiskPoint(zeta)
     zeta = point.zeta
-    model = model.with_alpha(alpha)
     rho = abs(zeta)
     if rho == 0.0:
         vec = np.zeros((n_max or 0) + 1, dtype=complex)

@@ -84,9 +84,9 @@ class SpectrumModel:
                     raise DomainError(f"{path}:{lineno}: not a number: {text!r}") from exc
         return cls.custom(values, alpha=alpha)
 
-    def with_alpha(self, alpha: float | None) -> SpectrumModel:
-        """The same spectrum with phase parameter alpha; None keeps this model's own."""
-        if alpha is None or alpha == self.alpha:
+    def with_alpha(self, alpha: float) -> SpectrumModel:
+        """The same spectrum with phase parameter alpha, the one place a label is set."""
+        if alpha == self.alpha:
             return self
         return replace(self, alpha=alpha)
 

@@ -208,7 +208,7 @@ def _suite_gk(model: SpectrumModel, tol) -> list[CaseResult]:
     def stability():
         t = 0.37
         moved = evolve(state, t).vector
-        rebuilt = gk_state(model, z, alpha=model.alpha + t).vector
+        rebuilt = gk_state(model.with_alpha(model.alpha + t), z).vector
         return np.max(np.abs(moved.coeffs - rebuilt.coeffs))
 
     return [
@@ -358,7 +358,8 @@ def _suite_gis(model: SpectrumModel, tol) -> list[CaseResult]:
         taylor = taylor_coefficients(
             lambda w: intelligent.gis_bargmann_function(nu, z_prime, lam, w),
             top, radius=radius)
-        symbol = taylor * np.exp(0.5 * logs)
+        # the state carries the model's e^{-i alpha E_n} phases; the symbol has none
+        symbol = taylor * np.exp(0.5 * logs) * np.exp(-1j * model.alpha * model.energies(top))
         want = state.coeffs[: top + 1] / state.coeffs[0]
         got = symbol / symbol[0]
         return np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300))

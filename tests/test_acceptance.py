@@ -45,7 +45,7 @@ def test_criterion_01_lowering_eigenstate_residuals():
     for _, model in STATE_MODELS:
         for z in Z_POINTS:
             for alpha in (0.0, 0.3):
-                state = gk.gk_state(model, z, alpha=alpha)
+                state = gk.gk_state(model.with_alpha(alpha), z)
                 # the state's model carries the label phase the ladder needs
                 rep = build_ladder(state.vector.model, state.vector.n_max)
                 worst = max(worst, eigenvalue_residual(rep, state.vector, z))
@@ -60,7 +60,7 @@ def test_criterion_02_action_identity():
     for _, model in STATE_MODELS:
         for z in Z_POINTS:
             for alpha in (0.0, 0.3):
-                state = gk.gk_state(model, z, alpha=alpha)
+                state = gk.gk_state(model.with_alpha(alpha), z)
                 worst = max(worst, abs(state.vector.energy_mean() - abs(z) ** 2))
     report(2, "energy mean equals squared amplitude", worst, 1e-8)
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from solvstates import SpectrumModel, cli, perelomov_state, verify
 from solvstates.cli import main
+from solvstates.tolerances import DEFAULTS
 
 
 def run(capsys, *argv):
@@ -277,6 +278,21 @@ def test_energy_table_file_verifies_like_the_levels_it_holds(capsys, tmp_path, m
     assert out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("model", ["harmonic", "pt:2,2", "well"])
+def test_sweep_alpha_keeps_the_intelligent_state_laws(capsys, model):
+    # the ladder of every row is built on the state's model, alpha included
+    code, out, _ = run(capsys, "sweep", "--family", "gis", "--grid", "lambda-mod:0.5:2:3",
+                       "--z", "1,0.3", "--model", model, "--alpha", "0.7")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 3
+    for row in rows:
+        lam2 = float(row["lam_mod"]) ** 2
+        var_x, var_p = float(row["var_x"]), float(row["var_p"])
+        assert abs(var_x / var_p - lam2) / lam2 <= DEFAULTS["gis.variance_ratio"], row
+        assert abs(float(row["equality_gap"])) / (var_x * var_p) <= DEFAULTS["gis.rs_equality"]
+
+
 def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
     # flags set on one call (--alpha, --format, --z) must not carry into the next
     calls = [
@@ -454,15 +470,21 @@ def test_state_perelomov_exit_code_contract(model, z, nmax):
 
 
 @settings(max_examples=300)
-@example(model=_TABLE40, z=(0.5, 0.0), kind="lambda-mod", bounds=(0.5, 2.0), steps=3)
+@example(model=_TABLE40, z=(0.5, 0.0), kind="lambda-mod", bounds=(0.5, 2.0), steps=3,
+         alpha=None)
+@example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(1.0, 0.3), kind="lambda-mod", bounds=(0.5, 2.0),
+         steps=3, alpha=0.7)
 @given(model=_models | _tables, z=st.tuples(_coord, _coord),
        kind=st.sampled_from(["lambda-mod", "lambda-theta"]),
        bounds=st.tuples(st.floats(-1.0, 4.0), st.floats(-1.0, 4.0)),
-       steps=st.integers(min_value=1, max_value=3))
-def test_sweep_gis_exit_code_contract(model, z, kind, bounds, steps):
-    code, argv = _run_model(model, [
-        "sweep", "--family", "gis", "--grid", f"{kind}:{bounds[0]!r}:{bounds[1]!r}:{steps}",
-        "--z", _flag(complex(*z))])
+       steps=st.integers(min_value=1, max_value=3),
+       alpha=st.none() | st.floats(min_value=-10.0, max_value=10.0))
+def test_sweep_gis_exit_code_contract(model, z, kind, bounds, steps, alpha):
+    argv = ["sweep", "--family", "gis", "--grid", f"{kind}:{bounds[0]!r}:{bounds[1]!r}:{steps}",
+            "--z", _flag(complex(*z))]
+    if alpha is not None:
+        argv += ["--alpha", repr(alpha)]
+    code, argv = _run_model(model, argv)
     assert code in (0, 2, 3, 4)
     if code == 3:
         values = np.linspace(bounds[0], bounds[1], steps)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvstates import (ConvergenceError, FockVector, SpectrumModel, TruncationError,
-                        build_ladder, eigenvalue_residual, f_operator,
+from solvstates import (ConvergenceError, DomainError, FockVector, SpectrumModel,
+                        TruncationError, build_ladder, eigenvalue_residual, f_operator,
                         gis_recurrence_oracle, quadratures, uncertainty)
 from solvstates import fockspace
 from solvstates.gazeau_klauder import gk_state
@@ -381,15 +381,24 @@ def test_band_sum_moments_match_dense_matrices(name, alpha, n_max, n_state):
 def test_band_sum_moments_of_lowering_eigenstates(name, alpha):
     model = MOMENT_MODELS[name]
     for z in (0.5, 2.0 * cmath.exp(0.9j)):
-        vector = gk_state(model, z, alpha=alpha).vector
+        vector = gk_state(model.with_alpha(alpha), z).vector
         assert_moments_match_dense(build_ladder(vector.model, vector.n_max), vector)
+
+
+def test_moments_refuse_a_state_from_another_model(pt22):
+    # a state phased at one alpha is no eigenvector of the ladder twisted by another
+    state = gk_state(pt22, 0.5).vector
+    rep = build_ladder(pt22.with_alpha(0.3), state.n_max)
+    for moments in (uncertainty, f_operator):
+        with pytest.raises(DomainError, match="different models"):
+            moments(rep, state)
 
 
 @pytest.mark.parametrize("name", sorted(MOMENT_MODELS))
 def test_band_sum_moments_of_gis_states(name):
     model = MOMENT_MODELS[name]
     for z, lam in ((1.0, 2.0), (2.0j, cmath.exp(1j * math.pi / 6)), (0.7 - 0.4j, 0.5 + 0.5j)):
-        state = gis_state(model, GISParameters(z, lam, alpha=0.3))
+        state = gis_state(model.with_alpha(0.3), GISParameters(z, lam))
         assert_moments_match_dense(build_ladder(state.model, state.n_max), state)
 
 

@@ -33,7 +33,7 @@ def mp_coefficients(model, z, alpha, n_max):
 @pytest.mark.parametrize("z,alpha", [(0.5, 0.0), (1.0 + 1.0j, 0.3),
                                      (3.0 * cmath.exp(1j * math.pi / 7), 0.3)])
 def test_coefficients_match_high_precision_oracle(pt22, z, alpha):
-    state = gk.gk_state(pt22, z, alpha=alpha)
+    state = gk.gk_state(pt22.with_alpha(alpha), z)
     want = mp_coefficients(pt22, z, alpha, 12)
     assert np.max(np.abs(state.vector.coeffs[:13] - want)) < 1e-13
 
@@ -67,15 +67,17 @@ def test_normalization_series_vs_bessel_closed_form():
 
 
 def test_harmonic_normalization_is_gaussian(harmonic):
+    # c_0 = 1 / sqrt(S) with S = e^{r^2}
     state = gk.gk_state(harmonic, 1.2)
-    assert state.norm_const == pytest.approx(math.exp(-0.72), rel=1e-12)
+    assert state.vector.coeffs[0] == pytest.approx(math.exp(-0.72), rel=1e-12)
 
 
 def test_norm_const_closed_form_pt(pt22):
+    # c_0 = 1 / sqrt(S) with S = Gamma(5) I_4(2r) / r^4
     r = 1.3
     state = gk.gk_state(pt22, r)
-    want = math.sqrt(r ** 4 / sp.iv(4.0, 2.0 * r))
-    assert state.norm_const == pytest.approx(want, rel=1e-10)
+    want = math.sqrt(r ** 4 / (math.gamma(5.0) * sp.iv(4.0, 2.0 * r)))
+    assert state.vector.coeffs[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_measure_moments_resolve_identity(pt22):
@@ -108,7 +110,7 @@ def test_identity_moment_rejects_unmeasured_models(harmonic):
 
 
 def test_evolution_multiplies_phases(pt22):
-    state = gk.gk_state(pt22, 1.0 + 0.5j, alpha=0.1)
+    state = gk.gk_state(pt22.with_alpha(0.1), 1.0 + 0.5j)
     t = 0.37
     moved = gk.evolve(state, t)
     energies = np.array([pt22.energy(n) for n in range(state.vector.n_max + 1)])
@@ -120,9 +122,19 @@ def test_evolution_multiplies_phases(pt22):
 def test_evolution_preserves_label_structure(pt22):
     # evolving alpha and rebuilding at the shifted label agree
     z, t = 0.8 + 0.2j, 1.1
-    moved = gk.evolve(gk.gk_state(pt22, z, alpha=0.0), t)
-    rebuilt = gk.gk_state(pt22, z, alpha=t)
+    moved = gk.evolve(gk.gk_state(pt22, z), t)
+    rebuilt = gk.gk_state(pt22.with_alpha(t), z)
     assert np.max(np.abs(moved.vector.coeffs - rebuilt.vector.coeffs)) < 1e-12
+
+
+def test_evolved_vector_lives_on_the_shifted_model(pt22):
+    # the evolved vector is the eigenvector of the ladder twisted by alpha + t
+    z, t = 0.8 + 0.2j, 0.37
+    state = gk.gk_state(pt22.with_alpha(0.1), z)
+    moved = gk.evolve(state, t)
+    assert moved.vector.model.alpha == state.alpha + t
+    rep = build_ladder(moved.model, moved.vector.n_max)
+    assert eigenvalue_residual(rep, moved.vector, z) < 1e-14
 
 
 @given(st.floats(min_value=0.05, max_value=2.5),
@@ -133,14 +145,16 @@ def test_normalized_for_any_label(pt22, r, phase):
 
 
 def test_bargmann_symbol_reproduces_overlap(pt22):
-    # <w-state | z-state> = N(w) N(z) * symbol of the z-state at conj(w)
+    # <w-state | z-state> = N(w) N(z) * symbol of the z-state at conj(w); the symbol
+    # undoes the phases of the model's alpha
     z, w = 0.9 + 0.3j, 0.4 - 0.2j
-    sz = gk.gk_state(pt22, z)
-    sw = gk.gk_state(pt22, w)
-    overlap = sw.vector.inner(sz.vector)
-    symbol = gk.bargmann_eval(sz.vector, np.conj(w), sz.alpha)
-    grams = math.sqrt(gk.gk_normalization(pt22, abs(w)))
-    assert overlap == pytest.approx(symbol / grams, rel=1e-10)
+    for model in (pt22, pt22.with_alpha(0.4)):
+        sz = gk.gk_state(model, z)
+        sw = gk.gk_state(model, w)
+        overlap = sw.vector.inner(sz.vector)
+        symbol = gk.bargmann_eval(sz.vector, np.conj(w))
+        grams = math.sqrt(gk.gk_normalization(pt22, abs(w)))
+        assert overlap == pytest.approx(symbol / grams, rel=1e-10)
 
 
 def test_divergent_amplitude_rejected():

@@ -289,7 +289,8 @@ def test_disk_recurrence_matches_the_jacobi_form(nu):
     for lam, zeta_prime in ((2.0, 0.5), (0.5 + 0.5j, 0.3 - 0.4j),
                             (cmath.exp(1j * math.pi / 6), 0.6j), (3.0 - 1.0j, -0.2 + 0.1j)):
         for alpha in (0.0, 0.3):
-            got = it.gis_disk_expansion(nu, zeta_prime, lam, 60, alpha=alpha).coeffs
+            got = it.gis_disk_expansion(nu, zeta_prime, lam, 60,
+                                        model=it._nu_model(nu).with_alpha(alpha)).coeffs
             want = _disk_expansion_by_jacobi(nu, zeta_prime, lam, 60, alpha)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (lam, zeta_prime, alpha)
 

@@ -102,7 +102,6 @@ def test_alpha_carried(pt22):
 
 
 def test_with_alpha_keeps_the_spectrum(pt22, custom_table):
-    assert pt22.with_alpha(None) is pt22
     assert pt22.with_alpha(0.0) is pt22
     shifted = pt22.with_alpha(0.7)
     assert shifted == SpectrumModel.poschl_teller(2.0, 2.0, alpha=0.7)

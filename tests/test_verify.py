@@ -36,6 +36,26 @@ def test_full_run_passes_on_reference_model(pt22):
     assert report.summary["pass"] == 32
 
 
+# the verify zoo: every model kind, soft and asymmetric walls, and a 60-level table
+_ZOO = {
+    "harmonic": SpectrumModel.harmonic(),
+    "well": SpectrumModel.square_well(),
+    "pt22": SpectrumModel.poschl_teller(2.0, 2.0),
+    "pt27_31": SpectrumModel.poschl_teller(2.7, 3.1),
+    "pt12_12": SpectrumModel.poschl_teller(1.2, 1.2),
+    "table60": SpectrumModel.custom([0.5 * n * (n + 3) + 0.01 * (n % 3) for n in range(60)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ZOO))
+def test_alpha_moves_no_status(name):
+    # every state and ladder a suite builds reads the one alpha its model carries
+    model = _ZOO[name]
+    want = [(case.name, case.status) for case in run_suite("all", model).cases]
+    got = [(case.name, case.status) for case in run_suite("all", model.with_alpha(0.7)).cases]
+    assert got == want
+
+
 def test_suite_subset_runs_alone(pt_soft):
     report = run_suite("position", pt_soft)
     assert report.suite == "position"
