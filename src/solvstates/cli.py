@@ -136,6 +136,8 @@ def _cmd_sweep(args, parser) -> int:
         parser.error(f"malformed grid bounds in {args.grid!r}")
     if steps < 1:
         parser.error("empty grid: STEPS must be >= 1")
+    if not np.isfinite([lo, hi]).all():
+        raise DomainError(f"grid bounds must be finite (got {lo!r}, {hi!r})")
     model = _build_model(args.model, parser).with_alpha(args.alpha)
     rows = []
     for value in np.linspace(lo, hi, steps):

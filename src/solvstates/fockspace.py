@@ -150,7 +150,7 @@ class FockVector:
         judged = self if coeffs is self.coeffs else FockVector(self.model, coeffs)
         tail = judged.tail_bound() / mass
         if not tail < cert:
-            suggest = min(2 * self.n_max + 16, (self.model.n_levels or math.inf) - 1)
+            suggest = min(2 * self.n_max + 16, self.model.last_level)
             raise TruncationError(
                 f"{what} tail bound {tail:.3e} not certified below {cert:.0e} at n_max={self.n_max}",
                 suggested_n_max=suggest if suggest > self.n_max else None)

@@ -19,7 +19,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError
 from .fockspace import FockVector
-from .spectrum import CUSTOM, HARMONIC, SpectrumModel
+from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SpectrumModel
 from .tolerances import GK_TAIL_CERT
 
 
@@ -37,7 +37,7 @@ def _auto_n_max(model: SpectrumModel, r: float) -> int:
     peak carried on, so every n sees the bits of one long scan.
     """
     if model.kind == CUSTOM:
-        return model.n_levels - 2
+        return model.last_level - 1
     log_r2 = 2.0 * math.log(r) if r > 0 else -math.inf
     top = _first_scan(model, r)
     start, last, peak = 1, 0.0, 0.0
@@ -125,6 +125,8 @@ def gk_state(model: SpectrumModel, z: complex, *, n_max: int | None = None) -> G
     model's alpha, the eigenvector of the a- that build_ladder(model, ...) twists."""
     z = complex(z)
     r = abs(z)
+    if not math.isfinite(r):
+        raise DomainError(f"label z = {z} has no finite modulus")
     if model.kind == CUSTOM:
         # the normalization series lives in u = |z|^2; outside u < radius it
         # diverges (the analytic kinds have an infinite radius)
@@ -263,7 +265,7 @@ def identity_moment_check(model: SpectrumModel, measure: RadialMeasure, n: int) 
     Evaluated at two quadrature orders (200 and 400 nodes); disagreement
     beyond 1e-9 means the quadrature itself has not settled.
     """
-    if model.kind in (HARMONIC, CUSTOM):
+    if model.kind != POSCHL_TELLER:
         raise DomainError("closed resolving measure is only available for nu-type spectra")
     if abs(model.nu - measure.nu) > 1e-12:
         raise DomainError("measure index does not match the model")

@@ -38,7 +38,7 @@ from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationErr
 from .fockspace import FockVector, LadderRep, UncertaintyReport, uncertainty
 from .perelomov import _log_gamma_ratio
 from .specfun import graded_edges, hyp0f1, hyp1f1, panel_rule, settled
-from .spectrum import SpectrumModel
+from .spectrum import POSCHL_TELLER, SpectrumModel
 from .tolerances import CHECK_GATE, UNIT_TOL
 
 COHERENT = "coherent"
@@ -74,6 +74,8 @@ class GISParameters:
     lam: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.z) and cmath.isfinite(self.lam)):
+            raise DomainError(f"GIS labels must be finite (got z={self.z}, lambda={self.lam})")
         validate_lambda(self.lam)
 
 
@@ -278,12 +280,10 @@ def gis_disk_function(nu: float, zeta_prime: complex, lam: complex, zeta):
 
 
 def _nu_model(nu: float) -> SpectrumModel:
-    # smallest taxonomy member with gaps E_n = n (n + nu)
-    if nu == 2.0:
-        return SpectrumModel.square_well()
-    if nu > 2.0:
-        return SpectrumModel.poschl_teller(0.5 * nu, 0.5 * nu)
-    raise DomainError("no built-in spectrum with nu < 2; pass model= explicitly")
+    # the symmetric well with gaps E_n = n (n + nu); nu = 2 is the square well
+    if not nu >= 2.0:
+        raise DomainError("no built-in spectrum with nu < 2; pass model= explicitly")
+    return SpectrumModel(POSCHL_TELLER, kappa=0.5 * nu, kappa_prime=0.5 * nu)
 
 
 def gis_disk_expansion(

@@ -31,7 +31,7 @@ import numpy as np
 from . import specfun
 from .errors import ConvergenceError, DomainError, TruncationError
 from .fockspace import FockVector
-from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SQUARE_WELL, SpectrumModel
+from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SpectrumModel
 from .tolerances import (FLOW_BAND_CAP, FLOW_GATE, FLOW_STEP_CAP, KERNEL_TOL,
                          SERIES_ROUNDING, SERIES_TOL, TAIL_CERT)
 
@@ -82,7 +82,7 @@ class DiskPoint:
 
     def __post_init__(self):
         z = complex(self.zeta)
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise DomainError(f"|zeta| = {abs(z):.6g} is not inside the unit disk")
         object.__setattr__(self, "zeta", z)
 
@@ -97,7 +97,7 @@ def _series_bands(model: SpectrumModel, n_top: int, r: float, j_cap: int):
     Column j holds log pi(n+1, j) = log(pi(n, j) + E_{n+1} pi(n+2, j-1)) for every
     band, a prefix accumulation (so row n never depends on n_top), and the terms
     t_j = (-r^2)^j pi(n+1, j) / (n+2j)!.  Columns are added until every band has
-    settled or reached its depth: j_cap, or the (n_levels - n - 3) // 2 terms a
+    settled or reached its depth: j_cap, or the (last_level - n - 2) // 2 terms a
     table supports (a band with room for fewer than four is not evaluated).
     Returns (values, ok, cond, slope): the settled sums, the certified mask (see
     cn_series), the condition numbers sum |t_j| / |sum t_j| and, for a band that
@@ -108,7 +108,7 @@ def _series_bands(model: SpectrumModel, n_top: int, r: float, j_cap: int):
     depth = np.full(n_top + 1, j_cap)
     tabulated = model.kind == CUSTOM
     if tabulated:
-        depth = np.minimum(depth, (model.n_levels - 3 - np.arange(n_top + 1)) // 2)
+        depth = np.minimum(depth, (model.last_level - 2 - np.arange(n_top + 1)) // 2)
     live = int(np.count_nonzero(depth >= 4))  # depth falls with n: bands 0..live-1
     if live == 0:
         return values, ok, cond, slope
@@ -122,7 +122,7 @@ def _series_bands(model: SpectrumModel, n_top: int, r: float, j_cap: int):
         return values, ok, cond, slope
     # column j is filled on rows 0..live+top-j-1, all that the columns after it read
     rows = live + top
-    energies = model.energies(min(rows, model.n_levels - 1) if tabulated else rows)
+    energies = model.energies(min(rows, model.last_level))
     log_e = np.full(rows, math.nan)  # past a table's end: only bands beyond their depth read it
     log_e[: energies.size - 1] = np.log(energies[1:])
     log_r = math.log(r)
@@ -174,7 +174,7 @@ def _series_values(model: SpectrumModel, n_top: int, r: float, j_cap: int,
     if ok[first:].all():
         return values
     n = first + int(np.argmin(ok[first:]))
-    room = (model.n_levels - n - 3) // 2 if model.kind == CUSTOM else math.inf
+    room = (model.last_level - n - 2) // 2 if model.kind == CUSTOM else math.inf
     if room < 4:
         raise TruncationError(f"energy table too short for the band-{n} series "
                               f"(room for {max(room, 0)} terms)")
@@ -207,7 +207,7 @@ def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = _SERIES_J_CAP
     if r < 0:
         raise DomainError("radial argument must be nonnegative")
     # a tabulated band without room for four terms is refused before j_cap is looked at
-    if j_cap < 4 and (model.kind != CUSTOM or model.n_levels - n >= 11):
+    if j_cap < 4 and model.last_level - n >= 10:
         raise DomainError("j_cap too small to certify a tail")
     return float(_series_values(model, n, r, j_cap, first=n)[n])
 
@@ -234,7 +234,7 @@ def cn_closed(model: SpectrumModel, n_max: int, r: float) -> DisplacementCoeffs:
         raise DomainError("radial argument must be nonnegative")
     if model.kind == HARMONIC:
         lead, ratio = -0.5 * r * r, 1.0
-    elif model.kind in (POSCHL_TELLER, SQUARE_WELL):
+    elif model.kind == POSCHL_TELLER:
         lead = -(model.nu + 1.0) * _log_cosh(r)
         ratio = math.tanh(r) / r if r > 0.0 else 1.0
     else:
@@ -308,7 +308,7 @@ def _certified_flow(model: SpectrumModel, r: float, first: int, bands: int | Non
     refuses: with TruncationError where the table ends, with
     ConvergenceError at the cap.
     """
-    end = model.n_levels - 1 if model.kind == CUSTOM else math.inf
+    end = model.last_level
     cap = min(FLOW_BAND_CAP, end)
     top, agreed, y = min(first, cap), None, None
     # a pair of truncations agrees on at most the smaller one's bands
@@ -438,6 +438,8 @@ def perelomov_state(model: SpectrumModel, z: complex, *, n_max: int | None = Non
     """
     z = complex(z)
     r = abs(z)
+    if not math.isfinite(r):
+        raise DomainError(f"label z = {z} has no finite modulus")
     if r == 0.0:
         vec = np.zeros((n_max or 0) + 1, dtype=complex)
         vec[0] = 1.0
@@ -457,7 +459,7 @@ def disk_coefficients(model: SpectrumModel, zeta: complex, *,
     """State labeled by a disk point: (1-|z|^2)^{(nu+1)/2} z^n sqrt(G_n) e^{-i alpha E_n},
     alpha the model's; its bands are certified by their mass, as an explicit n_max is in
     perelomov_state."""
-    if model.kind not in (POSCHL_TELLER, SQUARE_WELL):
+    if model.kind != POSCHL_TELLER:
         raise DomainError("the disk picture needs a nu-type spectrum")
     point = DiskPoint(zeta)
     zeta = point.zeta

@@ -16,7 +16,6 @@ from .errors import DomainError, TruncationError
 
 HARMONIC = "harmonic"
 POSCHL_TELLER = "poschl_teller"
-SQUARE_WELL = "square_well"
 CUSTOM = "custom"
 
 #: ratio of end-to-midpoint growth factors beyond which the convergence
@@ -43,16 +42,17 @@ class SpectrumModel:
 
     @classmethod
     def poschl_teller(cls, kappa, kappa_prime, alpha=0.0):
-        """E_n = n (n + kappa + kappa'), both strengths > 1."""
-        if not (kappa > 1 and kappa_prime > 1):
-            raise DomainError("poschl_teller requires kappa > 1 and kappa' > 1")
+        """E_n = n (n + kappa + kappa'), both strengths finite and > 1."""
+        if not (1 < kappa < math.inf and 1 < kappa_prime < math.inf):
+            raise DomainError(f"poschl_teller requires finite kappa, kappa' > 1 "
+                              f"(got kappa={kappa!r}, kappa'={kappa_prime!r})")
         return cls(POSCHL_TELLER, alpha=alpha, kappa=float(kappa),
                    kappa_prime=float(kappa_prime))
 
     @classmethod
     def square_well(cls, alpha=0.0):
-        """E_n = n (n + 2); spectrum-level twin of poschl_teller with nu = 2."""
-        return cls(SQUARE_WELL, alpha=alpha)
+        """E_n = n (n + 2): Poschl-Teller at kappa = kappa' = 1, which poschl_teller refuses."""
+        return cls(POSCHL_TELLER, alpha=alpha, kappa=1.0, kappa_prime=1.0)
 
     @classmethod
     def custom(cls, energies, alpha=0.0):
@@ -86,6 +86,8 @@ class SpectrumModel:
 
     def with_alpha(self, alpha: float) -> SpectrumModel:
         """The same spectrum with phase parameter alpha, the one place a label is set."""
+        if not math.isfinite(alpha):
+            raise DomainError(f"alpha must be finite (got {alpha!r})")
         if alpha == self.alpha:
             return self
         return replace(self, alpha=alpha)
@@ -97,34 +99,26 @@ class SpectrumModel:
         """Combined strength kappa + kappa' controlling closed forms."""
         if self.kind == POSCHL_TELLER:
             return self.kappa + self.kappa_prime
-        if self.kind == SQUARE_WELL:
-            return 2.0
         raise DomainError(f"nu is undefined for kind={self.kind!r}")
 
     @property
-    def n_levels(self):
-        """Number of tabulated levels, or None for unbounded spectra."""
-        return len(self.table) if self.kind == CUSTOM else None
+    def last_level(self) -> int | float:
+        """Index of a table's last level; math.inf for the analytic spectra."""
+        return len(self.table) - 1 if self.kind == CUSTOM else math.inf
 
     def energy(self, n: int) -> float:
-        """E_n.  A negative n is a DomainError; a level past a table's end is a
-        TruncationError that suggests no n_max, since no larger one can help."""
+        """E_n; a DomainError for n < 0, past a table's end the TruncationError of energies."""
         if n < 0:
             raise DomainError("level index must be >= 0")
-        if self.kind == HARMONIC:
-            return float(n)
-        if self.kind in (POSCHL_TELLER, SQUARE_WELL):
-            return n * (n + self.nu)
-        if n >= len(self.table):
-            raise TruncationError(
-                f"custom spectrum has {len(self.table)} levels, index {n} out of range")
-        return self.table[n]
+        return float(self.energies(n)[n])
 
     def energies(self, n_max: int) -> np.ndarray:
-        """E_0 .. E_{n_max} as a float64 array, bitwise equal to ``energy(n)``."""
+        """E_0 .. E_{n_max} as a float64 array.  Past a table's end it raises a
+        TruncationError that suggests no n_max, since no larger one can help."""
         if self.kind == CUSTOM:
-            if n_max >= len(self.table):
-                self.energy(len(self.table))  # raises the out-of-range TruncationError
+            if n_max > self.last_level:
+                raise TruncationError(f"custom spectrum has {len(self.table)} levels, "
+                                      f"index {len(self.table)} out of range")
             return np.array(self.table[: n_max + 1], dtype=float)
         ns = np.arange(n_max + 1, dtype=float)
         if self.kind == HARMONIC:
@@ -144,8 +138,7 @@ class SpectrumModel:
         """
         if n_max < 10:
             raise DomainError("radius estimate needs n_max >= 10")
-        if self.kind == CUSTOM:
-            n_max = min(n_max, len(self.table) - 1)
+        n_max = min(n_max, self.last_level)
         half = n_max // 2
         logs = self.log_products(n_max)
         s_half = math.exp(logs[half] / half)

@@ -22,7 +22,7 @@ from .fockspace import (FockVector, build_ladder, eigenvalue_residual, f_operato
 from .gazeau_klauder import (action_identity, evolve, gk_normalization,
                              gk_normalization_closed, gk_state,
                              identity_moment_check, pt_measure)
-from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SQUARE_WELL, SpectrumModel
+from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SpectrumModel
 from .tolerances import resolve
 
 PASS = "PASS"
@@ -106,7 +106,7 @@ def _case(name: str, tol_override, fn) -> CaseResult:
 
 
 def _nu_of(model: SpectrumModel) -> float:
-    if model.kind not in (POSCHL_TELLER, SQUARE_WELL):
+    if model.kind != POSCHL_TELLER:
         raise _Skip("needs a nu-indexed spectrum")
     return model.nu
 
@@ -122,9 +122,7 @@ def _safe_z(model: SpectrumModel) -> complex:
 
 
 def _suite_ladder(model: SpectrumModel, tol) -> list[CaseResult]:
-    n_max = 40
-    if model.kind == CUSTOM:
-        n_max = min(n_max, model.n_levels - 2)
+    n_max = min(40, model.last_level - 1)
     rep = build_ladder(model, n_max)
     a_minus = rep.a_minus
     a_plus = a_minus.conj().T
@@ -198,11 +196,9 @@ def _suite_gk(model: SpectrumModel, tol) -> list[CaseResult]:
         return abs(direct - closed) / abs(closed)
 
     def moments():
-        if model.kind not in (POSCHL_TELLER, SQUARE_WELL):
+        if model.kind != POSCHL_TELLER:
             raise _Skip("no closed measure")
-        kappa = model.kappa if model.kind == POSCHL_TELLER else 1.0
-        kappa_prime = model.kappa_prime if model.kind == POSCHL_TELLER else 1.0
-        measure = pt_measure(kappa, kappa_prime)
+        measure = pt_measure(model.kappa, model.kappa_prime)
         return max(identity_moment_check(model, measure, n) for n in range(7))
 
     def stability():
@@ -276,7 +272,7 @@ def _gis_pair(model: SpectrumModel, z: complex, lam: complex):
     n_start, attempts = 90, 4
     if model.kind == CUSTOM:
         # finite tables cannot grow past their last level
-        n_start, attempts = model.n_levels - 2, 1
+        n_start, attempts = model.last_level - 1, 1
     try:
         state = intelligent.gis_state(model, params, n_start, attempts=attempts)
     except TruncationError as err:
@@ -405,9 +401,9 @@ def _suite_gis(model: SpectrumModel, tol) -> list[CaseResult]:
 
 
 def _suite_position(model: SpectrumModel, tol) -> list[CaseResult]:
-    if model.kind == POSCHL_TELLER:
+    if model.kind == POSCHL_TELLER and model.kappa > 1:
         params = position.PTParameters(model.kappa, model.kappa_prime)
-    else:
+    else:  # PTParameters needs kappa > 1, so the square well's layer is checked on PT(2, 2)
         params = position.PTParameters(2.0, 2.0)
 
     # one eigenfunction pass per grid, made by the first case that reads it

@@ -1,4 +1,5 @@
 """Command line surface: subcommands, formats, exit codes."""
+import cmath
 import contextlib
 import csv
 import io
@@ -357,19 +358,44 @@ def _run_quiet(argv):
             return exc.code
 
 
-def _inadmissible(lams, strengths) -> bool:
+@pytest.mark.parametrize("named,argv", [
+    ("z = (nan+0j)", "state --model pt:2,2 --family gk --z=nan,0"),
+    ("z = (1+nanj)", "state --model harmonic --family gk --z=1,nan"),
+    ("z = (nan+0j)", "state --model pt:2,2 --family perelomov --z=nan,0"),
+    ("lambda=(inf+0j)", "state --model harmonic --family gis --z=1,0 --lambda inf,0 --nmax 40"),
+    ("kappa=inf", "state --model pt:inf,2 --family gk --z=1,0"),
+    ("alpha must be finite (got inf)", "state --model well --family gk --z=1,0 --alpha inf"),
+    ("alpha must be finite (got nan)", "state --model well --family gk --z=1,0 --alpha nan"),
+    ("grid bounds must be finite (got 0.5, inf)", "sweep --family gis --grid lambda-mod:0.5:inf:3"),
+])
+def test_nonfinite_input_is_refused_by_name(capsys, named, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code == 3 and named in err, err
+
+
+def _inadmissible(lams, strengths, *labels) -> bool:
+    """A squeezing parameter or strength out of range, or any non-finite input."""
+    if not all(cmath.isfinite(value) for value in (*lams, *strengths, *labels)):
+        return True
     return any(lam == -1 or lam.real <= 0 for lam in lams) or any(k <= 1 for k in strengths)
 
 
-_strength = st.floats(min_value=0.5, max_value=4.0, exclude_min=True, exclude_max=True)
+def _or_nonfinite(finite):
+    """finite, or now and then nan, inf or -inf: every one is refused where it enters."""
+    return st.integers(0, 31).flatmap(
+        lambda k: st.sampled_from([math.nan, math.inf, -math.inf]) if k == 31 else finite)
+
+
+_strength = _or_nonfinite(
+    st.floats(min_value=0.5, max_value=4.0, exclude_min=True, exclude_max=True))
 _models = st.one_of(
     st.sampled_from([("harmonic", ()), ("well", ())]),
     st.tuples(_strength, _strength).map(lambda k: (f"pt:{k[0]!r},{k[1]!r}", k)),
 )
-_coord = st.floats(min_value=-60.0, max_value=60.0)
+_coord = _or_nonfinite(st.floats(min_value=-60.0, max_value=60.0))
 # mostly admissible, so that most examples reach the numerics
-_lambda = st.builds(complex, st.floats(min_value=-2.0, max_value=5.0),
-                    st.floats(min_value=-5.0, max_value=5.0))
+_lambda = st.builds(complex, _or_nonfinite(st.floats(min_value=-2.0, max_value=5.0)),
+                    _or_nonfinite(st.floats(min_value=-5.0, max_value=5.0)))
 
 
 def _flag(value: complex) -> str:
@@ -427,7 +453,7 @@ def test_state_gis_exit_code_contract(model, z, lam, nmax):
                                     "--lambda", _flag(lam), "--nmax", str(nmax)])
     assert code in (0, 2, 3, 4)
     if code == 3:
-        assert _inadmissible([lam], model[1] or ()), argv
+        assert _inadmissible([lam], model[1] or (), complex(*z)), argv
 
 
 @settings(max_examples=300)
@@ -443,12 +469,12 @@ def test_state_gk_exit_code_contract(model, z, nmax):
     assert code in (0, 2, 3, 4)
     if code == 3:
         name, strengths = model
-        if strengths is None:
-            # the one inadmissible input on a table: |z|^2 at or past its series radius
+        if strengths is None and cmath.isfinite(complex(*z)):
+            # the one inadmissible finite input on a table: |z|^2 at or past its series radius
             r = abs(complex(*z))
             assert r * r >= SpectrumModel.custom(name).radius_estimate(), argv
         else:
-            assert _inadmissible([], strengths), argv
+            assert _inadmissible([], strengths or (), complex(*z)), argv
 
 
 @settings(max_examples=300)
@@ -462,11 +488,10 @@ def test_state_perelomov_exit_code_contract(model, z, nmax):
     if nmax is not None:
         argv += ["--nmax", str(nmax)]
     code, argv = _run_model(model, argv)
-    strengths = model[1]
-    # a table is admissible by construction: only usage errors and refusals may fail it
-    assert code in ((0, 2, 4) if strengths is None else (0, 2, 3, 4))
+    # a table is admissible by construction: on one, only a non-finite z may exit 3
+    assert code in (0, 2, 3, 4)
     if code == 3:
-        assert _inadmissible([], strengths), argv
+        assert _inadmissible([], model[1] or (), complex(*z)), argv
 
 
 @settings(max_examples=300)
@@ -476,20 +501,21 @@ def test_state_perelomov_exit_code_contract(model, z, nmax):
          steps=3, alpha=0.7)
 @given(model=_models | _tables, z=st.tuples(_coord, _coord),
        kind=st.sampled_from(["lambda-mod", "lambda-theta"]),
-       bounds=st.tuples(st.floats(-1.0, 4.0), st.floats(-1.0, 4.0)),
+       bounds=st.tuples(_or_nonfinite(st.floats(-1.0, 4.0)), _or_nonfinite(st.floats(-1.0, 4.0))),
        steps=st.integers(min_value=1, max_value=3),
-       alpha=st.none() | st.floats(min_value=-10.0, max_value=10.0))
+       alpha=st.none() | _or_nonfinite(st.floats(min_value=-10.0, max_value=10.0)))
 def test_sweep_gis_exit_code_contract(model, z, kind, bounds, steps, alpha):
     argv = ["sweep", "--family", "gis", "--grid", f"{kind}:{bounds[0]!r}:{bounds[1]!r}:{steps}",
             "--z", _flag(complex(*z))]
     if alpha is not None:
-        argv += ["--alpha", repr(alpha)]
+        argv.append(f"--alpha={alpha!r}")  # one token, so that -inf is not read as an option
     code, argv = _run_model(model, argv)
     assert code in (0, 2, 3, 4)
     if code == 3:
-        values = np.linspace(bounds[0], bounds[1], steps)
+        labels = (complex(*z), *bounds, alpha or 0.0)
+        values = np.linspace(bounds[0], bounds[1], steps) if all(map(math.isfinite, bounds)) else []
         lams = [np.exp(1j * v) if kind == "lambda-theta" else complex(v) for v in values]
-        assert _inadmissible(lams, model[1] or ()), argv
+        assert _inadmissible(lams, model[1] or (), *labels), argv
 
 
 @settings(max_examples=60)

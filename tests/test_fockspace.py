@@ -62,7 +62,7 @@ def test_quadratures_hermitian(pt22):
 
 
 def test_ladder_needs_one_spare_level(custom_table):
-    top = custom_table.n_levels - 1
+    top = custom_table.last_level
     with pytest.raises(TruncationError):
         build_ladder(custom_table, top)  # no level left for the raising edge
     build_ladder(custom_table, top - 1)

@@ -1,6 +1,7 @@
 """Lowering-operator eigenstates: coefficients, identities, guards."""
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -101,6 +102,13 @@ def test_measure_weight_against_scipy_bessel_oracle(pt22):
             lambda r: sp.kv(nu, 2.0 * r) * r ** (2 * n + nu + 1.0), 0.0, 40.0)
         rho_n = sp.gamma(n + 1.0) * sp.gamma(n + nu + 1.0)
         assert moment == pytest.approx(rho_n / 4.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(1.0, -math.inf)])
+def test_nonfinite_label_is_refused_by_name(all_models, z):
+    for model in all_models.values():
+        with pytest.raises(DomainError, match=re.escape(f"label z = {z}")):
+            gk.gk_state(model, z)
 
 
 def test_identity_moment_rejects_unmeasured_models(harmonic):

@@ -67,7 +67,7 @@ def test_closed_coefficients_match_high_precision_recurrence(pt22, lam, z):
 def test_delta_sum_closed_form_matches_recurrence(all_models, name):
     # the independent route the gis verify suite keeps for n <= 15
     model = all_models[name]
-    start = 90 if model.n_levels is None else model.n_levels - 2
+    start = min(90, model.last_level - 1)
     for lam, z in ((2.0, 1.0), (2.0 + 1.0j, 2.0j), (1.5, -1.0 + 0.5j), (1.0, 1.0)):
         state = it.gis_coefficients(model, it.GISParameters(z, lam), start)
         closed = _gis_closed_form(state.model, z, lam, 15) * state.coeffs[0]
@@ -158,6 +158,12 @@ def test_lambda_rejections(bad, reason):
     with pytest.raises(LambdaRejected) as err:
         it.GISParameters(1.0, bad)
     assert err.value.reason == reason
+
+
+@pytest.mark.parametrize("z,lam", [(math.nan, 2.0), (1.0, math.inf), (1.0, complex(1.0, math.nan))])
+def test_nonfinite_labels_are_refused(z, lam):
+    with pytest.raises(DomainError, match="GIS labels must be finite"):
+        it.GISParameters(z, lam)
 
 
 def test_lambda_classification():

@@ -57,9 +57,9 @@ _ACCURACY_MODELS = [SpectrumModel.harmonic(), SpectrumModel.square_well(),
 _ACCURACY_IDS = ["harmonic", "well", "pt:2,2", "pt:3.5,1.2"]
 
 
-@pytest.mark.parametrize("model", _ACCURACY_MODELS, ids=_ACCURACY_IDS)
-def test_ode_matches_closed_form_per_band(model):
-    extra = {"harmonic": (2.0, 3.0), "square_well": (2.0,)}.get(model.kind, ())
+@pytest.mark.parametrize("name,model", zip(_ACCURACY_IDS, _ACCURACY_MODELS), ids=_ACCURACY_IDS)
+def test_ode_matches_closed_form_per_band(name, model):
+    extra = {"harmonic": (2.0, 3.0), "well": (2.0,)}.get(name, ())
     for r in (0.01, 0.05, 0.3, 0.5, 1.0, 1.5) + extra:
         for n_max in (8, 10):
             closed = pe.cn_closed(model, n_max, r).values
@@ -359,6 +359,15 @@ def test_disk_label_must_stay_inside():
     from solvstates import DomainError
     with pytest.raises(DomainError):
         pe.disk_coefficients(SpectrumModel.poschl_teller(2.0, 2.0), 1.0 + 0.0j)
+    with pytest.raises(DomainError, match=r"\|zeta\| = nan"):
+        pe.disk_coefficients(SpectrumModel.poschl_teller(2.0, 2.0), complex(math.nan, 0.0))
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(1.0, math.inf)])
+def test_nonfinite_label_is_refused_by_name(all_models, z):
+    for model in all_models.values():
+        with pytest.raises(DomainError, match=re.escape(f"label z = {z}")):
+            pe.perelomov_state(model, z)
 
 
 @pytest.mark.parametrize("nu", [2.0, 2.2, 4.0, 7.9])

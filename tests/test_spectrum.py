@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from solvstates import DomainError, SpectrumModel, TruncationError
+from solvstates.intelligent import _nu_model
 
 
 def test_harmonic_levels(harmonic):
@@ -31,6 +32,27 @@ def test_well_is_nu_two(well):
     assert [well.energy(n) for n in range(4)] == [0.0, 3.0, 8.0, 15.0]
 
 
+def test_well_is_poschl_teller_at_kappa_one(well):
+    assert (well.kind, well.kappa, well.kappa_prime) == ("poschl_teller", 1.0, 1.0)
+    assert _nu_model(2.0) == well
+    with pytest.raises(DomainError):
+        SpectrumModel.poschl_teller(1.0, 1.0)  # the public constructor keeps kappa > 1
+
+
+def test_last_level(all_models):
+    assert all_models["custom"].last_level == 39
+    for name in ("harmonic", "pt22", "pt_soft", "well"):
+        assert all_models[name].last_level == math.inf
+
+
+@given(name=st.sampled_from(["harmonic", "pt22", "pt_soft", "well", "custom"]),
+       n=st.integers(min_value=0, max_value=39), extra=st.integers(min_value=0, max_value=300))
+def test_energy_is_a_row_of_energies(all_models, name, n, extra):
+    model = all_models[name]
+    top = min(n + extra, model.last_level)
+    assert model.energy(n).hex() == float(model.energies(top)[n]).hex()
+
+
 def test_log_products_match_direct_sum(pt_soft):
     logs = pt_soft.log_products(12)
     acc = 0.0
@@ -46,7 +68,7 @@ def test_custom_energy_matches_table(custom_table, n):
 
 
 def test_table_end_is_a_truncation(custom_table):
-    end = custom_table.n_levels
+    end = custom_table.last_level + 1
     for past_end in (lambda: custom_table.energy(end), lambda: custom_table.energies(end)):
         with pytest.raises(TruncationError, match="index 40 out of range") as err:
             past_end()
@@ -74,11 +96,21 @@ def test_pt_guards():
             SpectrumModel.poschl_teller(*bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_parameters_are_refused_by_name(pt22, bad):
+    with pytest.raises(DomainError, match=f"kappa={bad!r},"):
+        SpectrumModel.poschl_teller(bad, 2.0)
+    with pytest.raises(DomainError, match=f"kappa'={bad!r}"):
+        SpectrumModel.poschl_teller(2.0, bad)
+    with pytest.raises(DomainError, match=rf"alpha must be finite \(got {bad!r}\)"):
+        pt22.with_alpha(bad)
+
+
 def test_products_and_radius_match_a_per_level_loop(custom_table):
     models = [SpectrumModel.harmonic(), SpectrumModel.square_well(),
               SpectrumModel.poschl_teller(3.5, 1.2), custom_table]
     for model in models:
-        n_max = min(200, model.n_levels - 1) if model.n_levels else 200
+        n_max = min(200, model.last_level)
         logs = [0.0]
         for k in range(1, n_max + 1):
             logs.append(logs[-1] + math.log(model.energy(k)))
