@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationError
-from .fockspace import build_ladder, uncertainty
+from .fockspace import build_ladder, uncertainty, within_ceiling
 from .gazeau_klauder import gk_state
 from .intelligent import GISParameters, gis_coefficients, gis_state
 from .perelomov import perelomov_state
@@ -136,6 +136,7 @@ def _cmd_sweep(args, parser) -> int:
         parser.error(f"malformed grid bounds in {args.grid!r}")
     if steps < 1:
         parser.error("empty grid: STEPS must be >= 1")
+    within_ceiling(steps, "grid STEPS")
     if not np.isfinite([lo, hi]).all():
         raise DomainError(f"grid bounds must be finite (got {lo!r}, {hi!r})")
     model = _build_model(args.model, parser).with_alpha(args.alpha)

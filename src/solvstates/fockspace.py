@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationError
 from .spectrum import SpectrumModel
-from .tolerances import TAIL_CERT
+from .tolerances import LENGTH_EPS, SIZE_CEILING, TAIL_CERT
 
 _INV_RT2 = 1.0 / math.sqrt(2.0)
 _ROOT2 = math.sqrt(2.0)
@@ -155,6 +155,46 @@ class FockVector:
                 f"{what} tail bound {tail:.3e} not certified below {cert:.0e} at n_max={self.n_max}",
                 suggested_n_max=suggest if suggest > self.n_max else None)
         return self
+
+
+def within_ceiling(size: int | None, name: str = "n_max") -> None:
+    """Refuses by name a size past SIZE_CEILING, before anything is allocated."""
+    if size is not None and size > SIZE_CEILING:
+        raise DomainError(f"{name} = {size} is past the size ceiling of {SIZE_CEILING}")
+
+
+def certified_length(what: str, steps, build, n_max: int | None, first: float,
+                     last: int | float = math.inf):
+    """build(n, log_t) at n = n_max or, without n_max, at the smallest n >= 3 where the
+    geometric bound t_n rho_n / (1 - rho_n) on the mass past band n is below LENGTH_EPS
+    of the mass of bands 0..n and build accepts the state (raises no TruncationError).
+    steps(top) gives log rho_0 .. log rho_{top-1}, the ratios t_{n+1} / t_n of the band
+    masses, which never grow past the peak; log_t = (0, cumsum(steps)).  The scan doubles
+    from ``first`` bands; at ``last``, a table's last usable level, build decides, and
+    at SIZE_CEILING it refuses.
+    """
+    if n_max is not None:
+        within_ceiling(n_max)
+        return build(n_max, np.concatenate(([0.0], np.cumsum(steps(n_max)))))
+    top = first
+    while True:
+        top = int(min(top, last, SIZE_CEILING))
+        log_rho = steps(top)
+        log_t = np.concatenate(([0.0], np.cumsum(log_rho)))
+        t = np.exp(log_t - log_t.max())
+        # t_{n+1} = t_n rho_n below eps (1 - rho_n) sum_{k <= n} t_k; rho_n >= 1 fails
+        ok = t[1:] < t[:-1].cumsum() * np.expm1(np.minimum(log_rho, 0.0)) * -LENGTH_EPS
+        for n in np.flatnonzero(ok[3:]).tolist():
+            try:
+                return build(n + 3, log_t[: n + 4])
+            except TruncationError:
+                continue
+        if top == last:
+            return build(top, log_t)
+        if top == SIZE_CEILING:
+            raise TruncationError(f"{what}: no n_max up to the size ceiling of {SIZE_CEILING} "
+                                  f"leaves out less than {LENGTH_EPS:.1e} of the mass")
+        top *= 2
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,60 +18,30 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError
-from .fockspace import FockVector
+from .fockspace import FockVector, certified_length
 from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SpectrumModel
 from .tolerances import GK_TAIL_CERT
 
 
-def _first_scan(model: SpectrumModel, r: float) -> int:
-    """Levels past the estimated cut: r^2 + 14 r for linear levels, whose terms
-    spread like a Poisson law, r + 10 sqrt(r) for quadratic ones."""
-    spread = r * r + 14.0 * r if model.kind == HARMONIC else r + 10.0 * math.sqrt(r)
-    return min(int(spread) + 32, 20000)
+def _log_ratios(model: SpectrumModel, r: float, top: int) -> np.ndarray:
+    """log r^2 - log E_n, n = 1..top: the log ratios of the series terms r^{2n} / E(n)."""
+    return (2.0 * math.log(r) if r else -math.inf) - np.log(model.energies(top)[1:])
 
 
-def _auto_n_max(model: SpectrumModel, r: float) -> int:
-    """First n with its term 1e-40 below the running peak and E_n > r^2, in 12..20,000.
-
-    A scan that falls short of the cut is extended, its cumsum and running
-    peak carried on, so every n sees the bits of one long scan.
-    """
-    if model.kind == CUSTOM:
-        return model.last_level - 1
-    log_r2 = 2.0 * math.log(r) if r > 0 else -math.inf
-    top = _first_scan(model, r)
-    start, last, peak = 1, 0.0, 0.0
-    while True:
-        e_n = model.energies(top)[start:]
-        steps = log_r2 - np.log(e_n)
-        steps[0] += last  # the cumsum carries on from the last scan's end
-        log_terms = np.cumsum(steps)
-        peaks = np.maximum(np.maximum.accumulate(log_terms), peak)
-        cut = (log_terms < peaks + math.log(1e-40)) & (e_n > r * r)
-        if cut.any():
-            return max(start + int(np.argmax(cut)), 12)
-        if top >= 20000:
-            return top
-        start, last, peak = top + 1, log_terms[-1], peaks[-1]
-        top = min(2 * top, 20000)
-
-
-def _log_series(logs: np.ndarray, r: float) -> float:
-    """log of sum_n r^{2n} / E(n) over n = 0 .. logs.size - 1, from logs = log E(n)."""
-    terms = 2.0 * np.arange(logs.size) * math.log(r) - logs
+def _log_sum(terms: np.ndarray) -> float:
+    """log sum_n e^{terms_n}."""
     m = terms.max()
     return float(m + math.log(np.exp(terms - m).sum()))
 
 
 def gk_log_normalization(model: SpectrumModel, r: float, n_max: int | None = None) -> float:
-    """log of S(r) = sum_n r^{2n} / E(n), the squared reciprocal normalization."""
+    """log of S(r) = sum_n r^{2n} / E(n), the squared reciprocal normalization,
+    summed over the bands of gk_state(model, r) when n_max is None."""
     if r < 0:
         raise DomainError("radial argument must be nonnegative")
-    if r == 0.0:
-        return 0.0
     if n_max is None:
-        n_max = _auto_n_max(model, r)
-    return _log_series(model.log_products(n_max), r)
+        n_max = gk_state(model, r).vector.n_max
+    return _log_sum(np.concatenate(([0.0], np.cumsum(_log_ratios(model, r, n_max)))))
 
 
 def gk_normalization(model: SpectrumModel, r: float, n_max: int | None = None) -> float:
@@ -122,7 +92,11 @@ class GKState:
 
 def gk_state(model: SpectrumModel, z: complex, *, n_max: int | None = None) -> GKState:
     """Construct the normalized eigenstate of a- with eigenvalue z, phased by the
-    model's alpha, the eigenvector of the a- that build_ladder(model, ...) twists."""
+    model's alpha, the eigenvector of the a- that build_ladder(model, ...) twists.
+
+    Its bands pass FockVector.certified at GK_TAIL_CERT; without n_max they are the
+    fewest that fockspace.certified_length accepts, up to a table's last level but one.
+    """
     z = complex(z)
     r = abs(z)
     if not math.isfinite(r):
@@ -135,19 +109,18 @@ def gk_state(model: SpectrumModel, z: complex, *, n_max: int | None = None) -> G
             raise DomainError(
                 f"|z|^2 = {r * r:.6g} reaches the series radius {radius:.6g}; state diverges"
             )
-    if n_max is None:
-        n_max = _auto_n_max(model, r)
-    if r > 0:
-        logs = model.log_products(n_max)
-        log_s = _log_series(logs, r)
-        ns = np.arange(n_max + 1)
-        log_mag = ns * math.log(r) - 0.5 * logs - 0.5 * log_s
-        phase = np.exp(1j * (ns * np.angle(z) - model.alpha * model.energies(n_max)))
-        coeffs = np.exp(log_mag) * phase
-    else:
-        coeffs = np.zeros(n_max + 1, dtype=complex)
-        coeffs[0] = 1.0
-    return GKState(z=z, vector=FockVector(model, coeffs).certified("GK state", GK_TAIL_CERT))
+
+    def build(n: int, log_t: np.ndarray) -> FockVector:
+        ns = np.arange(n + 1)
+        phase = np.exp(1j * (ns * np.angle(z) - model.alpha * model.energies(n)))
+        coeffs = np.exp(0.5 * (log_t - _log_sum(log_t))) * phase
+        return FockVector(model, coeffs).certified("GK state", GK_TAIL_CERT)
+
+    # the terms spread like a Poisson law on linear levels
+    first = (r * r + 14.0 * r if model.kind == HARMONIC else r + 10.0 * math.sqrt(r)) + 32.0
+    vector = certified_length("GK state", functools.partial(_log_ratios, model, r), build, n_max,
+                              first, model.last_level - 1)
+    return GKState(z=z, vector=vector)
 
 
 def evolve(state: GKState, t: float) -> GKState:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationError
-from .fockspace import FockVector, LadderRep, UncertaintyReport, uncertainty
+from .fockspace import FockVector, LadderRep, UncertaintyReport, uncertainty, within_ceiling
 from .perelomov import _log_gamma_ratio
 from .specfun import graded_edges, hyp0f1, hyp1f1, panel_rule, settled
 from .spectrum import POSCHL_TELLER, SpectrumModel
@@ -143,6 +143,7 @@ def gis_coefficients(model: SpectrumModel, params: GISParameters, n_max: int) ->
     validate_lambda(params.lam)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
+    within_ceiling(n_max)
     lam = complex(params.lam)
     two_z = 2.0 * complex(params.z)
     energies = model.energies(n_max)

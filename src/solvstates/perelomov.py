@@ -17,8 +17,8 @@ drifted numbers; one pass evaluates it for bands 0..n at one radius.  For
 the well family the same states live on the unit disk via
 zeta = z tanh|z| / |z|, where the overlap kernel and the resolving measure
 are elementary.
-The closed-form states take log Gamma(n+nu+1) / (n! Gamma(nu+1)) as a cumsum
-of log(1 + nu/k); their automatic n_max refuses past its cap of 6,959 levels.
+The closed-form states sum the log ratios of their band masses; their automatic
+n_max is fockspace.certified_length's, which refuses past SIZE_CEILING bands.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import specfun
 from .errors import ConvergenceError, DomainError, TruncationError
-from .fockspace import FockVector
+from .fockspace import FockVector, certified_length, within_ceiling
 from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SpectrumModel
 from .tolerances import (FLOW_BAND_CAP, FLOW_GATE, FLOW_STEP_CAP, KERNEL_TOL,
                          SERIES_ROUNDING, SERIES_TOL, TAIL_CERT)
@@ -43,9 +43,8 @@ _METHODS = (METHOD_SERIES, METHOD_ODE, METHOD_CLOSED)
 # below this radius the flow's r^n underflows first; the series is exact there
 _ODE_R0 = 1e-3
 _SERIES_J_CAP = 160
-# automatic n_max trials: 24, then 1.7 n + 8 while n < 6000; one array per group
-_AUTO_TRIALS = (24, 48, 89, 159, 278, 480, 824, 1408, 2401, 4089, 6959)
-_AUTO_GROUPS = (_AUTO_TRIALS[:5], _AUTO_TRIALS[5:8], _AUTO_TRIALS[8:])
+# top band of a tabulated state's first flow truncation
+_FLOW_FIRST = 24
 _EPS = float(np.finfo(float).eps)
 
 
@@ -373,55 +372,41 @@ def plane_to_disk(z: complex) -> complex:
     return z * math.tanh(r) / r
 
 
-def _disk_logs(nu: float, log_rho: float, log_1m_rho2: float, n_top: int) -> np.ndarray:
-    """log |coefficient_n| of the nu-type state at disk radius rho, from log rho and log(1-rho^2)."""
-    return (
-        np.arange(n_top + 1) * log_rho
-        + 0.5 * (nu + 1.0) * log_1m_rho2
-        + 0.5 * _log_gamma_ratio(nu, n_top)
-    )
-
-
-def _amp_logs(model: SpectrumModel, r: float, n_top: int) -> np.ndarray:
-    """log |coefficient_n| of the normalized displacement state at radius r."""
-    if model.kind == HARMONIC:
-        ns = np.arange(n_top + 1)
-        log_fact = np.concatenate([[0.0], np.cumsum(np.log(ns[1:]))])
-        return ns * math.log(r) - 0.5 * r * r - 0.5 * log_fact
-    # log(1 - tanh^2 r) = -2 log cosh r, finite also where tanh r rounds to 1
-    return _disk_logs(model.nu, math.log(math.tanh(r)), -2.0 * _log_cosh(r), n_top)
-
-
-def _auto_amp_logs(model: SpectrumModel, r: float) -> np.ndarray:
-    """_amp_logs to the first trial n_max whose last amplitude is 1e-20 below the peak.
-
-    The trials are tested on prefixes of one array per group of trials: a
-    prefix of these cumsums is bitwise the shorter array.  The last trial,
-    6,959, is also kept when its tail bound certifies.
-    """
-    for group in _AUTO_GROUPS:
-        logs = _amp_logs(model, r, group[-1])
-        peaks = np.maximum.accumulate(logs)
-        for n in group:
-            if logs[n] < peaks[n] + math.log(1e-20):
-                return logs[: n + 1]
-    FockVector(model, np.exp(logs)).certified(f"automatic cap at r={r:.6g}:")
-    return logs
-
-
-def _mass_certified(log_mag: np.ndarray) -> np.ndarray:
-    """log |c_n| of a closed-form state, once 1 - sum |c_n|^2 is below TAIL_CERT: the
-    prefactor normalizes the whole series, so that is the mass its bands leave out."""
-    lost, n_max = 1.0 - math.fsum(np.exp(2.0 * log_mag)), log_mag.size - 1
-    if not lost < TAIL_CERT:
-        raise TruncationError(f"bands 0..{n_max} miss {lost:.3e} of the closed-form mass",
-                              suggested_n_max=2 * n_max + 16)
-    return log_mag
-
-
 def _state_phases(model: SpectrumModel, z: complex, n_top: int) -> np.ndarray:
     energies = model.energies(n_top)
     return np.exp(1j * (np.arange(n_top + 1) * np.angle(z) - model.alpha * energies))
+
+
+def _closed_state(model: SpectrumModel, label: complex, log_rho2: float, log_lead: float,
+                  first: float, n_max: int | None) -> FockVector:
+    """The closed-form state at ``label``: |c_n|^2 = e^{log_lead} prod_{k <= n} rho_k with
+    rho_k = e^{log_rho2} / k on harmonic and e^{log_rho2} (k + nu) / k otherwise, on bands
+    0..n_max or on those fockspace.certified_length picks, scanning from ``first``
+    bands; either way they are refused when they miss TAIL_CERT of the mass."""
+    def ratios(top: int) -> np.ndarray:
+        ks = np.arange(1.0, top + 1.0)
+        return log_rho2 + (np.log1p(model.nu / ks) if model.kind == POSCHL_TELLER else -np.log(ks))
+
+    def build(n: int, log_t: np.ndarray) -> FockVector:
+        log_t = log_t + log_lead
+        # the prefactor normalizes the whole series: 1 - sum |c_n|^2 is the mass left out
+        lost = 1.0 - math.fsum(np.exp(log_t).tolist())
+        if not lost < TAIL_CERT:
+            raise TruncationError(f"bands 0..{n} miss {lost:.3e} of the closed-form mass",
+                                  suggested_n_max=2 * n + 16)
+        return FockVector(model, np.exp(0.5 * log_t) * _state_phases(model, label, n))
+
+    return certified_length("displacement state", ratios, build, n_max, first, model.last_level)
+
+
+def _disk_state(model: SpectrumModel, label: complex, log_rho: float, log_1m_rho2: float,
+                n_max: int | None) -> FockVector:
+    """The nu-type state at disk radius rho, from log rho and log(1 - rho^2); the first scan
+    covers its negative binomial masses, mean (nu + 1) rho^2 / (1 - rho^2), tail n^nu rho^{2n}."""
+    nu, q = model.nu, -2.0 * log_rho
+    first = ((nu + 1.0) * math.exp(-q - log_1m_rho2) + (36.0 + nu * math.log1p(1.0 / q)) / q
+             + 32.0 if q else math.inf)
+    return _closed_state(model, label, -q, (nu + 1.0) * log_1m_rho2, first, n_max)
 
 
 def perelomov_state(model: SpectrumModel, z: complex, *, n_max: int | None = None) -> FockVector:
@@ -440,18 +425,17 @@ def perelomov_state(model: SpectrumModel, z: complex, *, n_max: int | None = Non
     r = abs(z)
     if not math.isfinite(r):
         raise DomainError(f"label z = {z} has no finite modulus")
-    if r == 0.0:
-        vec = np.zeros((n_max or 0) + 1, dtype=complex)
-        vec[0] = 1.0
-        return FockVector(model, vec)
-    if model.kind == CUSTOM:
-        stop = None if n_max is None else n_max + 1
-        y = _certified_flow(model, r, _AUTO_TRIALS[0], stop)[:stop]
-        return FockVector(model, y * _state_phases(model, z, y.size - 1)).certified(
-            "tabulated state")
-    log_mag = (_auto_amp_logs(model, r) if n_max is None
-               else _mass_certified(_amp_logs(model, r, n_max)))
-    return FockVector(model, np.exp(log_mag) * _state_phases(model, z, log_mag.size - 1))
+    if model.kind == POSCHL_TELLER:
+        # log(1 - tanh^2 r) = -2 log cosh r, finite also where tanh r rounds to 1
+        log_rho = math.log(math.tanh(r)) if r else -math.inf
+        return _disk_state(model, z, log_rho, -2.0 * _log_cosh(r), n_max)
+    if model.kind == HARMONIC or r == 0.0:  # a table's state at 0 is band 0 alone, too
+        log_r2 = 2.0 * math.log(r) if r else -math.inf
+        return _closed_state(model, z, log_r2, -r * r, r * r + 14.0 * r + 32.0, n_max)
+    within_ceiling(n_max)
+    stop = None if n_max is None else n_max + 1
+    y = _certified_flow(model, r, _FLOW_FIRST, stop)[:stop]
+    return FockVector(model, y * _state_phases(model, z, y.size - 1)).certified("tabulated state")
 
 
 def disk_coefficients(model: SpectrumModel, zeta: complex, *,
@@ -461,17 +445,10 @@ def disk_coefficients(model: SpectrumModel, zeta: complex, *,
     perelomov_state."""
     if model.kind != POSCHL_TELLER:
         raise DomainError("the disk picture needs a nu-type spectrum")
-    point = DiskPoint(zeta)
-    zeta = point.zeta
+    zeta = DiskPoint(zeta).zeta
     rho = abs(zeta)
-    if rho == 0.0:
-        vec = np.zeros((n_max or 0) + 1, dtype=complex)
-        vec[0] = 1.0
-        return FockVector(model, vec)
-    if n_max is None:
-        n_max = _auto_amp_logs(model, math.atanh(rho)).size - 1
-    log_mag = _mass_certified(_disk_logs(model.nu, math.log(rho), math.log1p(-rho * rho), n_max))
-    return FockVector(model, np.exp(log_mag) * _state_phases(model, zeta, n_max))
+    return _disk_state(model, zeta, math.log(rho) if rho else -math.inf, math.log1p(-rho * rho),
+                       n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,10 @@ DEFAULTS = {
 TAIL_CERT = 1e-10
 #: the same certificate for lowering-operator eigenstates (gk_state)
 GK_TAIL_CERT = 1e-12
+#: mass, relative to the kept mass, that an automatic n_max leaves out: one ulp
+LENGTH_EPS = 2.0 ** -52
+#: most bands of a state or points of a sweep; at about 290 bytes a row, 0.3 GB of CSV
+SIZE_CEILING = 2 ** 20
 #: distance of |lambda| from 1 within which a GIS state counts as coherent
 #: (|lambda| = 1 decided up to roundoff in e^{i theta})
 UNIT_TOL = 1e-12
@@ -81,7 +85,10 @@ FLOW_STEP_CAP = 4096
 
 
 def resolve(name: str, override: float | None = None) -> float:
-    """Tolerance for a named check, with an optional run-wide override."""
+    """Tolerance for a named check, with an optional run-wide override (--tol),
+    finite and nonnegative."""
     if name not in DEFAULTS:
         raise DomainError(f"unknown tolerance name: {name}")
+    if override is not None and not 0.0 <= override < float("inf"):
+        raise DomainError(f"--tol must be finite and >= 0 (got {override!r})")
     return DEFAULTS[name] if override is None else float(override)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from solvstates import SpectrumModel, cli, perelomov_state, verify
 from solvstates.cli import main
-from solvstates.tolerances import DEFAULTS
+from solvstates.tolerances import DEFAULTS, SIZE_CEILING
 
 
 def run(capsys, *argv):
@@ -373,6 +373,46 @@ def test_nonfinite_input_is_refused_by_name(capsys, named, argv):
     assert code == 3 and named in err, err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-inf"])
+def test_tol_override_must_be_finite_and_nonnegative(capsys, tol):
+    code, out, err = run(capsys, "verify", "--suite", "position", "--model", "harmonic",
+                         f"--tol={tol}")
+    assert code == 3 and out == "", out
+    assert f"--tol must be finite and >= 0 (got {float(tol)!r})" in err, err
+
+
+def test_tol_override_zero_is_legal(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "specfun", "--tol", "0")
+    assert code in (0, 4)
+    assert {case["tolerance"] for case in json.loads(out)["cases"]} == {0.0}
+
+
+def test_oversize_request_is_refused_before_it_allocates():
+    # under a 1.5 GB address-space limit an array of 2e9 bands or grid points could not
+    # even be asked for: each request is refused by name (exit 3) before any is made
+    probes = [
+        ("n_max = 2000000000", "state --model harmonic --family gk --z=1,0 --nmax 2000000000"),
+        ("n_max = 2000000000", "state --model pt:2,2 --family perelomov --z=1,0 --nmax 2000000000"),
+        ("n_max = 2000000000",
+         "state --model harmonic --family gis --z=1,0 --lambda 2,0 --nmax 2000000000"),
+        ("grid STEPS = 2000000000", "sweep --family gis --grid lambda-mod:0.5:2:2000000000"),
+    ]
+    code = ("import contextlib, io, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1500 * 2 ** 20, 1500 * 2 ** 20))\n"
+            "from solvstates.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "        exit_code = main(argv.split())\n"
+            "    print(exit_code, err.getvalue().strip())\n")
+    done = _python(code, *(argv for _, argv in probes))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(probes)
+    for (named, _), line in zip(probes, lines):
+        assert line.startswith("3 rejected: ") and f"{named} is past the size ceiling" in line, line
+
+
 def _inadmissible(lams, strengths, *labels) -> bool:
     """A squeezing parameter or strength out of range, or any non-finite input."""
     if not all(cmath.isfinite(value) for value in (*lams, *strengths, *labels)):
@@ -392,7 +432,23 @@ _models = st.one_of(
     st.sampled_from([("harmonic", ()), ("well", ())]),
     st.tuples(_strength, _strength).map(lambda k: (f"pt:{k[0]!r},{k[1]!r}", k)),
 )
-_coord = _or_nonfinite(st.floats(min_value=-60.0, max_value=60.0))
+def _or_extreme(finite):
+    """finite, or now and then a modulus log-uniform in [1e-300, 1e300] with either sign."""
+    extreme = st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+                        st.floats(min_value=-300.0, max_value=300.0), st.sampled_from([1.0, -1.0]))
+    return st.integers(0, 15).flatmap(lambda k: extreme if k == 15 else finite)
+
+
+_coord = _or_nonfinite(_or_extreme(st.floats(min_value=-60.0, max_value=60.0)))
+
+
+def _or_oversize(sizes):
+    """sizes, or now and then one past the size ceiling, up to 2^31 (refused with exit 3)."""
+    return st.integers(0, 31).flatmap(
+        lambda k: st.integers(min_value=SIZE_CEILING + 1, max_value=2 ** 31) if k == 31 else sizes)
+
+
+_nmax = _or_oversize(st.integers(min_value=0, max_value=800))
 # mostly admissible, so that most examples reach the numerics
 _lambda = st.builds(complex, _or_nonfinite(st.floats(min_value=-2.0, max_value=5.0)),
                     _or_nonfinite(st.floats(min_value=-5.0, max_value=5.0)))
@@ -446,28 +502,30 @@ _TABLE40 = (_perturbed_linear(40, 0.35, 20260814), None)
 @settings(max_examples=300)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(1.0, 0.0), lam=-1.0 + 0.0j, nmax=30)
 @example(model=_TABLE40, z=(0.5, 0.0), lam=2.0 + 0.0j, nmax=60)
-@given(model=_models | _tables, z=st.tuples(_coord, _coord), lam=_lambda,
-       nmax=st.integers(min_value=0, max_value=800))
+@example(model=("harmonic", ()), z=(1.0, 0.0), lam=2.0 + 0.0j, nmax=2 ** 31)
+@given(model=_models | _tables, z=st.tuples(_coord, _coord), lam=_lambda, nmax=_nmax)
 def test_state_gis_exit_code_contract(model, z, lam, nmax):
     code, argv = _run_model(model, ["state", "--family", "gis", "--z", _flag(complex(*z)),
                                     "--lambda", _flag(lam), "--nmax", str(nmax)])
     assert code in (0, 2, 3, 4)
-    if code == 3:
+    if code == 3 and nmax <= SIZE_CEILING:
         assert _inadmissible([lam], model[1] or (), complex(*z)), argv
 
 
 @settings(max_examples=300)
 @example(model=("harmonic", ()), z=(5.0, 0.0), nmax=10)
 @example(model=_TABLE40, z=(0.5, 0.0), nmax=60)
-@given(model=_models | _tables, z=st.tuples(_coord, _coord),
-       nmax=st.none() | st.integers(min_value=0, max_value=800))
+@example(model=("harmonic", ()), z=(1e200, 0.0), nmax=None)
+@example(model=("harmonic", ()), z=(150.0, 0.0), nmax=None)
+@example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(1.0, 0.0), nmax=2 ** 31)
+@given(model=_models | _tables, z=st.tuples(_coord, _coord), nmax=st.none() | _nmax)
 def test_state_gk_exit_code_contract(model, z, nmax):
     argv = ["state", "--family", "gk", "--z", _flag(complex(*z))]
     if nmax is not None:
         argv += ["--nmax", str(nmax)]
     code, argv = _run_model(model, argv)
     assert code in (0, 2, 3, 4)
-    if code == 3:
+    if code == 3 and (nmax or 0) <= SIZE_CEILING:
         name, strengths = model
         if strengths is None and cmath.isfinite(complex(*z)):
             # the one inadmissible finite input on a table: |z|^2 at or past its series radius
@@ -481,16 +539,19 @@ def test_state_gk_exit_code_contract(model, z, nmax):
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(20.0, 0.0), nmax=10)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(20.0, 0.0), nmax=None)
 @example(model=(_ladder_copy(400, 2.0, 2.0), None), z=(0.5, 0.0), nmax=None)
-@given(model=_models | _tables, z=st.tuples(_coord, _coord),
-       nmax=st.none() | st.integers(min_value=0, max_value=800))
+@example(model=("harmonic", ()), z=(1e200, 0.0), nmax=None)
+@example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(-1e200, 3.0), nmax=None)
+@example(model=("harmonic", ()), z=(1.0, 0.0), nmax=2 ** 31)
+@given(model=_models | _tables, z=st.tuples(_coord, _coord), nmax=st.none() | _nmax)
 def test_state_perelomov_exit_code_contract(model, z, nmax):
     argv = ["state", "--family", "perelomov", "--z", _flag(complex(*z))]
     if nmax is not None:
         argv += ["--nmax", str(nmax)]
     code, argv = _run_model(model, argv)
-    # a table is admissible by construction: on one, only a non-finite z may exit 3
+    # a table is admissible by construction: on one, only a non-finite z (or an
+    # oversize --nmax) may exit 3
     assert code in (0, 2, 3, 4)
-    if code == 3:
+    if code == 3 and (nmax or 0) <= SIZE_CEILING:
         assert _inadmissible([], model[1] or (), complex(*z)), argv
 
 
@@ -499,10 +560,12 @@ def test_state_perelomov_exit_code_contract(model, z, nmax):
          alpha=None)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(1.0, 0.3), kind="lambda-mod", bounds=(0.5, 2.0),
          steps=3, alpha=0.7)
+@example(model=("harmonic", ()), z=(1.0, 0.0), kind="lambda-mod", bounds=(0.5, 2.0),
+         steps=2 ** 31, alpha=None)
 @given(model=_models | _tables, z=st.tuples(_coord, _coord),
        kind=st.sampled_from(["lambda-mod", "lambda-theta"]),
        bounds=st.tuples(_or_nonfinite(st.floats(-1.0, 4.0)), _or_nonfinite(st.floats(-1.0, 4.0))),
-       steps=st.integers(min_value=1, max_value=3),
+       steps=_or_oversize(st.integers(min_value=1, max_value=3)),
        alpha=st.none() | _or_nonfinite(st.floats(min_value=-10.0, max_value=10.0)))
 def test_sweep_gis_exit_code_contract(model, z, kind, bounds, steps, alpha):
     argv = ["sweep", "--family", "gis", "--grid", f"{kind}:{bounds[0]!r}:{bounds[1]!r}:{steps}",
@@ -511,7 +574,7 @@ def test_sweep_gis_exit_code_contract(model, z, kind, bounds, steps, alpha):
         argv.append(f"--alpha={alpha!r}")  # one token, so that -inf is not read as an option
     code, argv = _run_model(model, argv)
     assert code in (0, 2, 3, 4)
-    if code == 3:
+    if code == 3 and steps <= SIZE_CEILING:
         labels = (complex(*z), *bounds, alpha or 0.0)
         values = np.linspace(bounds[0], bounds[1], steps) if all(map(math.isfinite, bounds)) else []
         lams = [np.exp(1j * v) if kind == "lambda-theta" else complex(v) for v in values]
@@ -519,9 +582,12 @@ def test_sweep_gis_exit_code_contract(model, z, kind, bounds, steps, alpha):
 
 
 @settings(max_examples=60)
-@given(model=_tables)
-def test_verify_exit_code_contract_on_tables(model):
+@example(model=_TABLE40, tol=math.nan)
+@given(model=_tables, tol=st.none() | st.sampled_from([math.nan, math.inf, -1.0, 0.0]))
+def test_verify_exit_code_contract_on_tables(model, tol):
     # a table is admissible by construction: a report (exit 0 or 4) or a usage error,
-    # never a domain rejection; a traceback or RuntimeWarning would escape _run_model
-    code, argv = _run_model(model, ["verify", "--suite", "all"])
-    assert code in (0, 2, 4), argv
+    # never a domain rejection but of a --tol that is not finite and >= 0; a traceback
+    # or RuntimeWarning would escape _run_model
+    argv = ["verify", "--suite", "all"] + ([] if tol is None else [f"--tol={tol!r}"])
+    code, argv = _run_model(model, argv)
+    assert code in ((0, 2, 4) if tol is None or tol == 0.0 else (2, 3)), argv

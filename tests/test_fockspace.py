@@ -2,6 +2,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 from solvstates import (ConvergenceError, DomainError, FockVector, SpectrumModel,
                         TruncationError, build_ladder, eigenvalue_residual, f_operator,
                         gis_recurrence_oracle, quadratures, uncertainty)
-from solvstates import fockspace
+from solvstates import fockspace, perelomov
 from solvstates.gazeau_klauder import gk_state
 from solvstates.intelligent import GISParameters, gis_disk_expansion, gis_state
+from solvstates.tolerances import SIZE_CEILING
 
 # the banded core against dense matrices: one model per spectrum kind, with
 # a nonzero phase twist and a table long enough for the largest truncation
@@ -490,3 +492,142 @@ def test_tail_bound_equals_the_whole_vector_formula():
         got = FockVector(SpectrumModel.harmonic(), coeffs).tail_bound()
         want = _parent_tail_bound(coeffs)
         assert got == want or (math.isinf(got) and math.isinf(want)), (coeffs, got, want)
+
+
+# -- automatic lengths: fockspace.shortest_certified --------------------------
+
+
+def _table(levels, quadratic):
+    ns = np.arange(levels, dtype=float)
+    if quadratic:
+        return SpectrumModel.custom(ns * (ns + 3.0) / 2.0 + 0.01 * (ns % 3))
+    gaps = 1.0 + 0.35 * np.random.default_rng(levels).random(levels - 1)
+    return SpectrumModel.custom(np.concatenate(([0.0], np.cumsum(gaps))))
+
+
+_LENGTH_MODELS = {
+    "harmonic": SpectrumModel.harmonic(),
+    "well": SpectrumModel.square_well(),
+    "pt1.05,1.2": SpectrumModel.poschl_teller(1.05, 1.2),
+    "pt2,2": SpectrumModel.poschl_teller(2.0, 2.0),
+    "pt3.5,1.2": SpectrumModel.poschl_teller(3.5, 1.2),
+    "pt5,5": SpectrumModel.poschl_teller(5.0, 5.0),
+}
+_LENGTH_TABLES = {f"table{levels}{'q' if quadratic else ''}": _table(levels, quadratic)
+                  for levels in (12, 40, 141, 300) for quadratic in (False, True)}
+_LENGTH_RADII = (0.0, 1e-3, 0.3, 1.0, 2.5)
+# past the caps of the rules this one replaced: 20,000 bands (gk), 6,959 (perelomov)
+_LENGTH_FAR = {("gk", "harmonic"): (6.0, 15.0, 150.0), ("gk", "pt2,2"): (1.6, 15.0, 60.0),
+               ("perelomov", "harmonic"): (6.0, 15.0, 100.0), ("perelomov", "pt2,2"): (5.0,),
+               ("disk", "pt5,5"): (3.0,)}
+
+
+def _reference_log_masses(family, model, r, top):
+    """log of the band masses t_0 .. t_top, up to one factor, one level at a time."""
+    if family == "gk":
+        energies, acc, out = model.energies(top), 0.0, [0.0]
+        for e in energies[1:].tolist():
+            acc += 2.0 * math.log(r) - math.log(e)
+            out.append(acc)
+        return out
+    if model.kind == "harmonic":
+        return [2.0 * n * math.log(r) - r * r - math.lgamma(n + 1.0) for n in range(top + 1)]
+    nu, rho = model.nu, math.tanh(r)
+    return [2.0 * n * math.log(rho) + (nu + 1.0) * math.log1p(-rho * rho)
+            + math.lgamma(n + nu + 1.0) - math.lgamma(n + 1.0) - math.lgamma(nu + 1.0)
+            for n in range(top + 1)]
+
+
+def _bound_passes(log_t, n):
+    """t_n rho_n / (1 - rho_n), rho_n = t_{n+1} / t_n, below 2^-52 of t_0 + .. + t_n."""
+    log_rho = log_t[n + 1] - log_t[n]
+    if log_rho >= 0.0:
+        return False
+    peak = max(log_t[: n + 1])
+    log_kept = peak + math.log(math.fsum(math.exp(v - peak) for v in log_t[: n + 1]))
+    return log_t[n + 1] - math.log(-math.expm1(log_rho)) < -52.0 * math.log(2.0) + log_kept
+
+
+def _length_build(family, model, r, n_max=None):
+    """The state of a family at label r e^{0.4i}, or a TruncationError."""
+    label = r * cmath.exp(0.4j)
+    try:
+        if family == "gk":
+            return gk_state(model, label, n_max=n_max).vector
+        if family == "perelomov":
+            return perelomov.perelomov_state(model, label, n_max=n_max)
+        return perelomov.disk_coefficients(model, math.tanh(r) * cmath.exp(0.4j), n_max=n_max)
+    except TruncationError as err:
+        return err
+
+
+_LENGTH_CASES = ([("gk", name) for name in (*_LENGTH_MODELS, *_LENGTH_TABLES)]
+                 + [("perelomov", name) for name in _LENGTH_MODELS]
+                 + [("disk", name) for name in _LENGTH_MODELS if name != "harmonic"])
+
+
+@pytest.mark.parametrize("family, name", _LENGTH_CASES)
+def test_automatic_length_is_the_shortest_certified(family, name):
+    # the automatic n is the first n >= 3 past the one-ulp bound that the explicit
+    # n_max certificate accepts, and the state is the explicit state at n bitwise;
+    # on a table the scan stops at its last level but one, where the certificate decides
+    model = {**_LENGTH_MODELS, **_LENGTH_TABLES}[name]
+    last = model.last_level - 1
+    for r in _LENGTH_RADII + _LENGTH_FAR.get((family, name), ()):
+        if family == "gk" and model.kind == "custom" and r * r >= model.radius_estimate():
+            continue  # outside the series radius: refused before any length is chosen
+        auto = _length_build(family, model, r)
+        if r == 0.0:
+            assert auto.n_max == 3
+            continue
+        if isinstance(auto, TruncationError):
+            assert last < math.inf, (name, r)
+            log_t = _reference_log_masses(family, model, r, last + 1)
+            for n in range(3, last + 1):
+                assert not (n < last and _bound_passes(log_t, n)) or isinstance(
+                    _length_build(family, model, r, n), TruncationError), (name, r, n)
+            continue
+        n = auto.n_max
+        explicit = _length_build(family, model, r, n)
+        assert np.array_equal(auto.coeffs, explicit.coeffs), (name, r)
+        log_t = _reference_log_masses(family, model, r, n + 1 if n < last else n)
+        assert n == last or _bound_passes(log_t, n), (name, r, n)
+        if n > 3:
+            assert not _bound_passes(log_t, n - 1) or isinstance(
+                _length_build(family, model, r, n - 1), TruncationError), (name, r, n)
+
+
+def test_the_bound_alone_is_not_the_length(pt22):
+    # on pt:2,2 at r = 1.6 the bound passes from band 11 on, where the gk certificate
+    # still reads 2.7e-12 of the mass against 1e-12
+    log_t = _reference_log_masses("gk", pt22, 1.6, 13)
+    assert _bound_passes(log_t, 11) and not _bound_passes(log_t, 10)
+    with pytest.raises(TruncationError, match="tail bound 2.672e-12 not certified"):
+        gk_state(pt22, 1.6, n_max=11)
+    assert gk_state(pt22, 1.6).vector.n_max == 12
+
+
+def test_automatic_length_refuses_at_the_size_ceiling():
+    scanned = []
+
+    def steps(top):
+        scanned.append(top)
+        return np.zeros(top)  # equal masses: the bound never passes
+
+    with pytest.raises(TruncationError, match=f"size ceiling of {SIZE_CEILING} leaves") as err:
+        fockspace.certified_length("flat state", steps, None, None, 40)
+    assert err.value.suggested_n_max is None
+    assert scanned == [40 * 2 ** k for k in range(15)] + [SIZE_CEILING]
+
+
+@pytest.mark.parametrize("n_max", [SIZE_CEILING + 1, 2 ** 31])
+def test_explicit_size_past_the_ceiling_is_refused_by_name(harmonic, pt22, n_max):
+    named = f"n_max = {n_max} is past the size ceiling of {SIZE_CEILING}"
+    for build in (lambda: gk_state(harmonic, 1.0, n_max=n_max),
+                  lambda: gk_state(harmonic, 0.0, n_max=n_max),
+                  lambda: perelomov.perelomov_state(pt22, 1.0, n_max=n_max),
+                  lambda: perelomov.perelomov_state(pt22, 0.0, n_max=n_max),
+                  lambda: perelomov.disk_coefficients(pt22, 0.5, n_max=n_max),
+                  lambda: gis_state(pt22, GISParameters(1.0, 2.0), n_max)):
+        with pytest.raises(DomainError, match=re.escape(named)):
+            build()

@@ -35,8 +35,8 @@ def mp_coefficients(model, z, alpha, n_max):
                                      (3.0 * cmath.exp(1j * math.pi / 7), 0.3)])
 def test_coefficients_match_high_precision_oracle(pt22, z, alpha):
     state = gk.gk_state(pt22.with_alpha(alpha), z)
-    want = mp_coefficients(pt22, z, alpha, 12)
-    assert np.max(np.abs(state.vector.coeffs[:13] - want)) < 1e-13
+    want = mp_coefficients(pt22, z, alpha, state.vector.n_max)
+    assert np.max(np.abs(state.vector.coeffs - want)) < 1e-13
 
 
 def test_state_is_lowering_eigenvector(pt_soft):
@@ -180,47 +180,30 @@ def test_short_table_truncation_refused():
     assert err.value.suggested_n_max == 5  # 2 N + 16 at N = 4, cut to the last level 5
 
 
-def _walk_n_max(model, r):
-    """The automatic n_max by a level-by-level walk, one energy(n) call per level."""
-    log_r2 = 2.0 * math.log(r) if r > 0 else -math.inf
-    log_term = peak = 0.0
-    n = 0
-    while n < 20000:
-        n += 1
-        e_n = model.energy(n)
-        log_term += log_r2 - math.log(e_n)
-        peak = max(peak, log_term)
-        if log_term < peak + math.log(1e-40) and e_n > r * r:
-            break
-    return max(n, 12)
-
-
-_WALK_MODELS = [SpectrumModel.harmonic(), SpectrumModel.square_well()] + [
+_SCAN_MODELS = [SpectrumModel.harmonic(), SpectrumModel.square_well()] + [
     SpectrumModel.poschl_teller(k, kp) for k, kp in
-    ((1.05, 1.2), (1.2, 1.2), (1.5, 2.0), (2.0, 2.0), (2.7, 3.1), (3.5, 1.2),
-     (3.9, 3.9), (1.1, 6.8), (5.0, 5.0))]
-_WALK_RADII = [0.0, 1e-3] + np.linspace(0.05, 20.0, 80).tolist() + [3.0, 8.0, 60.0, 150.0]
-
-
-def test_auto_n_max_equals_the_level_walk():
-    for model in _WALK_MODELS:
-        for r in _WALK_RADII:
-            assert gk._auto_n_max(model, r) == _walk_n_max(model, r), (model, r)
+    ((1.05, 1.2), (2.0, 2.0), (3.5, 1.2), (1.1, 6.8), (5.0, 5.0))]
+_SCAN_RADII = [1e-3, 0.3, 1.6, 3.0, 8.0, 20.0, 60.0]
 
 
 @pytest.mark.parametrize("first", [1, 5, 40])
 def test_auto_n_max_extends_a_short_scan_to_the_same_cut(monkeypatch, first):
-    # every search starts too short and is extended, several times over
-    monkeypatch.setattr(gk, "_first_scan", lambda model, r: first)
-    for model in _WALK_MODELS:
-        for r in _WALK_RADII:
-            assert gk._auto_n_max(model, r) == _walk_n_max(model, r), (model, r)
+    # every search starts too short and doubles, several times over, to the state
+    # a first scan long enough finds
+    want = {(i, r): gk.gk_state(model, r).vector
+            for i, model in enumerate(_SCAN_MODELS) for r in _SCAN_RADII}
+    length = gk.certified_length
+    monkeypatch.setattr(gk, "certified_length", lambda what, steps, build, n_max, top, last:
+                        length(what, steps, build, n_max, first, last))
+    for (i, r), vector in want.items():
+        got = gk.gk_state(_SCAN_MODELS[i], r).vector
+        assert np.array_equal(got.coeffs, vector.coeffs), (_SCAN_MODELS[i], r)
 
 
-# automatic n_max of gk_state(harmonic, r e^{0.7i}), captured from the search
-# that restarted its scan at 64, 256, 1,024, ... levels
-GK_PINNED_N_MAX = {0.1: 15, 0.5: 25, 1.0: 35, 2.0: 55, 3.0: 75, 5.0: 119, 8.0: 200,
-                   10.0: 264, 15.0: 457, 20.0: 701, 30.0: 1337, 40.0: 2173}
+# automatic n_max of gk_state(harmonic, r e^{0.7i}): the bands that leave out less
+# than one ulp of the mass; past 20,000 at r = 150
+GK_PINNED_N_MAX = {0.1: 6, 0.5: 11, 1.0: 17, 2.0: 29, 5.0: 75, 10.0: 191, 20.0: 573,
+                   40.0: 1936, 150.0: 23730}
 
 
 def test_gk_states_are_pinned(harmonic):
@@ -228,9 +211,7 @@ def test_gk_states_are_pinned(harmonic):
         z = r * cmath.exp(0.7j)
         vector = gk.gk_state(harmonic, z).vector
         assert vector.n_max == n_max, r
-        # the coefficients as built with a separate log_products for the normalization
-        ns = np.arange(n_max + 1)
-        log_s = gk.gk_log_normalization(harmonic, abs(z), n_max)
-        log_mag = ns * math.log(abs(z)) - 0.5 * harmonic.log_products(n_max) - 0.5 * log_s
-        phase = np.exp(1j * (ns * np.angle(z) - 0.0 * harmonic.energies(n_max)))
-        assert np.array_equal(vector.coeffs, np.exp(log_mag) * phase), r
+        # the normalization sums the same bands
+        log_s = gk.gk_log_normalization(harmonic, abs(z))
+        assert log_s == gk.gk_log_normalization(harmonic, abs(z), n_max), r
+        assert abs(vector.coeffs[0]) == pytest.approx(math.exp(-0.5 * log_s), rel=1e-15), r

@@ -1,6 +1,5 @@
 """Displacement states: three coefficient routes, disk picture, kernels."""
 import cmath
-import functools
 import math
 import re
 import warnings
@@ -13,6 +12,7 @@ import scipy.special as sp
 
 from solvstates import ConvergenceError, DomainError, FockVector, SpectrumModel, TruncationError
 from solvstates import perelomov as pe
+from solvstates.tolerances import SIZE_CEILING
 
 
 def test_routes_agree_inside_series_radius(pt22):
@@ -372,7 +372,7 @@ def test_nonfinite_label_is_refused_by_name(all_models, z):
 
 @pytest.mark.parametrize("nu", [2.0, 2.2, 4.0, 7.9])
 def test_log_gamma_ratio_matches_mpmath(nu):
-    # 6,959 is the last trial of the automatic n_max search
+    # 6,960 levels, more than an automatic state at r = 3 has on any of these wells
     got = pe._log_gamma_ratio(nu, 6959)
     with mpmath.workdps(60):
         want = np.array([float(mpmath.loggamma(n + nu + 1) - mpmath.loggamma(n + 1)
@@ -380,64 +380,12 @@ def test_log_gamma_ratio_matches_mpmath(nu):
     assert np.max(np.abs(got - want)) < 5e-12
 
 
-_STRENGTHS = ((1.05, 1.2), (1.2, 1.2), (1.5, 2.0), (2.0, 2.0), (2.7, 3.1), (3.5, 1.2),
-              (3.9, 3.9), (1.1, 6.8), (5.0, 5.0))
-_GRID_MODELS = [SpectrumModel.harmonic(), SpectrumModel.square_well()] + [
-    SpectrumModel.poschl_teller(k, kp) for k, kp in _STRENGTHS]
-_GRID_RADII = np.concatenate([np.linspace(0.05, 20.0, 80), [0.5, 1.0, 1.5, 3.0, 5.0, 8.0]])
-
-
-def _trial_walk_n_max(model, r):
-    """The automatic n_max by the trial walk on a per-level lgamma table; None past the cap."""
-    logs_at = _per_level_amp_logs(model, r)
-    n = 24
-    while True:
-        logs = logs_at[: n + 1]
-        if logs[-1] < logs.max() + math.log(1e-20):
-            return n
-        if n >= 6000:
-            tail = FockVector(model, np.exp(logs)).tail_bound()
-            return n if tail < 1e-10 else None
-        n = int(n * 1.7) + 8
-
-
-@functools.lru_cache(maxsize=None)
-def _per_level_lgamma(shift):
-    """log Gamma(n + shift + 1) for n = 0..6959, one lgamma call per level."""
-    return np.array([math.lgamma(n + shift + 1.0) for n in range(6960)])
-
-
-def _per_level_amp_logs(model, r):
-    ns = np.arange(6960)
-    if model.kind == "harmonic":
-        return ns * math.log(r) - 0.5 * r * r - 0.5 * _per_level_lgamma(0.0)
-    nu, rho = model.nu, math.tanh(r)
-    ratio = _per_level_lgamma(nu) - _per_level_lgamma(0.0) - math.lgamma(nu + 1.0)
-    return ns * math.log(rho) + 0.5 * (nu + 1.0) * math.log1p(-rho * rho) + 0.5 * ratio
-
-
-def test_auto_state_n_max_equals_the_trial_walk():
-    refused = 0
-    for model in _GRID_MODELS:
-        for r in _GRID_RADII.tolist():
-            if model.kind != "harmonic" and math.tanh(r) == 1.0:
-                continue  # the disk radius rounds to 1
-            want = _trial_walk_n_max(model, r)
-            if want is None:
-                refused += 1
-                with pytest.raises(TruncationError, match="automatic cap"):
-                    pe.perelomov_state(model, r)
-            else:
-                assert pe._auto_amp_logs(model, r).size - 1 == want, (model, r)
-    assert refused, "the cap refusal is exercised"
-
-
-# automatic n_max of perelomov_state(model, r e^{-1.1i}), captured from the search
-# that built one array per trial; None marks the "automatic cap" refusal
+# automatic n_max of perelomov_state(model, r e^{-1.1i}): the bands that leave out less
+# than one ulp of the mass; past 6,959 from r = 5 on
 PE_PINNED_N_MAX = {
-    (2.0, 2.0): (24, 24, 48, 89, 278, 824, 2401, 4089, 6959, None),
-    (3.5, 1.2): (24, 24, 48, 89, 278, 824, 2401, 6959, 6959, None),
-    "well": (24, 24, 48, 89, 278, 824, 1408, 4089, 6959, None),
+    (2.0, 2.0): (6, 9, 18, 29, 87, 241, 659, 1796, 4887, 266936),
+    (3.5, 1.2): (7, 9, 18, 30, 90, 249, 683, 1862, 5067, 276813),
+    "well": (6, 8, 16, 26, 77, 214, 584, 1591, 4327, 236325),
 }
 PE_PINNED_RADII = (0.05, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0)
 
@@ -446,31 +394,20 @@ def test_perelomov_states_are_pinned():
     for key, pinned in PE_PINNED_N_MAX.items():
         model = SpectrumModel.square_well() if key == "well" else SpectrumModel.poschl_teller(*key)
         for r, n_max in zip(PE_PINNED_RADII, pinned):
-            z = r * cmath.exp(-1.1j)
-            if n_max is None:
-                with pytest.raises(TruncationError, match="automatic cap"):
-                    pe.perelomov_state(model, z)
-                continue
-            state = pe.perelomov_state(model, z)
+            state = pe.perelomov_state(model, r * cmath.exp(-1.1j))
             assert state.n_max == n_max, (key, r)
-            # the coefficients as built from the trial's own array
-            want = np.exp(pe._amp_logs(model, abs(z), n_max)) * pe._state_phases(model, z, n_max)
-            assert np.array_equal(state.coeffs, want), (key, r)
+            assert state.norm() == pytest.approx(1.0, abs=1e-12), (key, r)
 
 
-def test_auto_state_refuses_a_state_past_the_cap(pt22):
-    # the last trial, 6,959, still certifies its tail at r = 3
-    st = pe.perelomov_state(pt22, 3.0)
-    assert st.n_max == 6959
-    assert st.tail_bound() < 1e-23
-    assert st.norm() == pytest.approx(1.0, abs=1e-12)
-    for r in (5.0, 8.0):
-        with pytest.raises(TruncationError, match="automatic cap") as err:
-            pe.perelomov_state(pt22, r)
-        assert err.value.suggested_n_max == 2 * 6959 + 16
-        with pytest.raises(TruncationError, match="automatic cap"):
-            pe.disk_coefficients(pt22, math.tanh(r))
-    # an explicit n_max is refused too: its bands hold a mass of 1.6e-12
+def test_auto_state_refuses_at_the_size_ceiling(pt22):
+    # r = 5 needs 266,936 bands; at r = 8 no length up to the ceiling certifies
+    assert pe.perelomov_state(pt22, 5.0).tail_bound() < 1e-15
+    for build in (lambda: pe.perelomov_state(pt22, 8.0),
+                  lambda: pe.disk_coefficients(pt22, math.tanh(8.0))):
+        with pytest.raises(TruncationError, match=f"size ceiling of {SIZE_CEILING} leaves") as err:
+            build()
+        assert err.value.suggested_n_max is None
+    # an explicit n_max is refused by its mass: bands 0..60 hold 1.6e-12 of it at r = 5
     with pytest.raises(TruncationError, match="bands 0..60 miss 1.000e\\+00"):
         pe.perelomov_state(pt22, 5.0, n_max=60)
 
@@ -517,8 +454,10 @@ def test_tabulated_state_refusals(custom_table):
 
 
 def test_harmonic_amplitude_logs_match_mpmath(harmonic):
-    r, top = 1.3, 1500
-    got = pe._amp_logs(harmonic, r, top)
+    # the masses are a cumsum of log ratios; at r = 30 every band up to 1,500 is a
+    # normal float, so the state's own coefficients show the logs
+    r, top = 30.0, 1500
+    got = np.log(np.abs(pe.perelomov_state(harmonic, r, n_max=top).coeffs))
     want = np.array([float(n * mpmath.log(r) - r * r / 2 - mpmath.loggamma(n + 1) / 2)
                      for n in range(top + 1)])
     assert np.max(np.abs(got - want)) < 1e-11
