@@ -98,8 +98,6 @@ def _cmd_state(args, parser) -> int:
     else:
         if args.lam is None:
             parser.error("--family gis requires --lambda RE,IM")
-        if args.nmax is None:
-            parser.error("--family gis requires --nmax")
         vec = gis_coefficients(model, GISParameters(args.z, args.lam), args.nmax)
     probs = np.abs(vec.coeffs) ** 2
     cum = np.cumsum(probs)
@@ -173,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="RE,IM", help="squeezing parameter (gis only)")
     state.add_argument("--alpha", type=float, default=0.0)
     state.add_argument("--nmax", type=int,
-                       help="last band; gk and perelomov choose one when omitted")
+                       help="last band; chosen when omitted")
     state.add_argument("--out", help="write to a file instead of stdout")
     state.add_argument("--format", choices=("csv", "json"), default="csv")
     state.set_defaults(handler=_cmd_state)

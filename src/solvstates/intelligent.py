@@ -35,11 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationError
-from .fockspace import FockVector, LadderRep, UncertaintyReport, uncertainty, within_ceiling
+from .fockspace import (FockVector, LadderRep, UncertaintyReport, _moments, build_ladder,
+                        uncertainty, within_ceiling)
 from .perelomov import _log_gamma_ratio
 from .specfun import graded_edges, hyp0f1, hyp1f1, panel_rule, settled
 from .spectrum import POSCHL_TELLER, SpectrumModel
-from .tolerances import CHECK_GATE, UNIT_TOL
+from .tolerances import CHECK_GATE, SIZE_CEILING, UNIT_TOL
 
 COHERENT = "coherent"
 SQUEEZED = "squeezed"
@@ -49,6 +50,8 @@ mpmath = None
 
 # coefficient size at which the recurrence prefix is divided down
 _RESCALE = 1e150
+# bands an automatic GIS state starts from
+_GIS_FIRST = 90
 
 
 def validate_lambda(lam: complex) -> str:
@@ -122,7 +125,8 @@ def delta_nh(model: SpectrumModel, n: int, h: int) -> float:
     return float(_delta_triangle(model.energies(n - 1))[n, h])
 
 
-def gis_coefficients(model: SpectrumModel, params: GISParameters, n_max: int) -> FockVector:
+def gis_coefficients(model: SpectrumModel, params: GISParameters,
+                     n_max: int | None = None) -> FockVector:
     """State coefficients of the eigenvalue equation, normalized.
 
     The closed form
@@ -138,49 +142,65 @@ def gis_coefficients(model: SpectrumModel, params: GISParameters, n_max: int) ->
     which is run here in O(n_max) floats before the e^{-i alpha E_n}
     phases of the model's alpha are attached.  The prefix is divided down
     whenever a coefficient passes _RESCALE, so large displacements cannot
-    overflow.
+    overflow; a recurrence that overflows all the same is a ConvergenceError.
+
+    With n_max the state must pass FockVector.certified.  Without it the
+    recurrence runs to _GIS_FIRST bands, or a table's last level but one, so
+    that a ladder one level longer fits, and extends the same prefix to the
+    2 n_max + 16 the refusal suggests until the state passes that certificate
+    and the variance certificate of fockspace.uncertainty.  It refuses once at
+    that last level, or at SIZE_CEILING naming the ceiling.
     """
     validate_lambda(params.lam)
-    if n_max < 0:
+    if n_max is not None and n_max < 0:
         raise DomainError("n_max must be >= 0")
     within_ceiling(n_max)
     lam = complex(params.lam)
     two_z = 2.0 * complex(params.z)
-    energies = model.energies(n_max)
-    roots = np.sqrt(energies)
-    up = ((1.0 + lam) * roots).tolist()
-    back = ((1.0 - lam) * roots).tolist()
-    d = [1.0 + 0.0j] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = two_z * d[n - 1]
-        if n >= 2:
-            acc -= back[n - 1] * d[n - 2]
-        d[n] = acc / up[n]
-        if abs(d[n]) > _RESCALE:
-            scale = abs(d[n])
-            d[: n + 1] = [c / scale for c in d[: n + 1]]
-    coeffs = np.array(d) * np.exp(-1j * model.alpha * energies)
-    return FockVector(model, coeffs).normalized().certified("coefficient")
-
-
-def gis_state(
-    model: SpectrumModel, params: GISParameters, n_max: int = 90, attempts: int = 4
-) -> FockVector:
-    """gis_coefficients with the truncation suggestion followed adaptively.
-
-    Slowly decaying squeezed states (envelope ratio near 1 combined with a
-    large displacement) can need a couple of growth rounds before the tail
-    certifies; the last attempt propagates its failure untouched, and so
-    does a refusal that suggests no n_max (a table's end).
-    """
-    for _ in range(max(attempts - 1, 0)):
+    last = min(model.last_level - 1, SIZE_CEILING)
+    top = min(_GIS_FIRST, last) if n_max is None else n_max
+    # d[:zeros] are 0 and stay 0, so a rescale skips them: one per band is still O(n)
+    d, zeros = [1.0 + 0.0j], 0
+    while True:
+        energies = model.energies(top)
+        roots = np.sqrt(energies)
+        up = ((1.0 + lam) * roots).tolist()
+        back = ((1.0 - lam) * roots).tolist()
         try:
-            return gis_coefficients(model, params, n_max)
-        except TruncationError as err:
-            if err.suggested_n_max is None:
-                raise
-            n_max = max(err.suggested_n_max, n_max + 16)
-    return gis_coefficients(model, params, n_max)
+            for n in range(len(d), top + 1):
+                acc = two_z * d[n - 1]
+                if n >= 2:
+                    acc -= back[n - 1] * d[n - 2]
+                d.append(acc / up[n])
+                if abs(d[n]) > _RESCALE:
+                    scale = abs(d[n])
+                    d[zeros: n + 1] = [c / scale for c in d[zeros: n + 1]]
+                    while not d[zeros]:
+                        zeros += 1
+        except OverflowError:  # |d_n| past the float range, its parts within it
+            d[-1] = math.inf
+        if not cmath.isfinite(d[-1]):
+            raise ConvergenceError(f"GIS recurrence leaves the float range by band {len(d) - 1}")
+        coeffs = np.array(d) * np.exp(-1j * model.alpha * energies)
+        state = FockVector(model, coeffs).normalized()
+        try:
+            state.certified("coefficient")
+            if n_max is None:
+                _moments(build_ladder(model, top), state)
+            return state
+        except TruncationError:
+            if n_max is not None or top == last < SIZE_CEILING:
+                raise  # at an explicit n_max, or once at a table's last level but one
+            if top == SIZE_CEILING:
+                raise TruncationError(f"GIS state: no n_max up to the size ceiling of "
+                                      f"{SIZE_CEILING} certifies it") from None
+        top = min(2 * top + 16, last)
+
+
+def gis_state(model: SpectrumModel, params: GISParameters) -> FockVector:
+    """gis_coefficients without n_max: the fewest bands of its growth rule whose mass and
+    variances both certify."""
+    return gis_coefficients(model, params)
 
 
 def verify_rs(

@@ -216,7 +216,10 @@ def cn_series(model: SpectrumModel, n: int, r: float, j_cap: int = _SERIES_J_CAP
 
 
 def _log_cosh(r: float) -> float:
-    """log cosh r = r + log(1 + e^{-2r}) - log 2, finite where cosh r overflows."""
+    """log cosh r: log1p(sinh^2 r) / 2 below r = 1, where the other form cancels to 0 as
+    r -> 0; from 1 on r + log(1 + e^{-2r}) - log 2, finite where cosh r overflows."""
+    if r < 1.0:
+        return 0.5 * math.log1p(math.sinh(r) * math.sinh(r))
     return r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import ConvergenceError, DomainError, TruncationError
 
 HARMONIC = "harmonic"
 POSCHL_TELLER = "poschl_teller"
@@ -96,9 +96,14 @@ class SpectrumModel:
 
     @property
     def nu(self) -> float:
-        """Combined strength kappa + kappa' controlling closed forms."""
+        """Combined strength kappa + kappa' controlling closed forms; a sum past the
+        float range is a ConvergenceError, since both strengths are legal."""
         if self.kind == POSCHL_TELLER:
-            return self.kappa + self.kappa_prime
+            nu = self.kappa + self.kappa_prime
+            if nu == math.inf:
+                raise ConvergenceError(f"nu = kappa + kappa' = {self.kappa!r} + "
+                                       f"{self.kappa_prime!r} overflows")
+            return nu
         raise DomainError(f"nu is undefined for kind={self.kind!r}")
 
     @property
@@ -114,7 +119,8 @@ class SpectrumModel:
 
     def energies(self, n_max: int) -> np.ndarray:
         """E_0 .. E_{n_max} as a float64 array.  Past a table's end it raises a
-        TruncationError that suggests no n_max, since no larger one can help."""
+        TruncationError that suggests no n_max, since no larger one can help; a
+        level past the float range is a ConvergenceError."""
         if self.kind == CUSTOM:
             if n_max > self.last_level:
                 raise TruncationError(f"custom spectrum has {len(self.table)} levels, "
@@ -123,6 +129,9 @@ class SpectrumModel:
         ns = np.arange(n_max + 1, dtype=float)
         if self.kind == HARMONIC:
             return ns
+        top = float(n_max)  # a Python float overflows to inf without a warning
+        if top * (top + self.nu) == math.inf:
+            raise ConvergenceError(f"E_{n_max} = n (n + nu) at nu = {self.nu!r} overflows")
         return ns * (ns + self.nu)
 
     def log_products(self, n_max: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from .fockspace import (FockVector, build_ladder, eigenvalue_residual, f_operato
 from .gazeau_klauder import (action_identity, evolve, gk_normalization,
                              gk_normalization_closed, gk_state,
                              identity_moment_check, pt_measure)
-from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SpectrumModel
+from .spectrum import HARMONIC, POSCHL_TELLER, SpectrumModel
 from .tolerances import resolve
 
 PASS = "PASS"
@@ -269,12 +269,8 @@ def _suite_perelomov(model: SpectrumModel, tol) -> list[CaseResult]:
 
 def _gis_pair(model: SpectrumModel, z: complex, lam: complex):
     params = intelligent.GISParameters(z, lam)
-    n_start, attempts = 90, 4
-    if model.kind == CUSTOM:
-        # finite tables cannot grow past their last level
-        n_start, attempts = model.last_level - 1, 1
     try:
-        state = intelligent.gis_state(model, params, n_start, attempts=attempts)
+        state = intelligent.gis_state(model, params)
     except TruncationError as err:
         raise _Skip(f"tail not certifiable on this spectrum ({err})")
     rep = build_ladder(model, state.n_max)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solvstates import SpectrumModel, cli, perelomov_state, verify
+from solvstates import GISParameters, SpectrumModel, cli, gis_state, perelomov_state, verify
 from solvstates.cli import main
 from solvstates.tolerances import DEFAULTS, SIZE_CEILING
 
@@ -88,11 +88,14 @@ def test_gis_requires_lambda(capsys):
     assert exc.value.code == 2
 
 
-def test_gis_requires_nmax(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["state", "--model", "pt:2,2", "--family", "gis", "--z", "1,0",
-              "--lambda", "2,0"])
-    assert exc.value.code == 2
+def test_gis_without_nmax_chooses_its_length(capsys):
+    code, out, _ = run(capsys, "state", "--model", "pt:2,2", "--family", "gis", "--z", "1,0",
+                       "--lambda", "2,0")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    auto = gis_state(SpectrumModel.poschl_teller(2.0, 2.0), GISParameters(1.0, 2.0))
+    assert len(rows) == auto.n_max + 1
+    assert float(rows[-1]["cum_mass"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_state_without_nmax_chooses_the_last_band(capsys):
@@ -202,6 +205,45 @@ def test_sweep_modulus_grid(capsys):
         m = float(row["lam_mod"])
         assert float(row["var_x"]) / float(row["var_p"]) == pytest.approx(
             m * m, rel=1e-10)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--grid", "lambda-mod:0.115545:0.377359:9", "--model", "well", "--z=0.154640,-0.243315"),
+    ("--grid", "lambda-mod:0.141090:0.941456:7", "--model", "harmonic", "--z=-0.660986,2.834716"),
+])
+def test_sweep_rows_keep_the_variance_ratio_law(capsys, argv):
+    # rows that once passed the mass certificate and missed var_x / var_p = |lambda|^2 by
+    # up to 2.9e-7: the variance certificate grows their states
+    code, out, err = run(capsys, "sweep", "--family", "gis", *argv)
+    assert code == 0, err
+    for row in csv.DictReader(out.splitlines()):
+        target = float(row["lam_mod"]) ** 2
+        assert abs(float(row["var_x"]) / float(row["var_p"]) / target - 1.0) <= 1e-9, row
+
+
+def test_moments_past_the_float_range_are_a_numerical_failure(capsys):
+    # on pt:1e200,2, <G> is near 1e200 and delta^2 overflows: refused, not a traceback
+    code, _, err = run(capsys, "sweep", "--family", "gis", "--grid", "lambda-mod:0.5:2:3",
+                       "--model", "pt:1e200,2")
+    assert code == 4
+    assert "var_x var_p - delta^2 = inf are not all finite" in err
+
+
+@pytest.mark.parametrize("family", ["gk", "perelomov", "gis"])
+def test_overflowing_nu_is_a_numerical_failure(capsys, family):
+    # both strengths are legal; their sum is not a float
+    code, _, err = run(capsys, "state", "--model", "pt:1e308,1e308", "--family", family,
+                       "--z", "1,0", *(("--lambda", "2,0") if family == "gis" else ()))
+    assert code == 4
+    assert "nu = kappa + kappa' = 1e+308 + 1e+308 overflows" in err
+
+
+@pytest.mark.parametrize("argv", [("--family", "gk"), ("--family", "gis", "--lambda", "2,0")])
+def test_energies_past_the_float_range_are_a_numerical_failure(capsys, argv):
+    # nu = 2e307 is a float, E_n = n (n + nu) is not from n = 9 on
+    code, _, err = run(capsys, "state", "--model", "pt:1e307,1e307", "--z", "1,0", *argv)
+    assert code == 4
+    assert "= n (n + nu) at nu = 2e+307 overflows" in err
 
 
 def test_sweep_grid_grammar_errors(capsys):
@@ -350,8 +392,10 @@ def test_commands_run_without_mpmath(argv):
 
 
 def _run_quiet(argv):
-    """Exit code of main(argv), with SystemExit read as its code."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    """Exit code of main(argv), with SystemExit read as its code; output is dropped, since
+    an automatic length may print a state of 10^5 bands and more."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(io.StringIO()):
         try:
             return main(argv)
         except SystemExit as exc:
@@ -426,8 +470,14 @@ def _or_nonfinite(finite):
         lambda k: st.sampled_from([math.nan, math.inf, -math.inf]) if k == 31 else finite)
 
 
-_strength = _or_nonfinite(
-    st.floats(min_value=0.5, max_value=4.0, exclude_min=True, exclude_max=True))
+def _or_strong(finite):
+    """finite, or now and then a strength log-uniform in [1, 1e300]."""
+    strong = st.floats(min_value=0.0, max_value=300.0).map(lambda exponent: 10.0 ** exponent)
+    return st.integers(0, 15).flatmap(lambda k: strong if k == 15 else finite)
+
+
+_strength = _or_nonfinite(_or_strong(
+    st.floats(min_value=0.5, max_value=4.0, exclude_min=True, exclude_max=True)))
 _models = st.one_of(
     st.sampled_from([("harmonic", ()), ("well", ())]),
     st.tuples(_strength, _strength).map(lambda k: (f"pt:{k[0]!r},{k[1]!r}", k)),
@@ -495,7 +545,7 @@ def _run_model(model, argv):
             return _run_quiet(argv), argv
 
 
-# a 40-level table: --nmax 60, or the 90 bands gis_state starts from, run past its end
+# a 40-level table: --nmax 60 runs past its end; an automatic length stops at band 38
 _TABLE40 = (_perturbed_linear(40, 0.35, 20260814), None)
 
 
@@ -503,12 +553,17 @@ _TABLE40 = (_perturbed_linear(40, 0.35, 20260814), None)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(1.0, 0.0), lam=-1.0 + 0.0j, nmax=30)
 @example(model=_TABLE40, z=(0.5, 0.0), lam=2.0 + 0.0j, nmax=60)
 @example(model=("harmonic", ()), z=(1.0, 0.0), lam=2.0 + 0.0j, nmax=2 ** 31)
-@given(model=_models | _tables, z=st.tuples(_coord, _coord), lam=_lambda, nmax=_nmax)
+@example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(1.0, 0.0), lam=2.0 + 0.0j, nmax=None)
+@example(model=_TABLE40, z=(0.5, 0.0), lam=0.2 + 0.0j, nmax=None)
+@example(model=("harmonic", ()), z=(1e4, 0.0), lam=2.0 + 0.0j, nmax=None)
+@given(model=_models | _tables, z=st.tuples(_coord, _coord), lam=_lambda, nmax=st.none() | _nmax)
 def test_state_gis_exit_code_contract(model, z, lam, nmax):
-    code, argv = _run_model(model, ["state", "--family", "gis", "--z", _flag(complex(*z)),
-                                    "--lambda", _flag(lam), "--nmax", str(nmax)])
+    argv = ["state", "--family", "gis", "--z", _flag(complex(*z)), "--lambda", _flag(lam)]
+    if nmax is not None:
+        argv += ["--nmax", str(nmax)]
+    code, argv = _run_model(model, argv)
     assert code in (0, 2, 3, 4)
-    if code == 3 and nmax <= SIZE_CEILING:
+    if code == 3 and (nmax or 0) <= SIZE_CEILING:
         assert _inadmissible([lam], model[1] or (), complex(*z)), argv
 
 
@@ -518,6 +573,7 @@ def test_state_gis_exit_code_contract(model, z, lam, nmax):
 @example(model=("harmonic", ()), z=(1e200, 0.0), nmax=None)
 @example(model=("harmonic", ()), z=(150.0, 0.0), nmax=None)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(1.0, 0.0), nmax=2 ** 31)
+@example(model=("pt:1e+308,1e+308", (1e308, 1e308)), z=(1.0, 0.0), nmax=None)
 @given(model=_models | _tables, z=st.tuples(_coord, _coord), nmax=st.none() | _nmax)
 def test_state_gk_exit_code_contract(model, z, nmax):
     argv = ["state", "--family", "gk", "--z", _flag(complex(*z))]
@@ -542,6 +598,10 @@ def test_state_gk_exit_code_contract(model, z, nmax):
 @example(model=("harmonic", ()), z=(1e200, 0.0), nmax=None)
 @example(model=("pt:2.0,2.0", (2.0, 2.0)), z=(-1e200, 3.0), nmax=None)
 @example(model=("harmonic", ()), z=(1.0, 0.0), nmax=2 ** 31)
+@example(model=("pt:1e+308,1e+308", (1e308, 1e308)), z=(1.0, 0.0), nmax=None)
+@example(model=("pt:9.074316606177094e+119,1.0316930944780123",
+                (9.074316606177094e119, 1.0316930944780123)),
+         z=(-6.870216817740281e-28, 2.701340081058529e-230), nmax=653)
 @given(model=_models | _tables, z=st.tuples(_coord, _coord), nmax=st.none() | _nmax)
 def test_state_perelomov_exit_code_contract(model, z, nmax):
     argv = ["state", "--family", "perelomov", "--z", _flag(complex(*z))]
@@ -562,6 +622,8 @@ def test_state_perelomov_exit_code_contract(model, z, nmax):
          steps=3, alpha=0.7)
 @example(model=("harmonic", ()), z=(1.0, 0.0), kind="lambda-mod", bounds=(0.5, 2.0),
          steps=2 ** 31, alpha=None)
+@example(model=("pt:1e+200,2.0", (1e200, 2.0)), z=(1.0, 0.0), kind="lambda-mod",
+         bounds=(0.5, 2.0), steps=3, alpha=None)
 @given(model=_models | _tables, z=st.tuples(_coord, _coord),
        kind=st.sampled_from(["lambda-mod", "lambda-theta"]),
        bounds=st.tuples(_or_nonfinite(st.floats(-1.0, 4.0)), _or_nonfinite(st.floats(-1.0, 4.0))),

@@ -16,7 +16,8 @@ from solvstates import (ConvergenceError, DomainError, FockVector, SpectrumModel
                         gis_recurrence_oracle, quadratures, uncertainty)
 from solvstates import fockspace, perelomov
 from solvstates.gazeau_klauder import gk_state
-from solvstates.intelligent import GISParameters, gis_disk_expansion, gis_state
+from solvstates.intelligent import (GISParameters, gis_coefficients, gis_disk_expansion,
+                                    gis_state)
 from solvstates.tolerances import SIZE_CEILING
 
 # the banded core against dense matrices: one model per spectrum kind, with
@@ -417,7 +418,7 @@ def test_band_sums_match_dense_ladder_products(name, alpha, n_max):
     mass = float(np.vdot(c, c).real)
     want = [complex(c.conj() @ op @ c) / mass
             for op in (a, a @ a, ad @ a + a @ ad, np.diag(rep.g_diag))]
-    got = fockspace._band_sums(rep, c)
+    got = fockspace._band_sums(rep, c, mass)
     for value, expect in zip(got, want):
         assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect)), (value, expect)
 
@@ -628,6 +629,6 @@ def test_explicit_size_past_the_ceiling_is_refused_by_name(harmonic, pt22, n_max
                   lambda: perelomov.perelomov_state(pt22, 1.0, n_max=n_max),
                   lambda: perelomov.perelomov_state(pt22, 0.0, n_max=n_max),
                   lambda: perelomov.disk_coefficients(pt22, 0.5, n_max=n_max),
-                  lambda: gis_state(pt22, GISParameters(1.0, 2.0), n_max)):
+                  lambda: gis_coefficients(pt22, GISParameters(1.0, 2.0), n_max)):
         with pytest.raises(DomainError, match=re.escape(named)):
             build()

@@ -16,6 +16,7 @@ from solvstates import intelligent as it
 from solvstates import perelomov as pe
 from solvstates import specfun
 from solvstates.analytic import taylor_coefficients
+from solvstates.tolerances import SIZE_CEILING
 from solvstates.verify import _gis_closed_form
 
 
@@ -99,13 +100,13 @@ def test_cancellation_rescue_at_large_argument(pt22):
 @pytest.mark.parametrize("lam", [0.05, 0.3, 0.1 + 0.05j, 2.0])
 @pytest.mark.parametrize("name", ["harmonic", "well", "pt22"])
 def test_recurrence_matches_high_precision_oracle(all_models, name, lam, z, n):
-    # small |lam| decays slowly; where n cannot certify the tail the
-    # adaptive builder grows it and the grown state is compared instead
+    # small |lam| decays slowly; where n cannot certify the tail the state of
+    # automatic length is compared instead
     model, params = all_models[name], it.GISParameters(z, lam)
     try:
         state = it.gis_coefficients(model, params, n)
     except TruncationError:
-        state = it.gis_state(model, params, n, attempts=6)
+        state = it.gis_state(model, params)
     want = mp_recurrence(model, z, lam, state.n_max)
     assert np.max(np.abs(state.coeffs - want)) <= 1e-12
 
@@ -123,11 +124,34 @@ def test_large_displacement_never_returns_zeros(harmonic, z):
 
 
 def test_rescaled_recurrence_matches_oracle_past_float_range(harmonic):
+    # the automatic length grows 90, 196, ..., 3376 bands over one rescaled prefix
     z, lam = 40.0, 2.0
-    state = it.gis_state(harmonic, it.GISParameters(z, lam), 800)
-    assert state.tail_bound() < 1e-10
+    state = it.gis_state(harmonic, it.GISParameters(z, lam))
+    assert state.n_max == 3376 and state.tail_bound() < 1e-10
     want = mp_recurrence(harmonic, z, lam, state.n_max)
     assert np.max(np.abs(state.coeffs - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["harmonic", "pt22", "pt_soft", "well", "table141"])
+def test_moments_meet_the_exact_oracles(all_models, name):
+    # <(1+lam) a- + (1-lam) a+> = 2z gives Re A + i lam Im A = z for A = <a->, so
+    # <X> = sqrt2 (Re z + Im lam Im z / Re lam) and <P> = sqrt2 Im z / Re lam on every
+    # model; on harmonic G = 1 also fixes var_x = |lam|^2 / (2 Re lam), var_p = 1 / (2 Re lam)
+    levels = np.arange(141.0)
+    model = all_models.get(name) or SpectrumModel.custom(0.5 * levels * (levels + 3.0))
+    for lam, z in ((2.0, 1.0), (0.5 + 0.5j, 1.5 * cmath.exp(1j * math.pi / 4)),
+                   (cmath.exp(-1j * math.pi / 3), 2.0j), (0.3 + 0.2j, -0.8 + 0.4j)):
+        state = it.gis_state(model, it.GISParameters(z, lam))
+        report = uncertainty(build_ladder(model, state.n_max), state)
+        lam, z = complex(lam), complex(z)
+        mean_p = math.sqrt(2.0) * z.imag / lam.real
+        mean_x = math.sqrt(2.0) * (z.real + lam.imag * z.imag / lam.real)
+        scale = max(1.0, abs(mean_x), abs(mean_p))
+        assert abs(report.mean_x - mean_x) <= 1e-12 * scale, (lam, z)
+        assert abs(report.mean_p - mean_p) <= 1e-12 * scale, (lam, z)
+        if name == "harmonic":
+            assert report.var_x == pytest.approx(abs(lam) ** 2 / (2.0 * lam.real), rel=1e-12)
+            assert report.var_p == pytest.approx(1.0 / (2.0 * lam.real), rel=1e-12)
 
 
 def test_defining_relation_holds(pt22):
@@ -344,29 +368,58 @@ def test_truncation_error_carries_suggestion(pt22):
     assert err.value.suggested_n_max == 40
 
 
-def test_adaptive_builder_stops_at_a_table_end(pt22, monkeypatch):
+def _counted_builds(monkeypatch):
     calls = []
     build = it.gis_coefficients
 
-    def counted(model, params, n_max):
+    def counted(model, params, n_max=None):
         calls.append(n_max)
         return build(model, params, n_max)
 
     monkeypatch.setattr(it, "gis_coefficients", counted)
-    # 90 bands on a 40-level table: the refusal suggests nothing, so nothing is retried
-    table, params = SpectrumModel.custom(np.arange(40.0)), it.GISParameters(0.5, 2.0)
-    with pytest.raises(TruncationError) as once:
-        build(table, params, 90)
-    with pytest.raises(TruncationError) as err:
-        it.gis_state(table, params)
-    assert calls == [90]
-    assert type(err.value) is type(once.value) and str(err.value) == str(once.value)
-    calls.clear()
-    it.gis_state(pt22, it.GISParameters(3.0, 0.1 + 0.05j))
-    assert len(calls) > 1  # a suggestion is still followed
+    return calls
 
 
-def test_adaptive_builder_follows_suggestions(pt22):
-    state = it.gis_state(pt22, it.GISParameters(2.5, 8.0), n_max=12)
-    assert state.n_max > 12
-    assert state.tail_bound() < 1e-10
+def test_adaptive_builder_stops_at_a_table_end(monkeypatch):
+    # a 40-level table: the automatic length starts at its last level but one, so that
+    # the ladder of the state fits, and that is also where it refuses, once
+    calls = _counted_builds(monkeypatch)
+    table = SpectrumModel.custom(np.arange(40.0))
+    assert it.gis_state(table, it.GISParameters(0.5, 2.0)).n_max == 38
+    with pytest.raises(TruncationError, match="at n_max=38 ") as err:
+        it.gis_state(table, it.GISParameters(2.0, 0.2))
+    assert "tail bound" in str(err.value)
+    assert calls == [None, None]  # one build per state, no retries
+
+
+def test_adaptive_builder_follows_suggestions(pt22, monkeypatch):
+    # refused at 90 bands, the state grows to the suggested 2 * 90 + 16 over the same
+    # prefix: bitwise the state an explicit n_max = 196 computes from band 0
+    calls = _counted_builds(monkeypatch)
+    params = it.GISParameters(3.0, 0.1 + 0.05j)
+    with pytest.raises(TruncationError, match=r"suggest n_max >= 196\)"):
+        it.gis_coefficients(pt22, params, 90)
+    state = it.gis_state(pt22, params)
+    assert state.n_max == 196 and calls == [90, None]
+    assert np.array_equal(state.coeffs, it.gis_coefficients(pt22, params, 196).coeffs)
+
+
+def test_variance_certificate_grows_a_state_the_mass_certifies():
+    # a row of the harmonic sweep at z = -0.660986 + 2.834716i: 90 bands leave out less
+    # than 1e-10 of the mass, but their variances miss var_x / var_p = |lambda|^2 by
+    # 1.2e-8; the automatic state grows to 196 bands, where both certificates pass
+    model, lam = SpectrumModel.harmonic(), 0.541273
+    params = it.GISParameters(-0.660986 + 2.834716j, lam)
+    short = it.gis_coefficients(model, params, 90)
+    with pytest.raises(TruncationError, match=r"state variance bound .* \(suggest n_max >= 196\)"):
+        uncertainty(build_ladder(model, 90), short)
+    state = it.gis_state(model, params)
+    assert state.n_max == 196
+    report = uncertainty(build_ladder(model, state.n_max), state)
+    assert abs(report.var_x / report.var_p / lam ** 2 - 1.0) < 1e-12
+
+
+def test_automatic_length_refuses_at_the_size_ceiling(harmonic):
+    # |z| = 1e4 puts the bulk of the state near band |2z / (1 + lam)|^2 = 4e7, past 2^20
+    with pytest.raises(TruncationError, match=f"size ceiling of {SIZE_CEILING} "):
+        it.gis_state(harmonic, it.GISParameters(1e4, 2.0))

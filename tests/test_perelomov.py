@@ -222,6 +222,18 @@ def test_closed_block_matches_per_level_lgamma(model):
         assert np.max(np.abs(got - want) / np.array(want)) < 1e-13, r
 
 
+def test_log_cosh_keeps_its_relative_accuracy_as_r_goes_to_zero():
+    # the prefactor -(nu + 1) log cosh r of a strong well: log cosh r = r^2 / 2 near 0,
+    # where r + log(1 + e^{-2r}) - log 2 cancels to 0 and left a state of mass e^{+...}
+    for r in (1e-300, 6.9e-28, 1e-10, 1e-5, 0.3, 0.999, 1.0, 3.0, 40.0, 800.0):
+        with mpmath.workdps(40):  # cosh r = 1 + 2 sinh^2(r / 2), without cancellation
+            want = float(mpmath.log1p(2 * mpmath.sinh(mpmath.mpf(r) / 2) ** 2))
+        assert pe._log_cosh(r) == pytest.approx(want, rel=1e-15, abs=0.0), r
+    strong = SpectrumModel.poschl_teller(9.074316606177094e119, 1.0316930944780123)
+    with pytest.raises(TruncationError, match="miss 1.000e[+]00 of the closed-form mass"):
+        pe.perelomov_state(strong, complex(-6.870216817740281e-28, 2.7e-230), n_max=653)
+
+
 def test_harmonic_weights_are_poissonian(harmonic):
     r = 0.8
     f_vals = pe.cn_closed(harmonic, 8, r).f_values()
