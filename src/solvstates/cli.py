@@ -65,6 +65,7 @@ def _parse_complex(text: str) -> complex:
 
 
 def _write_rows(out_path, header, rows, fmt, meta):
+    """Write rows (any iterable of tuples) as CSV, one at a time, or as one JSON payload."""
     if fmt == "json":
         payload = dict(meta)
         payload["rows"] = [dict(zip(header, row)) for row in rows]
@@ -101,10 +102,9 @@ def _cmd_state(args, parser) -> int:
         vec = gis_coefficients(model, GISParameters(args.z, args.lam), args.nmax)
     probs = np.abs(vec.coeffs) ** 2
     cum = np.cumsum(probs)
-    rows = [
-        (n, float(c.real), float(c.imag), float(p), float(s))
-        for n, (c, p, s) in enumerate(zip(vec.coeffs, probs, cum))
-    ]
+    # formed as they are written: a state of 10^6 bands never holds its rows as tuples
+    rows = ((n, float(c.real), float(c.imag), float(p), float(s))
+            for n, (c, p, s) in enumerate(zip(vec.coeffs, probs, cum)))
     meta = {"schema": 1, "family": args.family, "model": args.model,
             "n_max": vec.n_max}
     _write_rows(args.out, ["n", "re", "im", "prob", "cum_mass"], rows,

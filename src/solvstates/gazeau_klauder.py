@@ -59,12 +59,7 @@ def gk_normalization_closed(model: SpectrumModel, r: float) -> float:
     nu = model.nu
     if r == 0.0:
         return 1.0
-    log_val = (
-        math.lgamma(nu + 1.0)
-        + math.log(specfun.bessel_i(nu, 2.0 * r))
-        - nu * math.log(r)
-    )
-    return math.exp(log_val)
+    return math.exp(math.lgamma(nu + 1.0) + specfun.log_bessel_i(nu, 2.0 * r) - nu * math.log(r))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,9 +180,9 @@ class RadialMeasure:
             raise DomainError("radial argument must be nonnegative")
         if r == 0.0:
             return 0.0
-        return (2.0 / math.pi) * specfun.bessel_i(self.nu, 2.0 * r) * specfun.bessel_k(
-            self.nu, 2.0 * r
-        ) * r
+        # I_nu underflows and K_nu overflows together at large nu: their product is read as a log
+        return (2.0 / math.pi) * r * math.exp(
+            specfun.log_bessel_i(self.nu, 2.0 * r) + specfun.log_bessel_k(self.nu, 2.0 * r))
 
 
 def pt_measure(kappa: float, kappa_prime: float, n_ref: int = 20) -> RadialMeasure:
@@ -221,7 +216,7 @@ def _moment_nodes(nu: float, cutoff: float, order: int):
     """Nodes log r and log(weight * K_nu(2r) r^{nu+1}) on (0, cutoff)."""
     r, w = specfun.panel_rule([0.0, cutoff], order)
     log_r = np.log(r)
-    log_base = np.log(w) + np.log(specfun.bessel_k(nu, 2.0 * r)) + (nu + 1.0) * log_r
+    log_base = np.log(w) + specfun.log_bessel_k(nu, 2.0 * r) + (nu + 1.0) * log_r
     log_r.flags.writeable = log_base.flags.writeable = False
     return log_r, log_base
 

@@ -23,6 +23,7 @@ n_max is fockspace.certified_length's, which refuses past SIZE_CEILING bands.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -498,14 +499,12 @@ def disk_kernel(
 
 
 def disk_kernel_closed(nu: float, zeta1: complex, zeta2: complex) -> complex:
-    """(1-|z1|^2)^p (1-|z2|^2)^p (1 - conj(z1) z2)^{-(nu+1)}, p = (nu+1)/2."""
+    """(1-|z1|^2)^p (1-|z2|^2)^p (1 - conj(z1) z2)^{-(nu+1)}, p = (nu+1)/2, as one
+    exponential of logs: at large nu the factors alone leave the float range."""
     p1, p2 = DiskPoint(zeta1), DiskPoint(zeta2)
     p = 0.5 * (nu + 1.0)
-    return complex(
-        (1.0 - abs(p1.zeta) ** 2) ** p
-        * (1.0 - abs(p2.zeta) ** 2) ** p
-        * (1.0 - np.conj(p1.zeta) * p2.zeta) ** (-(nu + 1.0))
-    )
+    return cmath.exp(p * math.log1p(-abs(p1.zeta) ** 2) + p * math.log1p(-abs(p2.zeta) ** 2)
+                     - (nu + 1.0) * cmath.log(1.0 - p1.zeta.conjugate() * p2.zeta))
 
 
 def _disk_moment(nu: float, n: int, log_g: float, n_panels: int) -> float:

@@ -1,23 +1,23 @@
 """Self-contained special function kernel.
 
-Everything here is series- or quadrature-based and tuned for the moderate
-arguments this package needs (|z| up to about 50).  Series stop on a
-relative tail below 1e-16 and abort with ConvergenceError past a hard cap
-of 10000 terms; there are no reflection formulas and no asymptotic
-branches.  log Gamma is not here: callers use the standard library's
-``math.lgamma``.  ``hyp1f1`` and ``hyp0f1`` take an array argument and
-sum it in one pass, each element by exactly the arithmetic of a scalar
-call; ``bessel_k`` takes an array as well.  The Jacobi evaluator deliberately
-runs the three-term recurrence as a formal identity in the parameters, so
-it stays valid for the complex and below -1 parameter values required by
-the disk-representation expansions, a regime standard libraries refuse;
-one pass gives every degree up to n.
+Everything here is series- or quadrature-based.  The hypergeometric series
+are tuned for the moderate arguments this package needs (|z| up to about
+50); the Bessel functions have log forms, finite for every order up to 1e300
+where I_nu and K_nu leave the float range.  Series stop on a relative tail
+below 1e-16 and abort with ConvergenceError past 10000 terms; there are no
+reflection formulas and no asymptotic branches (log Gamma is ``math.lgamma``).
+``hyp1f1`` and ``hyp0f1`` sum an array argument in one pass, each element by
+exactly the arithmetic of a scalar call; ``bessel_k`` takes an array too.
+The Jacobi evaluator runs the three-term recurrence as a formal identity in
+the parameters, so it stays valid for the complex and below -1 parameters of
+the disk-representation expansions, a regime standard libraries refuse.
 
-Every integral in the package goes through one composite Gauss-Legendre
-path: ``panel_rule`` turns a set of panel edges (uniform, or from
-``graded_edges`` toward an endpoint singularity) into flat node and weight
-arrays, the integrand is evaluated on all nodes at once, and ``settled``
-compares two resolutions against the caller's gate.
+Every integral but K_nu's goes through one composite Gauss-Legendre path:
+``panel_rule`` turns panel edges (uniform, or from ``graded_edges`` toward
+an endpoint singularity) into flat node and weight arrays, and ``settled``
+compares two resolutions against the caller's gate.  K_nu's integrand is
+entire and double-exponentially decaying, so the trapezoid rule on a window
+known in closed form converges geometrically without panels or a search.
 """
 from __future__ import annotations
 
@@ -35,61 +35,82 @@ REL_TAIL = 1e-16
 _BLOCK = 24
 
 
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function I_nu(x) by the ascending series.
-
-    Valid for nu >= 0, x >= 0.  The leading factor (x/2)^nu / Gamma(nu+1)
-    is assembled in the log domain so small x and large nu cannot
-    underflow prematurely.
-    """
+def log_bessel_i(nu: float, x: float) -> float:
+    """log I_nu(x) by the ascending series, for nu >= 0, x >= 0.  The leading factor
+    (x/2)^nu / Gamma(nu+1) enters as its log, so it is finite where I_nu underflows."""
     if nu < 0 or x < 0:
         raise DomainError("bessel_i needs nu >= 0 and x >= 0")
     if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
+        return 0.0 if nu == 0 else -math.inf
     log_lead = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
     q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
+    term = total = 1.0
     for k in range(1, MAX_TERMS):
         term *= q / (k * (nu + k))
         total += term
         if term <= REL_TAIL * total:
-            return math.exp(log_lead + math.log(total))
+            return log_lead + math.log(total)
     raise ConvergenceError("bessel_i series did not converge")
+
+
+def bessel_i(nu: float, x: float) -> float:
+    """Modified Bessel function I_nu(x) = exp(log_bessel_i(nu, x))."""
+    return math.exp(log_bessel_i(nu, x))
+
+
+def _bessel_k(nu: float, x, log: bool):
+    """log K_nu(x) or K_nu(x), in the shape of x > 0, from K_nu = e^shift * sum.
+
+    The trapezoid rule on the integral over t >= 0 of e^g (1 + e^{-2 nu t}) / 2,
+    g(t) = nu t - x cosh t (DLMF 10.32.9); it converges geometrically on this
+    entire, double-exponentially decaying integrand (Trefethen & Weideman, SIAM
+    Rev. 56, 2014).  g is concave, with its peak at t* = asinh(nu/x) and curvature
+    c = sqrt(x^2 + nu^2) there.  It falls by 40 at t* + acosh(1 + 40/c), and at
+    t* - delta for delta the smaller of acosh(1 + 40/(c - nu)) and the root of
+    nu delta^2 / (2 + delta) = 40; a window clipped at 0 gives t = 0 half weight,
+    the integrand being even.  The step is min(1/8, 1/(2 sqrt c)): at most 98
+    nodes per x on [1e-3, 130] for every nu up to 1e300.  All x form one matrix,
+    each row padded with weight-0 copies of its last node.
+    """
+    xs = np.asarray(x, dtype=float)
+    x = xs.ravel()
+    if nu < 0 or not np.all(x > 0):
+        raise DomainError("bessel_k needs nu >= 0 and x > 0")
+    c = np.hypot(x, nu)
+    t_star = np.log(nu + c) - np.log(x)
+    # 40/(c - nu) leaves the float range only at small x; there acosh(1 + 40/(c - nu)) > t*
+    with np.errstate(divide="ignore", over="ignore"):
+        back = np.minimum(t_star, 2.0 * np.arcsinh(np.sqrt(20.0 * (c + nu) / (x * x))))
+    back = np.minimum(back, (20.0 + math.sqrt(400.0 + 80.0 * nu)) / nu if nu else math.inf)
+    h = np.minimum(0.125, 0.5 / np.sqrt(c))
+    steps = np.ceil((back + 2.0 * np.arcsinh(np.sqrt(20.0 / c))) / h)[:, None]  # acosh(1 + 40/c)
+    j = np.arange(int(steps.max()) + 1)
+    t = (t_star - back)[:, None] + h[:, None] * np.minimum(j, steps)
+    # past t = 700 (only where nu/x > 1e303), x cosh t is x cosh 700 e^{t - 700}, in range
+    g = nu * t - x[:, None] * np.cosh(np.minimum(t, 700.0)) * np.exp(np.maximum(t - 700.0, 0.0))
+    shift = np.rint(g.max(axis=1))
+    w = np.where(j > steps, 0.0, np.where((j == 0) & (back == t_star)[:, None], 0.25, 0.5))
+    total = (h[:, None] * w * np.exp(g - shift[:, None]) * (1.0 + np.exp(-2.0 * nu * t))).sum(axis=1)
+    with np.errstate(over="ignore"):
+        out = shift + np.log(total) if log else np.exp(shift) * total
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
+def log_bessel_k(nu: float, x):
+    """log K_nu(x) for nu >= 0 up to 1e300 and x > 0, finite where K_nu leaves the
+    float range (past nu = 149 at x = 1, past x = 705); x may be an array."""
+    return _bessel_k(nu, x, log=True)
 
 
 def bessel_k(nu: float, x):
     """Modified Bessel function K_nu(x) for nu >= 0, x > 0; x may be an array.
 
-    Evaluates the integral of exp(-x cosh t) cosh(nu t) over t >= 0 by
-    composite Gauss-Legendre panels.  The integrand is analytic and decays
-    double-exponentially, so this route is uniform in nu (no special
-    handling at integer orders) and accurate to roughly 1e-13 relative
-    across the x <= 50 range this package uses.  Each x gets its own
-    truncation point (the first t on a 0.5 grid where the integrand has
-    fallen by e^-60), and the x sharing one are integrated as one matrix.
-    A scalar x gives a float, an array x an array of the same shape.
+    e^shift times the scaled sum of log_bessel_k's rule, the shift an integer, so
+    the value keeps the sum's accuracy: within 2e-14 of scipy for nu <= 20 and
+    1e-13 up to nu = 80 on [1e-3, 130].  Past the float range it is inf, without
+    a warning.  A scalar x gives a float, an array x an array of its shape.
     """
-    xs = np.asarray(x, dtype=float)
-    if nu < 0:
-        raise DomainError("bessel_k needs nu >= 0")
-    if not np.all(xs > 0):
-        raise DomainError("bessel_k needs x > 0")
-    flat = xs.ravel()
-    grid = np.arange(1.0, 80.5, 0.5)
-    enough = flat[:, None] * (np.cosh(grid) - 1.0) - nu * grid >= 60.0
-    if not np.all(enough[:, -1]):
-        raise ConvergenceError("bessel_k truncation search failed")
-    uppers = grid[np.argmax(enough, axis=1)]
-    out = np.empty_like(flat)
-    for upper in set(uppers.tolist()):
-        group = uppers == upper
-        n_panels = max(8, int(2.0 * upper))
-        t, w = panel_rule(np.linspace(0.0, upper, n_panels + 1), 24)
-        ch = flat[group, None] * np.cosh(t)
-        vals = np.exp(nu * t - ch) + np.exp(-nu * t - ch)
-        out[group] = 0.5 * (vals @ w)
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+    return _bessel_k(nu, x, log=False)
 
 
 def jacobi_rows(n: int, a, b, x) -> list:

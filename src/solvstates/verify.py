@@ -485,7 +485,7 @@ def _suite_specfun(model: SpectrumModel, tol) -> list[CaseResult]:
         return max(float(np.max(np.abs(left[n] - (-1.0) ** n * right[n]))) for n in range(9))
 
     def quadrature():
-        # through the composite-panel path every package quadrature uses
+        # through the composite-panel path every package quadrature but bessel_k uses
         x, w = specfun.panel_rule([-1.0, 1.0], 12)
         return max(abs(float(np.dot(w, x ** k)) - (0.0 if k % 2 else 2.0 / (k + 1)))
                    for k in range(24))

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 import warnings
 
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solvstates import GISParameters, SpectrumModel, cli, gis_state, perelomov_state, verify
+from solvstates import (GISParameters, SpectrumModel, cli, gis_state, gk_state, perelomov_state,
+                        verify)
 from solvstates.cli import main
 from solvstates.tolerances import DEFAULTS, SIZE_CEILING
 
@@ -58,6 +60,40 @@ def test_state_perelomov_family(capsys):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert float(rows[-1]["cum_mass"]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_state_rows_carry_the_vector_in_csv_and_json(capsys):
+    argv = ("state", "--model", "pt:2,2", "--family", "gk", "--z=1,0.5")
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, doc, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    vec = gk_state(SpectrumModel.poschl_teller(2.0, 2.0), 1.0 + 0.5j).vector
+    probs = np.abs(vec.coeffs) ** 2
+    want = [(n, float(c.real), float(c.imag), float(p), float(s))
+            for n, (c, p, s) in enumerate(zip(vec.coeffs, probs, np.cumsum(probs)))]
+    header = ["n", "re", "im", "prob", "cum_mass"]
+    lines = text.splitlines()
+    assert lines[0] == ",".join(header)
+    assert lines[1:] == [",".join([str(n)] + [f"{v:.17g}" for v in rest]) for n, *rest in want]
+    assert json.loads(doc) == {"schema": 1, "family": "gk", "model": "pt:2,2",
+                               "n_max": vec.n_max, "rows": [dict(zip(header, row)) for row in want]}
+
+
+def test_state_writes_its_rows_as_it_forms_them(tmp_path):
+    # 92,450 bands: held as a list of row tuples they would take about 22 MB
+    out = tmp_path / "state.csv"
+    tracemalloc.start()
+    try:
+        code = main(["state", "--family", "gk", "--model", "harmonic", "--z=300,0",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with open(out) as handle:
+        assert sum(1 for _ in handle) == 92451
+    assert peak < 10 * 2 ** 20
 
 
 def test_lambda_minus_one_is_domain_rejection(capsys):
@@ -653,3 +689,19 @@ def test_verify_exit_code_contract_on_tables(model, tol):
     argv = ["verify", "--suite", "all"] + ([] if tol is None else [f"--tol={tol!r}"])
     code, argv = _run_model(model, argv)
     assert code in ((0, 2, 4) if tol is None or tol == 0.0 else (2, 3)), argv
+
+
+@settings(max_examples=100)
+@example(model=("pt:40.0,40.0", (40.0, 40.0)), suite="gk")
+@example(model=("pt:200.0,200.0", (200.0, 200.0)), suite="gk")
+@example(model=("pt:2.0,1e+12", (2.0, 1e12)), suite="gk")
+@example(model=("pt:1e+300,1e+300", (1e300, 1e300)), suite="gk")
+@given(model=_models, suite=st.sampled_from(["gk", "specfun"]))
+def test_verify_exit_code_contract_on_wells(model, suite):
+    # the Bessel closed forms on wells up to strengths of 1e300: a report (exit 0 or 4),
+    # or a domain rejection of an inadmissible strength; a traceback or RuntimeWarning
+    # would escape _run_model
+    code, argv = _run_model(model, ["verify", "--suite", suite])
+    assert code in (0, 3, 4)
+    if code == 3:
+        assert _inadmissible([], model[1]), argv

@@ -352,6 +352,23 @@ def test_kernel_unit_diagonal():
         assert abs(pe.disk_kernel_closed(nu, z, z) - 1.0) < 1e-12
 
 
+def test_kernel_at_large_index_is_one_exponential():
+    # at nu = 2e6 each power alone leaves the float range; their product does not
+    nu = 2e6
+    z = 0.4 + 0.3j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pe.disk_kernel_closed(nu, z, z) == 1.0
+        for z1, z2 in ((0.3 + 0.2j, 0.3005 + 0.2j), (0.9, 0.9 + 1e-4j)):
+            got = pe.disk_kernel_closed(nu, z1, z2)
+            with mpmath.workdps(40):
+                p = mpmath.mpf(nu + 1) / 2
+                want = complex(mpmath.exp(p * mpmath.log(1 - abs(z1) ** 2)
+                                          + p * mpmath.log(1 - abs(z2) ** 2)
+                                          - 2 * p * mpmath.log(1 - mpmath.conj(z1) * z2)))
+            assert abs(got - want) < 1e-9 * abs(want)
+
+
 def test_twisted_kernel_against_direct_sum():
     # distinct phase labels twist term n by e^{i (alpha1 - alpha2) n (n + nu)}
     nu, z1, z2, a1, a2 = 4.0, 0.3 + 0.2j, -0.1 + 0.5j, 0.4, -0.3

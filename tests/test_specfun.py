@@ -1,5 +1,7 @@
 """Special-function kernel against scipy and mpmath oracles."""
 import math
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from solvstates import ConvergenceError, DomainError
 from solvstates import specfun
+from solvstates.gazeau_klauder import RadialMeasure
 
 
 @pytest.mark.parametrize("n,a,b", [(0, 1.5, 0.7), (3, 1.5, 0.7), (7, 0.5, 2.5), (12, 3.0, 3.0)])
@@ -160,6 +163,94 @@ def test_bessel_wronskian(nu, x):
     w = x * (specfun.bessel_i(nu, x) * specfun.bessel_k(nu + 1.0, x)
              + specfun.bessel_i(nu + 1.0, x) * specfun.bessel_k(nu, x))
     assert w == pytest.approx(1.0, abs=1e-12)
+
+
+_GRID_X = np.logspace(-3.0, math.log10(130.0), 400)
+
+
+@pytest.mark.parametrize("nu, bound", [(0.0, 2e-14), (0.5, 2e-14), (1.0, 2e-14), (2.0, 2e-14),
+                                       (4.0, 2e-14), (5.4, 2e-14), (6.4, 2e-14), (11.7, 2e-14),
+                                       (20.0, 2e-14), (40.0, 1e-13), (80.0, 1e-13)])
+def test_bessel_k_grid_against_scipy(nu, bound):
+    want = sp.kv(nu, _GRID_X)
+    below = want < 1e300
+    got = specfun.bessel_k(nu, _GRID_X)
+    assert np.max(np.abs(got[below] / want[below] - 1.0)) < bound
+
+
+@pytest.mark.parametrize("nu", [400.0, 2e4, 2e6])
+def test_log_bessel_k_where_k_leaves_the_float_range(nu):
+    # K_nu(x) itself overflows here; its log stays within 4 ulp of a 40-digit oracle
+    xs = _GRID_X[::36]
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.log(mpmath.besselk(nu, x))) for x in xs])
+    got = specfun.log_bessel_k(nu, xs)
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+
+
+@pytest.mark.parametrize("nu", [1e12, 1e20, 1e300])
+def test_log_bessel_k_follows_the_uniform_expansion_at_huge_order(nu):
+    # DLMF 10.41.4, leading term: K_nu(nu z) ~ sqrt(pi / (2 nu)) e^{-nu eta} / (1 + z^2)^{1/4}
+    def leading(x):
+        z = mpmath.mpf(x) / nu
+        root = mpmath.sqrt(1 + z * z)
+        eta = root + mpmath.log(z / (1 + root))
+        return float(0.5 * mpmath.log(mpmath.pi / (2 * nu)) - nu * eta - mpmath.log(root) / 2)
+
+    with mpmath.workdps(40):
+        want = np.array([leading(x) for x in _GRID_X[::8]])
+    assert np.allclose(specfun.log_bessel_k(nu, _GRID_X[::8]), want, rtol=1e-10, atol=0.0)
+
+
+def test_bessel_k_work_is_bounded_and_warning_free(monkeypatch):
+    # the rule's rows come from one np.arange per call, counted before anything is
+    # allocated: at most 128 nodes per x on the grid for every nu up to 1e300, at most
+    # 6,000 (at x = 1e-300) and no RuntimeWarning for x in [1e-300, 1e300]
+    widths = []
+    arange = np.arange
+
+    def counted(n, *args, **kwargs):
+        assert n <= 6000
+        widths.append(n)
+        return arange(n, *args, **kwargs)
+
+    orders = np.concatenate(([0.0], np.logspace(-300.0, 300.0, 61)))
+    wide = np.logspace(-300.0, 300.0, 61)
+    monkeypatch.setattr(np, "arange", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in orders:
+            specfun.log_bessel_k(nu, _GRID_X)
+        assert max(widths) <= 128
+        for nu in orders:
+            assert np.all(np.isfinite(specfun.log_bessel_k(nu, wide)))
+            specfun.bessel_k(nu, wide)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        specfun.bessel_k(5.4, np.logspace(-3.0, math.log10(130.0), 600))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("nu", [400.0, 2000.0])
+def test_log_bessel_i_where_i_underflows(nu):
+    for x in (0.5, 2.0, 30.0):
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.besseli(nu, x)))
+        assert specfun.bessel_i(nu, x) == 0.0
+        assert specfun.log_bessel_i(nu, x) == pytest.approx(want, rel=4e-16)
+
+
+def test_radial_measure_weight_at_large_order():
+    # (2/pi) r I_nu(2r) K_nu(2r): I_nu underflows and K_nu overflows at nu = 400
+    measure = RadialMeasure(nu=400.0, r_cutoff=200.0)
+    for r in (0.5, 3.0, 60.0):
+        with mpmath.workdps(40):
+            want = float(2 / mpmath.pi * r * mpmath.besseli(400, 2 * r) * mpmath.besselk(400, 2 * r))
+        assert measure.weight(r) == pytest.approx(want, rel=1e-13)
 
 
 def test_gauss_legendre_nodes_match_numpy():
