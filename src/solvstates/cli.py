@@ -14,6 +14,7 @@ import csv
 import functools
 import json
 import sys
+import textwrap
 
 import numpy as np
 
@@ -65,19 +66,20 @@ def _parse_complex(text: str) -> complex:
 
 
 def _write_rows(out_path, header, rows, fmt, meta):
-    """Write rows (any iterable of tuples) as CSV, one at a time, or as one JSON payload."""
-    if fmt == "json":
-        payload = dict(meta)
-        payload["rows"] = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2)
-        if out_path:
-            with open(out_path, "w") as handle:
-                handle.write(text + "\n")
-        else:
-            sys.stdout.write(text + "\n")
-        return
+    """Write rows (any iterable of tuples) one at a time, as CSV or as the text that
+    json.dumps(dict(meta, rows=[row dicts]), indent=2) would give."""
     handle = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
+        if fmt == "json":
+            # the meta keys, then each row dict at the depth of the "rows" list
+            handle.write(json.dumps(dict(meta, rows=[]), indent=2)[:-len("[]\n}")])
+            opening = "["
+            for row in rows:
+                handle.write(opening + "\n" + textwrap.indent(
+                    json.dumps(dict(zip(header, row)), indent=2), "    "))
+                opening = ","
+            handle.write("[]\n}\n" if opening == "[" else "\n  ]\n}\n")
+            return
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:

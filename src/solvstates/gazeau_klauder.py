@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .fockspace import FockVector, certified_length
 from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SpectrumModel
 from .tolerances import GK_TAIL_CERT
@@ -188,27 +188,19 @@ class RadialMeasure:
 def pt_measure(kappa: float, kappa_prime: float, n_ref: int = 20) -> RadialMeasure:
     """Resolving measure for level products n! Gamma(n+nu+1) / Gamma(nu+1).
 
-    The cutoff is pushed until the n_ref-th moment integrand has dropped below
-    1e-14 of its scale, so truncating the half-line integral is harmless for
-    all moments n <= n_ref.
+    The n-th moment integrand K_nu(2r) r^{2n+nu+1} peaks near r = sqrt((2n+1)(2n+2nu+1))/2,
+    log-concave in log r with curvature about c = x^2/(2n+nu+2), x = sqrt((2n+2)(2n+2nu+2)).
+    The cutoff (x/2 + 20) e^{10/sqrt c} at n = n_ref lies ten widths past that peak in log r
+    and 20 past it in r, so truncation is harmless for all moments n <= n_ref.
     """
     # kappa = kappa_prime = 1 is the square-well boundary; the measure only
     # needs nu = kappa + kappa_prime > 0, but stay within the solvable family
     if kappa < 1 or kappa_prime < 1:
         raise DomainError("well exponents below 1 are outside the solvable family")
     nu = kappa + kappa_prime
-    power = 2 * n_ref + nu + 1
-    target = math.log(1e-14)
-    # K_nu(2r) ~ sqrt(pi/(4r)) e^{-2r}, so the n_ref integrand behaves like
-    # r^power e^{-2r} with log-peak power*log(power/2) - power at r = power/2
-    peak = power * math.log(power / 2.0) - power
-    r = max(10.0, power / 2.0)
-    while r < 200.0:
-        log_tail = power * math.log(r) - 2.0 * r + 0.5 * math.log(math.pi / (4.0 * r))
-        if log_tail < target + peak:
-            break
-        r += 5.0
-    return RadialMeasure(nu=nu, r_cutoff=r)
+    half_x = math.sqrt(n_ref + 1.0) * math.sqrt(n_ref + nu + 1.0)
+    c = 4.0 * (n_ref + 1.0) * ((n_ref + nu + 1.0) / (2.0 * n_ref + nu + 2.0))
+    return RadialMeasure(nu=nu, r_cutoff=(half_x + 20.0) * math.exp(10.0 / math.sqrt(c)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -221,17 +213,20 @@ def _moment_nodes(nu: float, cutoff: float, order: int):
     return log_r, log_base
 
 
-def _moment(measure: RadialMeasure, n: int, log_rho: float, order: int) -> float:
-    # moment_n = 4 / rho(n) * int K_nu(2r) r^{2n+nu+1} dr with rho-scaled integrand
+def _log_moment(measure: RadialMeasure, n: int, log_rho: float, order: int) -> float:
+    # log of 4 / rho(n) * int K_nu(2r) r^{2n+nu+1} dr; no large log is added after the sum
     log_r, log_base = _moment_nodes(measure.nu, measure.r_cutoff, order)
-    return 4.0 * float(np.sum(np.exp(log_base + 2 * n * log_r - log_rho)))
+    terms = log_base + 2 * n * log_r - log_rho
+    top = float(terms.max())
+    return math.log(4.0) + top + math.log(float(np.exp(terms - top).sum()))
 
 
 def identity_moment_check(model: SpectrumModel, measure: RadialMeasure, n: int) -> float:
-    """|moment_n - 1| for the resolving measure; exact value is 1 for every n.
+    """|log moment_n|, the relative error of the resolving measure's moment to first order.
 
-    Evaluated at two quadrature orders (200 and 400 nodes); disagreement
-    beyond 1e-9 means the quadrature itself has not settled.
+    Evaluated at two quadrature orders (200 and 400 nodes); disagreement beyond 1e-9
+    means the quadrature itself has not settled.  The residual is never below one ulp of
+    log rho(n), rho(n) = n! Gamma(n+nu+1): about 2e-16 nu log nu, so no gate passes by rounding.
     """
     if model.kind != POSCHL_TELLER:
         raise DomainError("closed resolving measure is only available for nu-type spectra")
@@ -239,7 +234,10 @@ def identity_moment_check(model: SpectrumModel, measure: RadialMeasure, n: int) 
         raise DomainError("measure index does not match the model")
     if n < 0:
         raise DomainError("moment order must be nonnegative")
-    log_rho = math.lgamma(n + 1.0) + math.lgamma(n + measure.nu + 1.0)
-    fine = specfun.settled(f"identity moment n={n}", _moment(measure, n, log_rho, 200),
-                           _moment(measure, n, log_rho, 400), 1e-9)
-    return abs(fine - 1.0)
+    try:
+        log_rho = math.lgamma(n + 1.0) + math.lgamma(n + measure.nu + 1.0)
+    except OverflowError:  # past nu = 2.5e305
+        raise ConvergenceError(f"log rho({n}) at nu = {measure.nu!r} overflows") from None
+    gap = specfun.settled(f"identity moment n={n}", _log_moment(measure, n, log_rho, 200),
+                          _log_moment(measure, n, log_rho, 400), 1e-9)
+    return max(abs(gap), math.ulp(log_rho))

@@ -38,7 +38,7 @@ from .errors import ConvergenceError, DomainError, LambdaRejected, TruncationErr
 from .fockspace import (FockVector, LadderRep, UncertaintyReport, _moments, build_ladder,
                         uncertainty, within_ceiling)
 from .perelomov import _log_gamma_ratio
-from .specfun import graded_edges, hyp0f1, hyp1f1, panel_rule, settled
+from .specfun import hyp0f1, hyp1f1, log_trapezoid, settled
 from .spectrum import POSCHL_TELLER, SpectrumModel
 from .tolerances import CHECK_GATE, SIZE_CEILING, UNIT_TOL
 
@@ -357,33 +357,17 @@ def gis_disk_expansion(
         "disk expansion")
 
 
-def _monomial_transform(nu: float, n: int, zeta: float, panels: int, order: int,
-                        levels: int) -> float:
-    # zeta^{-(nu+1)}/sqrt(Gamma(nu+1)) * integral_0^inf z^{nu+n} e^{-z/zeta} dz
-    # times the plane monomial scale 1/sqrt(n! Gamma(nu+n+1)); the first of the
-    # uniform panels is split into levels sub-panels graded toward the z^nu kink at 0
-    upper = max(60.0, zeta * (nu + n + 80.0))
-    edges = np.linspace(0.0, upper, panels + 1)
-    edges = np.concatenate([graded_edges(0.0, edges[1], levels), edges[2:]])
-    xs, ws = panel_rule(edges, order)
-    log_front = -(nu + 1.0) * math.log(zeta) - 0.5 * (
-        math.lgamma(nu + 1.0) + math.lgamma(n + 1.0) + math.lgamma(nu + n + 1.0))
-    return float(np.sum(ws * np.exp((nu + n) * np.log(xs) - xs / zeta + log_front)))
-
-
 def laplace_bridge(nu: float, n: int, zeta: float) -> float:
     """Relative residual of the plane-to-disk monomial correspondence.
 
     The Laplace transform zeta^{-(nu+1)}/sqrt(Gamma(nu+1)) *
     integral z^nu [z^n / sqrt(n! Gamma(nu+n+1))] e^{-z/zeta} dz must equal
     the disk monomial zeta^n sqrt(Gamma(nu+n+1) / (n! Gamma(nu+1))).
-    Evaluated by composite Gauss-Legendre quadrature at two resolutions
-    (30 panels of 16 nodes, 45 of 24) that must agree to 1e-9 of the
-    target.  For non-integer nu the integrand has a z^nu kink at 0 that
-    uniform panels cannot resolve, so the first panel is split into 14
-    (coarse) or 20 (fine) sub-panels graded geometrically toward 0, the
-    standard cure for an algebraic endpoint singularity (P. J. Davis &
-    P. Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984).
+    In s = log z = s* + u, e^{s*} = zeta m, m = nu + n + 1, the integrand is
+    (zeta m / e)^m e^{m (u - expm1 u)}: curvature m at the peak, a tail e^{m u} (the
+    z^nu power, a kink in z) and a double-exponential one.  Two trapezoid sums must agree
+    to 1e-9 of the target.  The residual is |log(transform / target)|, the relative one
+    to first order, and never below one ulp of the logs m log(zeta m) it subtracts.
     """
     if not nu > -1.0:
         raise DomainError("laplace_bridge needs nu > -1")
@@ -391,11 +375,13 @@ def laplace_bridge(nu: float, n: int, zeta: float) -> float:
         raise DomainError("monomial degree must be >= 0")
     if not 0.0 < zeta < 1.0:
         raise DomainError("zeta must lie in (0, 1) for the transform to converge")
-    target = zeta**n * math.exp(
-        0.5 * (math.lgamma(nu + n + 1.0) - math.lgamma(n + 1.0) - math.lgamma(nu + 1.0))
-    )
-    fine = settled(f"Laplace bridge nu={nu} n={n} zeta={zeta}",
-                   _monomial_transform(nu, n, zeta, panels=30, order=16, levels=14),
-                   _monomial_transform(nu, n, zeta, panels=45, order=24, levels=20),
-                   1e-9 * abs(target))
-    return abs(fine - target) / target
+    m = nu + n + 1.0
+    case = f"Laplace bridge nu={nu} n={n} zeta={zeta}"
+    coarse, fine = log_trapezoid(case, lambda u: m * (u - np.expm1(u)), m, m, math.inf)
+    peak = m * math.log(zeta * m)
+    log_front = peak - m - (nu + 1.0) * math.log(zeta) - 0.5 * (
+        math.lgamma(nu + 1.0) + math.lgamma(n + 1.0) + math.lgamma(m))
+    log_target = n * math.log(zeta) + 0.5 * (
+        math.lgamma(m) - math.lgamma(n + 1.0) - math.lgamma(nu + 1.0))
+    gap = settled(case, coarse + log_front - log_target, fine + log_front - log_target, 1e-9)
+    return max(abs(gap), math.ulp(peak))

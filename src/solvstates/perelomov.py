@@ -507,33 +507,30 @@ def disk_kernel_closed(nu: float, zeta1: complex, zeta2: complex) -> complex:
                      - (nu + 1.0) * cmath.log(1.0 - p1.zeta.conjugate() * p2.zeta))
 
 
-def _disk_moment(nu: float, n: int, log_g: float, n_panels: int) -> float:
-    """nu G_n int_0^1 t^n (1-t)^{nu-1} dt by graded composite quadrature."""
-    # panels graded toward t=1 where (1-t)^{nu-1} has its endpoint kink
-    t, w = specfun.panel_rule(specfun.graded_edges(1.0, 0.0, n_panels), 24)
-    inside = (t > 0.0) & (t < 1.0)
-    t, w = t[inside], w[inside]
-    return nu * float(np.sum(w * np.exp(log_g + n * np.log(t) + (nu - 1.0) * np.log1p(-t))))
-
-
 def disk_identity_check(nu: float, n: int) -> float:
-    """Relative residual of the n-th diagonal resolving moment; exact value 1.
+    """|log| of the n-th diagonal resolving moment, its relative residual to first order.
 
-    The angular integral is done analytically; the radial integral runs over
-    t = |zeta|^2 in (0, 1) against the (nu/pi) (1-t)^{-2} density.
+    The angular integral is analytic; the radial one, nu G_n int t^n (1-t)^(nu-1) over
+    t = |zeta|^2 in (0, 1), runs in s = log(t/(1-t)) = s* + u, e^{s*} = a/nu, a = n + 1,
+    where t^a (1-t)^nu is a log-concave bump (curvature a nu/(a + nu), tails e^{a u} and
+    e^{-nu u}, which the endpoint powers become).  The front nu G_n p^a q^nu,
+    p = a/(a + nu) = 1 - q, is a^a q^nu / n! times ratios (k + nu)/(a + nu), read as logs.
     """
     if nu <= 0:
         raise DomainError("the well index must be positive")
     if n < 0 or n > 20:
         raise DomainError("moment order must lie in 0..20")
-    log_g = (
-        math.lgamma(n + nu + 1.0)
-        - math.lgamma(n + 1.0)
-        - math.lgamma(nu + 1.0)
-    )
-    fine = specfun.settled(f"disk moment n={n}", _disk_moment(nu, n, log_g, 24),
-                           _disk_moment(nu, n, log_g, 48), 1e-10)
-    return abs(fine - 1.0)
+    a = n + 1.0
+    p, q = a / (a + nu), nu / (a + nu)
+    # log integrand less its peak: a u - (a + nu) log1p(p expm1 u), or the same with
+    # (a, p, u) -> (nu, q, -u); the form in the smaller of p, q neither cancels nor overflows
+    k, w, sign = (a, p, 1.0) if p <= q else (nu, q, -1.0)
+    case = f"disk moment n={n}"
+    coarse, fine = specfun.log_trapezoid(
+        case, lambda u: k * sign * u - (a + nu) * np.log1p(w * np.expm1(sign * u)), a * q, a, nu)
+    log_front = (float(np.log((np.arange(a) + nu) / (a + nu)).sum()) + a * math.log(a)
+                 - math.lgamma(a) + nu * math.log1p(-p))
+    return abs(specfun.settled(case, coarse + log_front, fine + log_front, 1e-10))
 
 
 def kernel_reproducing_residual(

@@ -12,12 +12,12 @@ The Jacobi evaluator runs the three-term recurrence as a formal identity in
 the parameters, so it stays valid for the complex and below -1 parameters of
 the disk-representation expansions, a regime standard libraries refuse.
 
-Every integral but K_nu's goes through one composite Gauss-Legendre path:
-``panel_rule`` turns panel edges (uniform, or from ``graded_edges`` toward
-an endpoint singularity) into flat node and weight arrays, and ``settled``
-compares two resolutions against the caller's gate.  K_nu's integrand is
-entire and double-exponentially decaying, so the trapezoid rule on a window
-known in closed form converges geometrically without panels or a search.
+Where a log variable makes an integrand a log-concave bump with exponential
+tails (K_nu's integral, the disk moments, the Laplace bridge), the trapezoid
+rule on a window known in closed form converges geometrically without panels
+or a search: ``_bessel_k``, and ``log_trapezoid`` for the rest.  Smooth
+integrands on a finite interval take Gauss-Legendre through ``panel_rule``.
+``settled`` compares two resolutions against the caller's gate.
 """
 from __future__ import annotations
 
@@ -33,11 +33,14 @@ MAX_TERMS = 10000
 REL_TAIL = 1e-16
 # terms per vectorized step of the hypergeometric series
 _BLOCK = 24
+#: most nodes one log_trapezoid window may hold, 0.5 MB an array
+LOG_RULE_CAP = 2 ** 16
 
 
 def log_bessel_i(nu: float, x: float) -> float:
     """log I_nu(x) by the ascending series, for nu >= 0, x >= 0.  The leading factor
-    (x/2)^nu / Gamma(nu+1) enters as its log, so it is finite where I_nu underflows."""
+    (x/2)^nu / Gamma(nu+1) enters as its log, and the sum carries powers of 2 into it,
+    so it is finite where I_nu underflows or overflows."""
     if nu < 0 or x < 0:
         raise DomainError("bessel_i needs nu >= 0 and x >= 0")
     if x == 0.0:
@@ -45,11 +48,14 @@ def log_bessel_i(nu: float, x: float) -> float:
     log_lead = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
     q = 0.25 * x * x
     term = total = 1.0
+    carried = 0  # powers of 2 moved from the sum into the log, past x = 716 where it overflows
     for k in range(1, MAX_TERMS):
         term *= q / (k * (nu + k))
         total += term
+        if total > 1e300:
+            term, total, carried = term * 2.0 ** -1000, total * 2.0 ** -1000, carried + 1000
         if term <= REL_TAIL * total:
-            return log_lead + math.log(total)
+            return log_lead + carried * math.log(2.0) + math.log(total)
     raise ConvergenceError("bessel_i series did not converge")
 
 
@@ -111,6 +117,29 @@ def bessel_k(nu: float, x):
     a warning.  A scalar x gives a float, an array x an array of its shape.
     """
     return _bessel_k(nu, x, log=False)
+
+
+def log_trapezoid(case: str, phi, c: float, rate_left: float, rate_right: float):
+    """Logs of the trapezoid sums, at steps 2h and h, of the integral of e^phi over the line.
+
+    phi(u) is log-concave, with its peak at u = 0 (the nodes are exact multiples of h),
+    curvature c there, and tails e^{-rate |u|} or steeper (rate_right = inf for a
+    double-exponential one).  On [-40/rate_left - 10/sqrt c, 40/rate_right + 10/sqrt c]
+    with h = min(1/8, 1/(8 sqrt c)) the rule converges geometrically (Trefethen &
+    Weideman, SIAM Rev. 56, 2014).  The coarse sum reads every other node, so phi runs
+    once.  Past LOG_RULE_CAP nodes it refuses, naming the case, before any allocation.
+    """
+    width, h = 10.0 / math.sqrt(c), min(0.125, 0.125 / math.sqrt(c))
+    left, right = (40.0 / rate_left + width) / h, (40.0 / rate_right + width) / h
+    if not left + right < LOG_RULE_CAP:
+        raise ConvergenceError(f"{case} needs {left + right:.3g} trapezoid nodes, "
+                               f"past the cap of {LOG_RULE_CAP}")
+    left = math.ceil(left)
+    values = phi(h * np.arange(-left, math.ceil(right) + 1))
+    top = values.max()
+    terms = np.exp(values - top)
+    return (top + math.log(2.0 * h * terms[left % 2::2].sum()),
+            top + math.log(h * terms.sum()))
 
 
 def jacobi_rows(n: int, a, b, x) -> list:
@@ -276,19 +305,6 @@ def panel_rule(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     return (mid + half * rule.nodes).ravel(), (half * rule.weights).ravel()
-
-
-def graded_edges(end: float, start: float, panels: int) -> np.ndarray:
-    """Increasing edges of panels between start and end, graded toward end.
-
-    The distance of edge k to end is |end - start| 10^(-12 k / panels),
-    k = 0..panels-1, and the last edge is end itself; geometric grading of
-    this kind resolves an algebraic singularity at end (Davis & Rabinowitz,
-    Methods of Numerical Integration, 2nd ed., 1984).
-    """
-    edges = end + (start - end) * np.logspace(0.0, -12.0, panels + 1)
-    edges[-1] = end
-    return np.sort(edges)
 
 
 def settled(case: str, coarse, fine, gate: float):

@@ -160,39 +160,38 @@ def _suite_ladder(model: SpectrumModel, tol) -> list[CaseResult]:
 # -- lowering-operator eigenstates ------------------------------------------
 
 
-_GK_CASES = ("gk.eigenstate_residual", "gk.tail_bound", "gk.action_identity",
-             "gk.normalization_closed", "gk.identity_moments",
-             "gk.temporal_stability")
-
-
 def _suite_gk(model: SpectrumModel, tol) -> list[CaseResult]:
-    z = _safe_z(model)
-    try:
-        state = gk_state(model, z)
-    except (TruncationError, DomainError) as err:
-        # short custom tables cannot hold the tail below threshold at any
-        # useful amplitude; report every case as unverifiable
-        reason = f"state construction failed: {err}"
-        return [CaseResult(name, SKIPPED, None, resolve(name, tol), 0.0, reason)
-                for name in _GK_CASES]
-    rep = build_ladder(model, state.vector.n_max)
+    # label, state and ladder: made by the first case that reads them, or it skips or fails
+    z = functools.cache(functools.partial(_safe_z, model))
+
+    @functools.cache
+    def state():
+        try:
+            return gk_state(model, z())
+        except (TruncationError, DomainError) as err:
+            # short custom tables cannot hold the tail below threshold at any useful amplitude
+            raise _Skip(f"state construction failed: {err}")
+
+    @functools.cache
+    def rep():
+        return build_ladder(model, state().vector.n_max)
 
     def eigenstate():
-        return eigenvalue_residual(rep, state.vector, z)
+        return eigenvalue_residual(rep(), state().vector, z())
 
     def tail():
-        return state.vector.tail_bound()
+        return state().vector.tail_bound()
 
     def action():
-        return abs(action_identity(state, rep))
+        return abs(action_identity(state(), rep()))
 
     def normalization():
-        r = abs(z)
+        r = abs(z())
         try:
             closed = gk_normalization_closed(model, r)
         except DomainError:
             raise _Skip("no closed normalization")
-        direct = gk_normalization(model, r)
+        direct = gk_normalization(model, r, state().vector.n_max)
         return abs(direct - closed) / abs(closed)
 
     def moments():
@@ -203,8 +202,8 @@ def _suite_gk(model: SpectrumModel, tol) -> list[CaseResult]:
 
     def stability():
         t = 0.37
-        moved = evolve(state, t).vector
-        rebuilt = gk_state(model.with_alpha(model.alpha + t), z).vector
+        moved = evolve(state(), t).vector
+        rebuilt = gk_state(model.with_alpha(model.alpha + t), z()).vector
         return np.max(np.abs(moved.coeffs - rebuilt.coeffs))
 
     return [
@@ -485,7 +484,7 @@ def _suite_specfun(model: SpectrumModel, tol) -> list[CaseResult]:
         return max(float(np.max(np.abs(left[n] - (-1.0) ** n * right[n]))) for n in range(9))
 
     def quadrature():
-        # through the composite-panel path every package quadrature but bessel_k uses
+        # through panel_rule, the Gauss-Legendre path of the finite-interval integrals
         x, w = specfun.panel_rule([-1.0, 1.0], 12)
         return max(abs(float(np.dot(w, x ** k)) - (0.0 if k % 2 else 2.0 / (k + 1)))
                    for k in range(24))

@@ -96,6 +96,37 @@ def test_state_writes_its_rows_as_it_forms_them(tmp_path):
     assert peak < 10 * 2 ** 20
 
 
+def test_state_streams_its_json_rows_as_it_forms_them(tmp_path):
+    # the 92,450 bands of the CSV test above, as one JSON payload, peaked at 122 MB
+    out = tmp_path / "state.json"
+    tracemalloc.start()
+    try:
+        code = main(["state", "--family", "gk", "--model", "harmonic", "--z=300,0",
+                     "--format", "json", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(out.read_text())["rows"]) == 92450
+    assert peak < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "--model", "pt:2,2", "--family", "gk", "--z=1,0.5"),
+    ("state", "--model", "harmonic", "--family", "gis", "--z=1,0", "--lambda", "2,0"),
+    ("sweep", "--family", "gis", "--grid", "lambda-mod:0.5:2:3"),
+    ("sweep", "--family", "gis", "--grid", "lambda-theta:-1:1:1", "--model", "well"),
+])
+def test_json_rows_are_written_as_json_dumps_indents_them(capsys, tmp_path, argv):
+    # the streamed text is byte for byte the one payload json.dumps(..., indent=2) makes
+    code, text, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    out = tmp_path / "rows.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert out.read_text() == text
+
+
 def test_lambda_minus_one_is_domain_rejection(capsys):
     code, _, err = run(capsys, "state", "--model", "pt:2,2", "--family", "gis",
                        "--z", "1,0", "--lambda", "-1,0", "--nmax", "30")
@@ -185,7 +216,7 @@ def test_verify_json_and_exit_zero(capsys):
 
 
 def test_verify_gis_on_soft_poschl_teller(capsys):
-    # nu = 2.4: the Laplace bridge integrand has a z^2.4 kink at 0
+    # nu = 2.4: the Laplace bridge integrand has a z^2.4 kink at 0, a tail in s = log z
     code, out, _ = run(capsys, "verify", "--suite", "gis", "--model", "pt:1.2,1.2")
     assert code == 0
     assert json.loads(out)["summary"]["fail"] == 0
@@ -202,6 +233,15 @@ def test_verify_custom_skips_unmeasured_identity(capsys, tmp_path):
     case = by_name["gk.identity_moments"]
     assert case["status"] == "SKIPPED"
     assert case["reason"] == "no closed measure"
+
+
+def test_verify_gk_reports_each_case_where_nu_overflows(capsys):
+    # nu = kappa + kappa' past the float range: every case fails by name in a report
+    code, out, _ = run(capsys, "verify", "--suite", "gk", "--model", "pt:1e308,1e308")
+    assert code == 4
+    cases = json.loads(out)["cases"]
+    assert len(cases) == 6
+    assert all(c["status"] == "FAIL" and "overflows" in c["reason"] for c in cases)
 
 
 def test_verify_absurd_tolerance_exits_four(capsys):
@@ -696,11 +736,13 @@ def test_verify_exit_code_contract_on_tables(model, tol):
 @example(model=("pt:200.0,200.0", (200.0, 200.0)), suite="gk")
 @example(model=("pt:2.0,1e+12", (2.0, 1e12)), suite="gk")
 @example(model=("pt:1e+300,1e+300", (1e300, 1e300)), suite="gk")
-@given(model=_models, suite=st.sampled_from(["gk", "specfun"]))
+@example(model=("pt:50.0,50.0", (50.0, 50.0)), suite="perelomov")
+@example(model=("pt:1e+300,1e+300", (1e300, 1e300)), suite="perelomov")
+@given(model=_models, suite=st.sampled_from(["gk", "specfun", "perelomov"]))
 def test_verify_exit_code_contract_on_wells(model, suite):
-    # the Bessel closed forms on wells up to strengths of 1e300: a report (exit 0 or 4),
-    # or a domain rejection of an inadmissible strength; a traceback or RuntimeWarning
-    # would escape _run_model
+    # the Bessel closed forms and the resolving-measure integrals on wells up to strengths
+    # of 1e300: a report (exit 0 or 4), or a domain rejection of an inadmissible strength;
+    # a traceback or RuntimeWarning would escape _run_model
     code, argv = _run_model(model, ["verify", "--suite", suite])
     assert code in (0, 3, 4)
     if code == 3:

@@ -2,6 +2,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,8 +12,8 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvstates import (DomainError, SpectrumModel, TruncationError, build_ladder,
-                        eigenvalue_residual)
+from solvstates import (ConvergenceError, DomainError, SpectrumModel, TruncationError,
+                        build_ladder, eigenvalue_residual)
 from solvstates import gazeau_klauder as gk
 
 
@@ -85,6 +86,31 @@ def test_measure_moments_resolve_identity(pt22):
     measure = gk.pt_measure(2.0, 2.0)
     for n in range(11):
         assert gk.identity_moment_check(pt22, measure, n) < 1e-6
+
+
+@pytest.mark.parametrize("strengths", [(7e3, 3e4), (1e6, 1e6)])
+def test_measure_moments_resolve_identity_on_strong_wells(strengths):
+    # the cutoff lies past the n_ref-th integrand's peak, sqrt((2n+1)(2n+2nu+1)) / 2
+    model = SpectrumModel.poschl_teller(*strengths)
+    measure = gk.pt_measure(*strengths)
+    for n in range(7):
+        assert gk.identity_moment_check(model, measure, n) <= 1e-6
+
+
+@pytest.mark.parametrize("strengths", [(2.0, 1e12), (1e20, 1.5), (1e150, 2.0), (1e300, 1e300),
+                                       (8e307, 8e307)])
+def test_measure_moments_fail_past_the_precision_floor(strengths):
+    # rho(n) = n! Gamma(n+nu+1) has a log past 1e13 here: one ulp of it exceeds the gate,
+    # so the check reads at least that ulp or refuses by name, never a pass by rounding
+    model = SpectrumModel.poschl_teller(*strengths)
+    measure = gk.pt_measure(*strengths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 6):
+            try:
+                assert gk.identity_moment_check(model, measure, n) > 1e-6
+            except ConvergenceError as err:
+                assert f"n={n}" in str(err) or f"rho({n})" in str(err)
 
 
 def test_measure_weight_against_scipy_bessel_oracle(pt22):

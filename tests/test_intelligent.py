@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvstates import (DomainError, LambdaRejected, SpectrumModel, TruncationError,
-                        build_ladder, gis_recurrence_oracle, uncertainty)
+from solvstates import (ConvergenceError, DomainError, LambdaRejected, SpectrumModel,
+                        TruncationError, build_ladder, gis_recurrence_oracle, uncertainty)
 from solvstates import gazeau_klauder as gk
 from solvstates import intelligent as it
 from solvstates import perelomov as pe
@@ -355,11 +355,29 @@ def test_laplace_bridge_refuses_nu_at_or_below_minus_one(nu):
 
 @pytest.mark.parametrize("zeta", [0.3, 0.5, 0.8])
 def test_laplace_bridge_residuals(zeta):
-    # nu in 2..8 by 0.1; non-integer nu puts a z^nu kink at 0 that uniform
-    # panels cannot resolve (2.1..2.9 refused before the graded first panel)
+    # nu in 2..8 by 0.1; in s = log z the z^nu power at 0, a kink for non-integer nu,
+    # is an exponential tail, so every nu takes the same rule
     for nu in 2.0 + 0.1 * np.arange(61):
         for n in range(9):
             assert it.laplace_bridge(nu, n, zeta) < 1e-6
+
+
+@pytest.mark.parametrize("nu, bound", [(-0.99, 1e-13), (-0.5, 1e-13), (0.0, 1e-13), (1.0, 1e-13),
+                                       (300.0, 1e-9), (1000.0, 1e-9), (7.4e4, 1e-9)])
+def test_laplace_bridge_near_minus_one_and_on_strong_wells(nu, bound):
+    for n in (0, 3, 6):
+        for zeta in (0.3, 0.5, 0.8):
+            assert it.laplace_bridge(nu, n, zeta) <= bound
+
+
+@pytest.mark.parametrize("nu", [1e12, 1e300])
+def test_laplace_bridge_fails_where_doubles_cannot_resolve_its_logs(nu):
+    # logs of size m log m past 1e13 leave no digits for the gate: a residual above it
+    # or a named refusal, never a pass by rounding
+    try:
+        assert it.laplace_bridge(nu, 3, 0.5) > 1e-6
+    except ConvergenceError as err:
+        assert "Laplace bridge nu=" in str(err)
 
 
 def test_truncation_error_carries_suggestion(pt22):

@@ -326,6 +326,14 @@ def test_disk_identity_moments(nu):
         assert pe.disk_identity_check(nu, n) < 1e-8
 
 
+@pytest.mark.parametrize("nu", [100.0, 2e6, 1e300])
+def test_disk_identity_moments_on_strong_wells(nu):
+    # in s = log(t / (1-t)) the (1-t)^(nu-1) endpoint power is an exponential tail, and
+    # nu G_n p^(n+1) is summed as logs of ratios near 1, so nothing cancels at any nu
+    for n in range(21):
+        assert pe.disk_identity_check(nu, n) <= 1e-12
+
+
 def test_disk_identity_beta_function_oracle():
     # nu * Integral (1-u)^(nu-1) u^n du * G_n telescopes to 1 exactly
     for nu in (2.0, 4.0, 5.4):

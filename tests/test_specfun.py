@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from solvstates import ConvergenceError, DomainError
 from solvstates import specfun
 from solvstates.gazeau_klauder import RadialMeasure
+from solvstates import intelligent
+from solvstates.intelligent import laplace_bridge
+from solvstates.perelomov import disk_identity_check
 
 
 @pytest.mark.parametrize("n,a,b", [(0, 1.5, 0.7), (3, 1.5, 0.7), (7, 0.5, 2.5), (12, 3.0, 3.0)])
@@ -235,6 +238,15 @@ def test_bessel_k_work_is_bounded_and_warning_free(monkeypatch):
     assert peak < 8 * 2 ** 20
 
 
+@pytest.mark.parametrize("nu, x", [(0.0, 720.0), (2.0, 1e4), (400.0, 1e4)])
+def test_log_bessel_i_where_i_overflows(nu, x):
+    # past x = 716 the series' sum leaves the float range; powers of 2 of it go into the log
+    with mpmath.workdps(40):
+        want = float(mpmath.log(mpmath.besseli(nu, x)))
+    assert specfun.log_bessel_i(nu, x) == pytest.approx(want, rel=4e-16)
+    assert math.isfinite(RadialMeasure(nu=2.0, r_cutoff=1e3).weight(400.0))
+
+
 @pytest.mark.parametrize("nu", [400.0, 2000.0])
 def test_log_bessel_i_where_i_underflows(nu):
     for x in (0.5, 2.0, 30.0):
@@ -278,15 +290,64 @@ def test_gauss_legendre_scaled_interval():
     assert np.dot(w, np.exp(x)) == pytest.approx(math.e ** 2 - 1.0, rel=1e-14)
 
 
-def test_graded_edges_shrink_geometrically_toward_the_endpoint():
-    up = specfun.graded_edges(1.0, 0.0, 24)
-    assert up[0] == 0.0 and up[-1] == 1.0 and np.all(np.diff(up) > 0)
-    assert np.allclose((1.0 - up[1:-1]) / (1.0 - up[:-2]), 10.0 ** -0.5)
-    down = specfun.graded_edges(0.0, 2.0, 12)
-    assert down[0] == 0.0 and down[1] == pytest.approx(2e-11) and down[-1] == 2.0
-    # x^2.4 has its kink at 0; the graded rule integrates it where one panel cannot
-    x, w = specfun.panel_rule(down, 16)
-    assert np.dot(w, x ** 2.4) == pytest.approx(2.0 ** 3.4 / 3.4, rel=1e-14)
+def test_log_trapezoid_work_is_bounded_and_refused_past_its_cap(monkeypatch):
+    # the window holds at most 1,239 nodes for the disk moments at nu >= 0.5 (481 at
+    # nu = 1e300) and 869 for the Laplace bridge at nu >= -0.5; past LOG_RULE_CAP it is
+    # refused by name before phi runs or anything is allocated
+    widths = []
+    rule = specfun.log_trapezoid
+
+    def counted(case, phi, *shape):
+        def seen(u):
+            widths.append(u.size)
+            return phi(u)
+        return rule(case, seen, *shape)
+
+    monkeypatch.setattr(specfun, "log_trapezoid", counted)
+    monkeypatch.setattr(intelligent, "log_trapezoid", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in np.concatenate(([0.5], np.logspace(0.0, 300.0, 31))):
+            for n in range(21):
+                disk_identity_check(nu, n)
+        disk_nodes, widths[:] = max(widths), []
+        disk_identity_check(1e300, 0)
+        assert widths == [481]
+        for nu in np.concatenate((np.linspace(-0.5, 8.0, 18), np.logspace(1.0, 6.0, 11))):
+            for n in range(9):
+                laplace_bridge(nu, n, 0.5)
+        laplace_nodes = max(widths)
+    assert disk_nodes == 1239 and laplace_nodes == 869
+    widths[:] = []
+    with pytest.raises(ConvergenceError, match=r"Laplace bridge nu=-0\.999 n=0 zeta=0\.5 needs "
+                       r"3\.2\de\+05 trapezoid nodes, past the cap of 65536"):
+        laplace_bridge(-0.999, 0, 0.5)
+    with pytest.raises(ConvergenceError, match="disk moment n=0 needs"):
+        disk_identity_check(1e-3, 0)
+    assert not widths
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        laplace_bridge(-0.99, 0, 0.5)  # 33,601 nodes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_log_trapezoid_sums_a_gaussian_and_a_logistic_bump():
+    # both sums against closed forms: sqrt(2 pi / c), and B(a, b) for t^a (1-t)^b in
+    # s = log(t / (1-t)), whose log integrand is a s - (a + b) log(1 + e^s)
+    for c in (1e-2, 1.0, 1e6):
+        coarse, fine = specfun.log_trapezoid("gauss", lambda u: -0.5 * c * u * u, c, math.inf,
+                                             math.inf)
+        assert coarse == pytest.approx(0.5 * math.log(2.0 * math.pi / c), abs=1e-14)
+        assert fine == pytest.approx(0.5 * math.log(2.0 * math.pi / c), abs=1e-14)
+    a, b = 1.0, 1.0
+    coarse, fine = specfun.log_trapezoid(
+        "logistic", lambda u: a * u - (a + b) * np.logaddexp(0.0, u), a * b / (a + b), a, b)
+    want = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    assert abs(fine - want) <= 1e-15 and abs(coarse - want) <= 1e-12
 
 
 def test_settled_refuses_disagreeing_resolutions():

@@ -115,6 +115,11 @@ def test_short_custom_table_degrades_to_skips():
     assert report.summary["skipped"] >= 10
     gk_cases = [c for c in report.cases if c.name.startswith("gk.")]
     assert all(c.status == "SKIPPED" for c in gk_cases)
+    # each gk case skips on its own premise: the two closed forms name theirs, the rest the state
+    reasons = {c.name: c.reason for c in gk_cases}
+    assert reasons.pop("gk.normalization_closed") == "no closed normalization"
+    assert reasons.pop("gk.identity_moments") == "no closed measure"
+    assert all(r.startswith("state construction failed: ") for r in reasons.values())
 
 
 def test_default_model_is_reference_well():
