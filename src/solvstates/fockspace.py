@@ -442,10 +442,8 @@ def eigenvalue_residual(rep: LadderRep, vec: FockVector, z: complex, drop: int =
     return float(np.linalg.norm(resid[: rep.n_max + 1 - drop]))
 
 
-def gis_recurrence_oracle(
-    rep: LadderRep, z: complex, lam: complex, n_max: int | None = None
-) -> FockVector:
-    """Solve [(1+lam) a- + (1-lam) a+] d = 2 z d by forward substitution.
+def gis_recurrence_oracle(rep: LadderRep, z: complex, lam: complex) -> FockVector:
+    """Solve [(1+lam) a- + (1-lam) a+] d = 2 z d by forward substitution, on the ladder's bands.
 
     Independent of any closed form: component m of the eigenvalue equation
     fixes d_{m+1} from d_m and d_{m-1}.  Returns the normalized vector.
@@ -455,18 +453,14 @@ def gis_recurrence_oracle(
         raise LambdaRejected(lam, LambdaRejected.LAMBDA_MINUS_ONE)
     if lam.real <= 0:
         raise LambdaRejected(lam, LambdaRejected.NONPOSITIVE_REAL_PART)
-    if n_max is None:
-        n_max = rep.n_max
-    if n_max > rep.n_max:
-        raise DomainError("oracle length exceeds the ladder truncation")
-    lower = rep.lower_band[:n_max]  # lower[m] = a_minus[m, m+1]
+    lower = rep.lower_band  # lower[m] = a_minus[m, m+1]
     # Python complex scalars: the loop is O(n_max) and numpy scalars would dominate it
     up = ((1.0 + lam) * lower).tolist()
     # the a+ entry feeding component m is conj(lower[m-1])
     back = ((1.0 - lam) * lower.conj()).tolist()
     two_z = 2.0 * complex(z)
     d = [1.0 + 0.0j]
-    for m in range(n_max):
+    for m in range(rep.n_max):
         acc = two_z * d[m]
         if m >= 1:
             acc -= back[m - 1] * d[m - 1]

@@ -185,19 +185,20 @@ class RadialMeasure:
             specfun.log_bessel_i(self.nu, 2.0 * r) + specfun.log_bessel_k(self.nu, 2.0 * r))
 
 
-def pt_measure(kappa: float, kappa_prime: float, n_ref: int = 20) -> RadialMeasure:
+def pt_measure(kappa: float, kappa_prime: float) -> RadialMeasure:
     """Resolving measure for level products n! Gamma(n+nu+1) / Gamma(nu+1).
 
     The n-th moment integrand K_nu(2r) r^{2n+nu+1} peaks near r = sqrt((2n+1)(2n+2nu+1))/2,
     log-concave in log r with curvature about c = x^2/(2n+nu+2), x = sqrt((2n+2)(2n+2nu+2)).
-    The cutoff (x/2 + 20) e^{10/sqrt c} at n = n_ref lies ten widths past that peak in log r
-    and 20 past it in r, so truncation is harmless for all moments n <= n_ref.
+    The cutoff (x/2 + 20) e^{10/sqrt c} at n = 20 lies ten widths past that peak in log r
+    and 20 past it in r, so truncation is harmless for all moments n <= 20.
     """
     # kappa = kappa_prime = 1 is the square-well boundary; the measure only
     # needs nu = kappa + kappa_prime > 0, but stay within the solvable family
     if kappa < 1 or kappa_prime < 1:
         raise DomainError("well exponents below 1 are outside the solvable family")
     nu = kappa + kappa_prime
+    n_ref = 20  # the highest moment the cutoff covers
     half_x = math.sqrt(n_ref + 1.0) * math.sqrt(n_ref + nu + 1.0)
     c = 4.0 * (n_ref + 1.0) * ((n_ref + nu + 1.0) / (2.0 * n_ref + nu + 2.0))
     return RadialMeasure(nu=nu, r_cutoff=(half_x + 20.0) * math.exp(10.0 / math.sqrt(c)))

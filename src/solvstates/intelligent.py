@@ -357,8 +357,8 @@ def gis_disk_expansion(
         "disk expansion")
 
 
-def laplace_bridge(nu: float, n: int, zeta: float) -> float:
-    """Relative residual of the plane-to-disk monomial correspondence.
+def laplace_bridge(nu: float, n: int, zeta):
+    """Relative residual of the plane-to-disk monomial correspondence, at each zeta.
 
     The Laplace transform zeta^{-(nu+1)}/sqrt(Gamma(nu+1)) *
     integral z^nu [z^n / sqrt(n! Gamma(nu+n+1))] e^{-z/zeta} dz must equal
@@ -368,20 +368,25 @@ def laplace_bridge(nu: float, n: int, zeta: float) -> float:
     z^nu power, a kink in z) and a double-exponential one.  Two trapezoid sums must agree
     to 1e-9 of the target.  The residual is |log(transform / target)|, the relative one
     to first order, and never below one ulp of the logs m log(zeta m) it subtracts.
+    In s the sums do not depend on zeta: an array of zetas shares them (a scalar gives a float).
     """
     if not nu > -1.0:
         raise DomainError("laplace_bridge needs nu > -1")
     if n < 0:
         raise DomainError("monomial degree must be >= 0")
-    if not 0.0 < zeta < 1.0:
+    zetas = np.asarray(zeta, dtype=float)
+    if not (zetas.size and np.all((0.0 < zetas) & (zetas < 1.0))):
         raise DomainError("zeta must lie in (0, 1) for the transform to converge")
     m = nu + n + 1.0
-    case = f"Laplace bridge nu={nu} n={n} zeta={zeta}"
-    coarse, fine = log_trapezoid(case, lambda u: m * (u - np.expm1(u)), m, m, math.inf)
-    peak = m * math.log(zeta * m)
-    log_front = peak - m - (nu + 1.0) * math.log(zeta) - 0.5 * (
-        math.lgamma(nu + 1.0) + math.lgamma(n + 1.0) + math.lgamma(m))
-    log_target = n * math.log(zeta) + 0.5 * (
-        math.lgamma(m) - math.lgamma(n + 1.0) - math.lgamma(nu + 1.0))
-    gap = settled(case, coarse + log_front - log_target, fine + log_front - log_target, 1e-9)
-    return max(abs(gap), math.ulp(peak))
+    cases = [(f"Laplace bridge nu={nu} n={n} zeta={z}", z) for z in zetas.ravel().tolist()]
+    coarse, fine = log_trapezoid(cases[0][0], lambda u: m * (u - np.expm1(u)), m, m, math.inf)
+    log_norm = 0.5 * (math.lgamma(nu + 1.0) + math.lgamma(n + 1.0) + math.lgamma(m))
+    log_weight = 0.5 * (math.lgamma(m) - math.lgamma(n + 1.0) - math.lgamma(nu + 1.0))
+    residuals = []
+    for case, z in cases:
+        peak = m * math.log(z * m)
+        log_front = peak - m - (nu + 1.0) * math.log(z) - log_norm
+        log_target = n * math.log(z) + log_weight
+        gap = settled(case, coarse + log_front - log_target, fine + log_front - log_target, 1e-9)
+        residuals.append(max(abs(gap), math.ulp(peak)))
+    return residuals[0] if zetas.ndim == 0 else np.reshape(residuals, zetas.shape)

@@ -8,8 +8,11 @@ Three independent routes to the same radial coefficients c_n(r):
 
 S, the truncation of a_+ - a_- to bands 0..N, has no closure at the top band;
 N doubles until two truncations agree band by band, which is the whole
-certificate.  The flow also gives a tabulated spectrum its state, whose
-magnitudes are the y_n themselves: |y_n| <= 1, so nothing overflows.
+certificate.  The flow runs on y~_n = y_n / rho^n, rho = min(r, 1): below r = 1
+the bands are c_n sqrt(E_1 ... E_n), which do not underflow with r^n, so one
+route serves every radius down to r = 0; from r = 1 on y~ is y.  The flow also
+gives a tabulated spectrum its state, at rho = 1, whose magnitudes are the y_n
+themselves: |y_n| <= 1, so nothing overflows.
 
 The series has a finite radius for the trigonometric well family (pi/2, set
 by the poles of sech) and reports its own breakdown instead of returning
@@ -41,8 +44,6 @@ METHOD_ODE = "ode"
 METHOD_CLOSED = "closed"
 _METHODS = (METHOD_SERIES, METHOD_ODE, METHOD_CLOSED)
 
-# below this radius the flow's r^n underflows first; the series is exact there
-_ODE_R0 = 1e-3
 _SERIES_J_CAP = 160
 # top band of a tabulated state's first flow truncation
 _FLOW_FIRST = 24
@@ -250,8 +251,9 @@ def cn_closed(model: SpectrumModel, n_max: int, r: float) -> DisplacementCoeffs:
 # the displacement flow
 
 
-def _skew_expm1(sub: np.ndarray) -> np.ndarray:
-    """e^A - I for the skew tridiagonal A with A[i+1, i] = sub[i] = -A[i, i+1], by its Taylor sum.
+def _skew_expm1(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """e^A - I for the tridiagonal A with A[i+1, i] = low[i] and A[i, i+1] = -high[i], by its
+    Taylor sum; skew where high is low.
 
     Each term is A times the last over k, as two row shifts.  Summed from term
     N on (N the size: every entry has had its first term) until two terms in a
@@ -259,15 +261,14 @@ def _skew_expm1(sub: np.ndarray) -> np.ndarray:
     their relative accuracy; with ||A|| <= 1 that takes fewer than N + 30 terms.
     Without the identity, rounding stays relative to what one step changes.
     """
-    size = sub.size + 1
+    size = low.size + 1
     total = np.zeros((size, size))
     term, new, shifted = np.eye(size), np.empty((size, size)), np.empty((size - 1, size))
     quiet = 0
     for k in range(1, size + 64):
-        low = (sub / k)[:, None]
         new[0] = 0.0
-        np.multiply(low, term[:-1], out=new[1:])
-        np.multiply(low, term[1:], out=shifted)
+        np.multiply((low / k)[:, None], term[:-1], out=new[1:])
+        np.multiply((high / k)[:, None], term[1:], out=shifted)
         new[:-1] -= shifted
         total += new
         term, new = new, term
@@ -278,35 +279,40 @@ def _skew_expm1(sub: np.ndarray) -> np.ndarray:
     raise ConvergenceError(f"Taylor sum of the flow propagator unsettled after {k} terms")
 
 
-def _flow(model: SpectrumModel, r: float, top: int) -> np.ndarray:
-    """y(r) = e^{rS} e_0 on bands 0..top, S the skew truncation of a_+ - a_- to those bands.
+def _flow(model: SpectrumModel, r: float, rho: float, top: int) -> np.ndarray:
+    """y~_n = y_n(r) / rho^n on bands 0..top, y(r) = e^{rS} e_0, for 0 < rho <= 1 (or r = rho = 0).
 
-    Fixed steps h with h ||S|| <= 1 (Gershgorin) apply one propagator e^{hS}.
-    S is skew, so ||y|| stays 1; a norm off by more than FLOW_GATE is a blow-up.
+    Over s in [0, 1] y~ follows the generator with sub-diagonal (r / rho) sqrt(E_n) and
+    super-diagonal -r rho sqrt(E_n): r S itself at rho = 1.  Fixed steps h with
+    h ||generator|| <= 1 (Gershgorin) apply one propagator.  S is skew, so
+    ||rho^n y~_n|| = ||y|| stays 1; a norm off by more than FLOW_GATE is a blow-up.
     """
     roots = np.sqrt(model.energies(top)[1:])
-    steps = max(1, math.ceil(r * float(np.max(np.append(roots, 0.0) + np.append(0.0, roots)))))
+    lift = r / rho if rho else 1.0
+    # the generator's row sums over lift: row n holds sqrt(E_n) and (r rho / lift) sqrt(E_n+1)
+    rows = np.append(roots, 0.0) * (r * rho / lift) + np.append(0.0, roots)
+    steps = max(1, math.ceil(lift * float(np.max(rows))))
     if steps > FLOW_STEP_CAP:
         raise ConvergenceError(f"the displacement flow on bands 0..{top} needs {steps} steps "
                                f"at r={r:.4g}, past its cap of {FLOW_STEP_CAP}")
-    change = _skew_expm1(roots * (r / steps))
+    change = _skew_expm1(roots * (lift / steps), roots * (r * rho / steps))
     y = np.zeros(top + 1)
     y[0] = 1.0
     for _ in range(steps):
         y = y + change @ y
-    norm = float(np.linalg.norm(y))
+    norm = float(np.linalg.norm(y * rho ** np.arange(top + 1)))
     if not abs(norm - 1.0) <= FLOW_GATE:
         raise ConvergenceError(
             f"coefficient blow-up at r={r:.4f} (bands 0..{top}): the norm is {norm:.6g}")
     return y
 
 
-def _certified_flow(model: SpectrumModel, r: float, first: int, bands: int | None):
-    """The flow on bands 0..N for N = first, 2 first, ... up to the band cap or the table's end.
+def _certified_flow(model: SpectrumModel, r: float, rho: float, first: int, bands: int | None):
+    """The flow's y~ on bands 0..N for N = first, 2 first, ... up to the band cap or table's end.
 
     Returns the certified bands: the leading bands on which a truncation
     agrees with the one before it to FLOW_GATE, band by band, at the first
-    truncation where they number at least ``bands``, or, with bands None,
+    truncation where they number at least ``bands``, or, with bands None (and rho = 1),
     where their tail bound is below TAIL_CERT.  Past the last truncation it
     refuses: with TruncationError where the table ends, with
     ConvergenceError at the cap.
@@ -316,9 +322,9 @@ def _certified_flow(model: SpectrumModel, r: float, first: int, bands: int | Non
     top, agreed, y = min(first, cap), None, None
     # a pair of truncations agrees on at most the smaller one's bands
     while top < cap and (bands or 0) <= cap:
-        before = _flow(model, r, top) if y is None else y
+        before = _flow(model, r, rho, top) if y is None else y
         top = min(2 * top, cap)
-        y = _flow(model, r, top)
+        y = _flow(model, r, rho, top)
         head = y[: before.size]
         agreed = int(np.cumprod(np.abs(before - head) <= FLOW_GATE * np.abs(head)).sum())
         if (agreed >= bands if bands is not None
@@ -335,10 +341,11 @@ def _certified_flow(model: SpectrumModel, r: float, first: int, bands: int | Non
 def cn_ode(model: SpectrumModel, r_target: float, n_max: int) -> DisplacementCoeffs:
     """c_0(r) .. c_n_max(r) from the displacement flow, certified by doubling.
 
-    In y_n = r^n c_n sqrt(E_1 ... E_n) the coefficient ODE is y' = S y, y(0) = e_0,
-    with S truncated to bands 0..N and no closure at the top band (see _flow).
-    N doubles from 2 n_max + 4 until two truncations agree to FLOW_GATE on every
-    band 0..n_max (see _certified_flow).  Up to r = 1e-3 the series gives c.
+    In y_n = r^n c_n sqrt(E_1 ... E_n) the coefficient ODE is y' = S y, y(0) = e_0, with S
+    truncated to bands 0..N and no closure at the top band.  The flow runs on y~_n = y_n / rho^n,
+    rho = min(r, 1), so below r = 1 the bands c_n sqrt(E_1 ... E_n) do not shrink with r^n
+    (c_n = 1/n! at r = 0); from r = 1 on y~ is y.  N doubles from 2 n_max + 4 until two
+    truncations agree to FLOW_GATE on every band 0..n_max; a band of y~ that underflows is refused.
     """
     if r_target > 5.0:
         raise DomainError("r_target above 5 is outside the supported range")
@@ -346,15 +353,12 @@ def cn_ode(model: SpectrumModel, r_target: float, n_max: int) -> DisplacementCoe
         raise DomainError("r_target must be nonnegative")
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    if r_target <= _ODE_R0:
-        vals = _series_values(model, n_max, r_target, _SERIES_J_CAP)
-        return DisplacementCoeffs(model, r_target, vals, METHOD_ODE)
-    y = _certified_flow(model, r_target, 2 * n_max + 4, n_max + 1)[: n_max + 1]
+    y = _certified_flow(model, r_target, min(r_target, 1.0), 2 * n_max + 4, n_max + 1)[:n_max + 1]
     if not np.all(np.abs(y) >= np.finfo(float).tiny):
         raise ConvergenceError(
             f"band {int(np.argmin(np.abs(y)))} of the flow underflows at r={r_target:.4g}")
     log_c = (np.log(np.abs(y)) - 0.5 * model.log_products(n_max)
-             - np.arange(n_max + 1) * math.log(r_target))
+             - np.arange(n_max + 1) * math.log(max(r_target, 1.0)))
     return DisplacementCoeffs(model, r_target, np.sign(y) * np.exp(log_c), METHOD_ODE)
 
 
@@ -438,7 +442,7 @@ def perelomov_state(model: SpectrumModel, z: complex, *, n_max: int | None = Non
         return _closed_state(model, z, log_r2, -r * r, r * r + 14.0 * r + 32.0, n_max)
     within_ceiling(n_max)
     stop = None if n_max is None else n_max + 1
-    y = _certified_flow(model, r, _FLOW_FIRST, stop)[:stop]
+    y = _certified_flow(model, r, 1.0, _FLOW_FIRST, stop)[:stop]
     return FockVector(model, y * _state_phases(model, z, y.size - 1)).certified("tabulated state")
 
 
@@ -533,23 +537,17 @@ def disk_identity_check(nu: float, n: int) -> float:
     return abs(specfun.settled(case, coarse + log_front, fine + log_front, 1e-10))
 
 
-def kernel_reproducing_residual(
-    nu: float,
-    zeta_a: complex,
-    zeta_b: complex,
-    radial_panels: int = 6,
-    angular_n: int = 96,
-) -> float:
+def kernel_reproducing_residual(nu: float, zeta_a: complex, zeta_b: complex) -> float:
     """| int <a|z><z|b> dmu(z) - <a|b> | over the disk, honest 2D quadrature.
 
-    Radial direction by composite Gauss-Legendre panels in rho, angular by
-    trapezoid (periodic analytic integrand, spectrally accurate).
+    Radial direction by six composite 32-node Gauss-Legendre panels in rho, angular by
+    the 96-point trapezoid (periodic analytic integrand, spectrally accurate).
     """
     pa, pb = DiskPoint(zeta_a), DiskPoint(zeta_b)
-    rhos, ws = specfun.panel_rule(np.linspace(0.0, 1.0, radial_panels + 1), 32)
+    rhos, ws = specfun.panel_rule(np.linspace(0.0, 1.0, 7), 32)
     inside = rhos < 1.0
     rhos, ws = rhos[inside], ws[inside]
-    phis = np.linspace(0.0, 2.0 * math.pi, angular_n, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
     zetas = rhos[:, None] * np.exp(1j * phis)
     p = 0.5 * (nu + 1.0)
     # kernel factors against the fixed endpoints, phase labels at 0

@@ -295,11 +295,11 @@ def _inner(left, weights, right):
     return left @ (weights[:, None] * right.T)
 
 
-def gram_matrix(p: PTParameters, n_max: int, order: int = 200):
-    """Quadrature Gram matrix of psi_0..psi_{n_max}; identity when exact."""
+def gram_matrix(p: PTParameters, n_max: int):
+    """Quadrature Gram matrix of psi_0..psi_{n_max} on 200 nodes; identity when exact."""
     if not 0 <= n_max <= 50:
         raise DomainError("gram_matrix covers 0 <= n_max <= 50")
-    nodes, weights = _quad_nodes(p, order)
+    nodes, weights = _quad_nodes(p, 200)
     rows = eigenfunctions(p, n_max, nodes)
     return _inner(rows, weights, rows)
 

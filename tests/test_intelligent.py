@@ -380,6 +380,37 @@ def test_laplace_bridge_fails_where_doubles_cannot_resolve_its_logs(nu):
         assert "Laplace bridge nu=" in str(err)
 
 
+def test_laplace_bridge_sums_each_degree_once_for_all_zetas(monkeypatch):
+    # in s = log z the integrand does not depend on zeta: one pair of sums serves them all,
+    # and each zeta keeps the residual and the refusal a scalar call gives it
+    calls = []
+    rule = it.log_trapezoid
+
+    def counted(case, *args):
+        calls.append(case)
+        return rule(case, *args)
+
+    monkeypatch.setattr(it, "log_trapezoid", counted)
+    zetas = np.array([[0.3, 0.5], [0.8, 0.65]])
+    for nu in (-0.5, 0.0, 4.0, 5.8, 200.0, 1e12):
+        for n in (0, 3, 6):
+            calls.clear()
+            got = it.laplace_bridge(nu, n, zetas)
+            assert len(calls) == 1 and got.shape == zetas.shape
+            want = [it.laplace_bridge(nu, n, z) for z in zetas.ravel().tolist()]
+            assert got.ravel().tolist() == want
+            assert all(isinstance(w, float) for w in want)
+    for zetas in ((0.5, 0.8), (0.8, 0.5)):
+        with pytest.raises(ConvergenceError) as scalar:
+            it.laplace_bridge(1e300, 3, 0.5)
+        with pytest.raises(ConvergenceError) as array:
+            it.laplace_bridge(1e300, 3, zetas)
+        assert str(array.value) == str(scalar.value)
+    for bad in (0.0, (0.5, 1.0), ()):
+        with pytest.raises(DomainError, match="zeta must lie in"):
+            it.laplace_bridge(2.0, 0, bad)
+
+
 def test_truncation_error_carries_suggestion(pt22):
     with pytest.raises(TruncationError) as err:
         it.gis_coefficients(pt22, it.GISParameters(2.5, 8.0), 12)

@@ -47,7 +47,8 @@ def test_series_overflow_far_outside_its_radius_is_a_clean_refusal(pt22):
 def test_ode_refuses_when_monitor_detects_blowup(monkeypatch, pt22):
     # a propagator that does not keep the norm: the monitor must refuse, not return
     expm1 = pe._skew_expm1
-    monkeypatch.setattr(pe, "_skew_expm1", lambda sub: expm1(sub) + 1e-6 * np.eye(sub.size + 1))
+    monkeypatch.setattr(pe, "_skew_expm1",
+                        lambda low, high: expm1(low, high) + 1e-6 * np.eye(low.size + 1))
     with pytest.raises(ConvergenceError, match=r"coefficient blow-up at r=0\.5000"):
         pe.cn_ode(pt22, 0.5, 8)
 
@@ -185,22 +186,30 @@ def test_ode_refuses_at_the_end_of_a_table(custom_table):
 
 
 @pytest.mark.parametrize("name", ["harmonic", "well", "pt22", "custom"])
-@pytest.mark.parametrize("r", [0.0, 1e-4, 1e-3])
-def test_ode_below_its_flow_radius_is_the_series(all_models, name, r):
-    # up to r = 1e-3 cn_ode takes bands 0..n_max from one series pass
+@pytest.mark.parametrize("r", [0.0, 1e-4, 1e-3, 0.0011, 0.01])
+def test_ode_runs_the_flow_at_every_radius(all_models, name, r):
+    # below r = 1 the flow carries y_n / r^n = c_n sqrt(E_1 ... E_n), which does not
+    # underflow as r goes to 0 (y_n itself did: on harmonic at r = 0.0011, from n_max = 83)
     model = all_models[name]
-    for n_max in (0, 8, 29):
-        got = pe.cn_ode(model, r, n_max).values
-        assert np.array_equal(got, [pe.cn_series(model, n, r) for n in range(n_max + 1)])
-        if name != "custom":
+    if name != "custom":
+        for n_max in (8, 29, 120):
+            got = pe.cn_ode(model, r, n_max).values
             closed = pe.cn_closed(model, n_max, r).values
             assert np.max(np.abs(got - closed) / closed) <= 1e-12, n_max
-    if name == "custom":
-        # band 30 of the 40-level table has room for three terms: the lowest such band refuses
-        with pytest.raises(TruncationError, match=r"band-30 series \(room for 3 terms\)"):
-            pe.cn_series(model, 30, r)
-        with pytest.raises(TruncationError, match=r"band-30 series \(room for 3 terms\)"):
-            pe.cn_ode(model, r, 35)
+        return
+    got = pe.cn_ode(model, r, 8).values
+    series = np.array([pe.cn_series(model, n, r) for n in range(9)])
+    assert np.max(np.abs(got - series) / series) <= 1e-12
+    # n_max = 29 asks for a first truncation of 62 bands, past the 40-level table's end;
+    # the series, with room for four terms on band 29, still gives those bands near r = 0
+    with pytest.raises(TruncationError, match="no pair of truncations covers the bands asked "
+                                              "for; the energy table ends at level 39"):
+        pe.cn_ode(model, r, 29)
+    if r <= 1e-4:
+        assert all(math.isfinite(pe.cn_series(model, n, r)) for n in range(30))
+    # band 30 has room for three terms: the lowest such band refuses
+    with pytest.raises(TruncationError, match=r"band-30 series \(room for 3 terms\)"):
+        pe.cn_series(model, 30, r)
 
 
 def test_closed_route_covers_large_radius(pt22):

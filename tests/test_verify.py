@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from solvstates import ConvergenceError, DomainError, SpectrumModel, TruncationError
+from solvstates import intelligent
 from solvstates import perelomov as pe
 from solvstates import verify
 from solvstates.cli import main
@@ -32,8 +33,9 @@ def test_resolve_override_wins():
 def test_full_run_passes_on_reference_model(pt22):
     report = run_suite("all", pt22)
     assert report.ok
-    assert report.summary["fail"] == 0
-    assert report.summary["pass"] == 32
+    # harmonic_weights checks the harmonic spectrum only, and says so off it
+    assert report.summary == {"pass": 31, "fail": 0, "skipped": 1}
+    assert [c.name for c in report.cases if c.status == "SKIPPED"] == ["perelomov.harmonic_weights"]
 
 
 # the verify zoo: every model kind, soft and asymmetric walls, and a 60-level table
@@ -54,6 +56,44 @@ def test_alpha_moves_no_status(name):
     want = [(case.name, case.status) for case in run_suite("all", model).cases]
     got = [(case.name, case.status) for case in run_suite("all", model.with_alpha(0.7)).cases]
     assert got == want
+
+
+_WELL_PREMISE = "needs a Poschl-Teller well with kappa, kappa' > 1"
+
+
+@pytest.mark.parametrize("name", ["harmonic", "well", "table60", "pt22", "pt27_31"])
+def test_cases_skip_where_their_premise_fails(name):
+    # each case checks the model it is given, or skips naming what it needs
+    cases = {c.name: c for c in run_suite("all", _ZOO[name]).cases}
+    position = [c for key, c in cases.items() if key.startswith("position.")]
+    assert len(position) == 6
+    weights = cases["perelomov.harmonic_weights"]
+    if name.startswith("pt"):
+        assert all(c.status == "PASS" for c in position)
+    else:
+        assert all(c.status == "SKIPPED" and c.reason == _WELL_PREMISE for c in position)
+    if name == "harmonic":
+        assert weights.status == "PASS"
+    else:
+        assert (weights.status, weights.reason) == ("SKIPPED", "needs the harmonic spectrum")
+
+
+@pytest.mark.parametrize("model", [SpectrumModel.square_well(alpha=0.7),
+                                   SpectrumModel.poschl_teller(2.7, 3.1, alpha=0.7)],
+                         ids=["well", "pt:2.7,3.1"])
+def test_disk_expansion_checks_the_reports_model(monkeypatch, model):
+    # the expansion and the symbol both carry the model's e^{-i alpha E_n}
+    seen = []
+    expansion = intelligent.gis_disk_expansion
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("model"))
+        return expansion(*args, **kwargs)
+
+    monkeypatch.setattr(intelligent, "gis_disk_expansion", spy)
+    (case,) = [c for c in run_suite("gis", model).cases if c.name == "gis.disk_expansion"]
+    assert len(seen) == 1 and seen[0] is model
+    assert case.status == "PASS", case
 
 
 def test_suite_subset_runs_alone(pt_soft):
@@ -173,7 +213,7 @@ def test_case_runtimes_are_fractional_milliseconds(capsys):
     code, doc = _verify_cli(capsys, "--suite", "all", "--model", "pt:2,2")
     assert code == 0 and doc["schema"] == 1
     timed = [c for c in doc["cases"] if c["status"] != "SKIPPED"]
-    assert len(timed) == 32
+    assert len(timed) == 31  # all but perelomov.harmonic_weights, which needs harmonic
     for case in timed:
         assert isinstance(case["runtime_ms"], float)
         assert case["runtime_ms"] > 0.0, case["name"]
