@@ -7,7 +7,7 @@ where I_nu and K_nu leave the float range.  Series stop on a relative tail
 below 1e-16 and abort with ConvergenceError past 10000 terms; there are no
 reflection formulas and no asymptotic branches (log Gamma is ``math.lgamma``).
 ``hyp1f1`` and ``hyp0f1`` sum an array argument in one pass, each element by
-exactly the arithmetic of a scalar call; ``bessel_k`` takes an array too.
+exactly the arithmetic of a scalar call, and so do ``bessel_k`` and ``log_bessel_k``.
 The Jacobi evaluator runs the three-term recurrence as a formal identity in
 the parameters, so it stays valid for the complex and below -1 parameters of
 the disk-representation expansions, a regime standard libraries refuse.
@@ -75,13 +75,13 @@ def _bessel_k(nu: float, x, log: bool):
     t* - delta for delta the smaller of acosh(1 + 40/(c - nu)) and the root of
     nu delta^2 / (2 + delta) = 40; a window clipped at 0 gives t = 0 half weight,
     the integrand being even.  The step is min(1/8, 1/(2 sqrt c)): at most 98
-    nodes per x on [1e-3, 130] for every nu up to 1e300.  All x form one matrix,
-    each row padded with weight-0 copies of its last node.
+    nodes per x on [1e-3, 130] for every nu up to 1e300.  The windows of all x lie end
+    to end in one array; ``reduceat`` takes each one's shift and sum over its own nodes.
     """
     xs = np.asarray(x, dtype=float)
     x = xs.ravel()
-    if nu < 0 or not np.all(x > 0):
-        raise DomainError("bessel_k needs nu >= 0 and x > 0")
+    if not (0.0 <= nu < math.inf and np.all((x > 0) & (x < math.inf))):
+        raise DomainError("bessel_k needs 0 <= nu < inf and 0 < x < inf")
     c = np.hypot(x, nu)
     t_star = np.log(nu + c) - np.log(x)
     # 40/(c - nu) leaves the float range only at small x; there acosh(1 + 40/(c - nu)) > t*
@@ -89,27 +89,31 @@ def _bessel_k(nu: float, x, log: bool):
         back = np.minimum(t_star, 2.0 * np.arcsinh(np.sqrt(20.0 * (c + nu) / (x * x))))
     back = np.minimum(back, (20.0 + math.sqrt(400.0 + 80.0 * nu)) / nu if nu else math.inf)
     h = np.minimum(0.125, 0.5 / np.sqrt(c))
-    steps = np.ceil((back + 2.0 * np.arcsinh(np.sqrt(20.0 / c))) / h)[:, None]  # acosh(1 + 40/c)
-    j = np.arange(int(steps.max()) + 1)
-    t = (t_star - back)[:, None] + h[:, None] * np.minimum(j, steps)
+    # acosh(1 + 40/c); sqrt(20) / sqrt(c) stays finite where 20/c overflows, below c = 1e-307
+    counts = np.ceil((back + 2.0 * np.arcsinh(math.sqrt(20.0) / np.sqrt(c))) / h).astype(np.intp) + 1
+    seg = np.repeat(np.arange(x.size), counts)
+    starts = np.cumsum(counts) - counts
+    step = h[seg]
+    t = (t_star - back)[seg] + step * (np.arange(seg.size) - starts[seg])
+    weight = 0.5 * step
+    weight[starts[back == t_star]] *= 0.5  # t = 0, where the window is clipped
     # past t = 700 (only where nu/x > 1e303), x cosh t is x cosh 700 e^{t - 700}, in range
-    g = nu * t - x[:, None] * np.cosh(np.minimum(t, 700.0)) * np.exp(np.maximum(t - 700.0, 0.0))
-    shift = np.rint(g.max(axis=1))
-    w = np.where(j > steps, 0.0, np.where((j == 0) & (back == t_star)[:, None], 0.25, 0.5))
-    total = (h[:, None] * w * np.exp(g - shift[:, None]) * (1.0 + np.exp(-2.0 * nu * t))).sum(axis=1)
+    g = nu * t - x[seg] * np.cosh(np.minimum(t, 700.0)) * np.exp(np.maximum(t - 700.0, 0.0))
+    shift = np.rint(np.maximum.reduceat(g, starts))
+    total = np.add.reduceat(weight * np.exp(g - shift[seg]) * (1.0 + np.exp(-2.0 * nu * t)), starts)
     with np.errstate(over="ignore"):
         out = shift + np.log(total) if log else np.exp(shift) * total
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def log_bessel_k(nu: float, x):
-    """log K_nu(x) for nu >= 0 up to 1e300 and x > 0, finite where K_nu leaves the
-    float range (past nu = 149 at x = 1, past x = 705); x may be an array."""
+    """log K_nu(x) for nu >= 0 up to 1e300 and 0 < x < inf, finite where K_nu leaves
+    the float range (past nu = 149 at x = 1, past x = 705); x may be an array."""
     return _bessel_k(nu, x, log=True)
 
 
 def bessel_k(nu: float, x):
-    """Modified Bessel function K_nu(x) for nu >= 0, x > 0; x may be an array.
+    """Modified Bessel function K_nu(x) for nu >= 0, 0 < x < inf; x may be an array.
 
     e^shift times the scaled sum of log_bessel_k's rule, the shift an integer, so
     the value keeps the sum's accuracy: within 2e-14 of scipy for nu <= 20 and

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from solvstates import ConvergenceError, DomainError
 from solvstates import specfun
-from solvstates.gazeau_klauder import RadialMeasure
+from solvstates.gazeau_klauder import RadialMeasure, pt_measure
 from solvstates import intelligent
 from solvstates.intelligent import laplace_bridge
 from solvstates.perelomov import disk_identity_check
@@ -206,28 +206,37 @@ def test_log_bessel_k_follows_the_uniform_expansion_at_huge_order(nu):
 
 
 def test_bessel_k_work_is_bounded_and_warning_free(monkeypatch):
-    # the rule's rows come from one np.arange per call, counted before anything is
-    # allocated: at most 128 nodes per x on the grid for every nu up to 1e300, at most
-    # 6,000 (at x = 1e-300) and no RuntimeWarning for x in [1e-300, 1e300]
-    widths = []
-    arange = np.arange
+    # each x's node count is read from the counts its segment index is built from, before
+    # anything is allocated: at most 128 nodes per x on the grid for every nu up to 1e300,
+    # at most 6,000 (at x = 1e-300) and no RuntimeWarning for x in [1e-300, 1e300].  The
+    # rule's cosh sees exactly the sum of those counts, so no window is padded
+    widest, counted_nodes, rule_nodes = [], [], []
+    repeat, cosh = np.repeat, np.cosh
 
-    def counted(n, *args, **kwargs):
-        assert n <= 6000
-        widths.append(n)
-        return arange(n, *args, **kwargs)
+    def counted(a, counts, *args, **kwargs):
+        assert np.max(counts) <= 6000
+        widest.append(int(np.max(counts)))
+        counted_nodes.append(int(np.sum(counts)))
+        return repeat(a, counts, *args, **kwargs)
+
+    def summed(t, *args, **kwargs):
+        rule_nodes.append(np.size(t))
+        return cosh(t, *args, **kwargs)
 
     orders = np.concatenate(([0.0], np.logspace(-300.0, 300.0, 61)))
     wide = np.logspace(-300.0, 300.0, 61)
-    monkeypatch.setattr(np, "arange", counted)
+    monkeypatch.setattr(np, "repeat", counted)
+    monkeypatch.setattr(np, "cosh", summed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for nu in orders:
             specfun.log_bessel_k(nu, _GRID_X)
-        assert max(widths) <= 128
+        assert max(widest) <= 128
         for nu in orders:
             assert np.all(np.isfinite(specfun.log_bessel_k(nu, wide)))
             specfun.bessel_k(nu, wide)
+    assert len(rule_nodes) == 3 * orders.size
+    assert rule_nodes == counted_nodes
     monkeypatch.undo()
     tracemalloc.start()
     try:
@@ -236,6 +245,62 @@ def test_bessel_k_work_is_bounded_and_warning_free(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_bessel_k_arrays_equal_elementwise_calls_bitwise():
+    # each x sums its own window alone, so an array call is its scalar calls, bit for bit
+    r, _ = specfun.panel_rule([0.0, 188.0], 200)
+    xs = np.concatenate([np.geomspace(1e-3, 130.0, 40), 2.0 * r])
+    for nu in (0.0, 0.5, 2.0, 5.4, 80.0, 1e6, 1e300):
+        for fn in (specfun.bessel_k, specfun.log_bessel_k):
+            alone = [fn(nu, x) for x in xs.tolist()]
+            assert all(type(v) is float for v in alone)
+            assert np.array_equal(fn(nu, xs), np.array(alone)), (fn.__name__, nu)
+
+
+@pytest.mark.parametrize("kappa, kappa_prime", [(2.7, 3.1), (1.2, 1.2), (3.9, 1.6), (22.0, 22.0)])
+def test_log_bessel_k_on_the_moment_nodes(kappa, kappa_prime):
+    # 2r on the 200- and 400-point rules of pt_measure, where windows are narrowest
+    # (large 2r) and widest (small 2r): within 8 ulp of a 40-digit oracle
+    measure = pt_measure(kappa, kappa_prime)
+    for order in (200, 400):
+        r, _ = specfun.panel_rule([0.0, measure.r_cutoff], order)
+        xs = 2.0 * r[::7]
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.log(mpmath.besselk(measure.nu, x))) for x in xs])
+        got = specfun.log_bessel_k(measure.nu, xs)
+        assert np.all(np.abs(got - want) <= 8.0 * np.spacing(np.abs(want))), order
+
+
+def test_bessel_k_refuses_an_infinite_argument():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu, x in ((2.0, math.inf), (2.0, np.array([1.0, math.inf])), (math.inf, 1.0),
+                      (math.nan, 1.0)):
+            for fn in (specfun.bessel_k, specfun.log_bessel_k):
+                with pytest.raises(DomainError, match="nu < inf and 0 < x < inf"):
+                    fn(nu, x)
+
+
+def test_bessel_k_is_warning_free_down_to_the_least_double():
+    # K_0(x) = -log(x/2) - gamma + O(x^2 log x); K_400 leaves the float range: inf, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e-307, 1e-310, 5e-324):
+            want = math.log(2.0) - math.log(x) - float(mpmath.euler)
+            assert specfun.bessel_k(0.0, x) == pytest.approx(want, rel=1e-14)
+            assert specfun.log_bessel_k(0.0, x) == pytest.approx(math.log(want), rel=1e-14)
+            assert specfun.bessel_k(400.0, x) == math.inf
+            assert math.isfinite(specfun.log_bessel_k(400.0, x))
+
+
+def test_bessel_k_of_an_empty_array_is_empty():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((0,), (0, 3), (2, 0)):
+            for fn in (specfun.bessel_k, specfun.log_bessel_k):
+                got = fn(5.4, np.zeros(shape))
+                assert got.shape == shape and got.dtype == float
 
 
 @pytest.mark.parametrize("nu, x", [(0.0, 720.0), (2.0, 1e4), (400.0, 1e4)])
