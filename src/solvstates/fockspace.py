@@ -181,16 +181,33 @@ def within_ceiling(size: int | None, name: str = "n_max") -> None:
         raise DomainError(f"{name} = {size} is past the size ceiling of {SIZE_CEILING}")
 
 
-def certified_length(what: str, steps, build, n_max: int | None, first: float,
-                     last: int | float = math.inf):
-    """build(n, log_t) at n = n_max or, without n_max, at the smallest n >= 3 where the
-    geometric bound t_n rho_n / (1 - rho_n) on the mass past band n is below LENGTH_EPS
-    of the mass of bands 0..n and build accepts the state (raises no TruncationError).
-    steps(top) gives log rho_0 .. log rho_{top-1}, the ratios t_{n+1} / t_n of the band
-    masses, which never grow past the peak; log_t = (0, cumsum(steps)).  The scan doubles
-    from ``first`` bands; at ``last``, a table's last usable level, build decides, and
-    at SIZE_CEILING it refuses.
+def _log_sum(terms: np.ndarray) -> float:
+    """log sum_n e^{terms_n}."""
+    m = terms.max()
+    return float(m + math.log(np.exp(terms - m).sum()))
+
+
+def label_phases(model: SpectrumModel, z: complex, n_top: int) -> np.ndarray:
+    """z^n / |z|^n e^{-i alpha E_n}, n = 0..n_top, alpha the model's: the phases of state z."""
+    energies = model.energies(n_top)
+    return np.exp(1j * (np.arange(n_top + 1) * np.angle(z) - model.alpha * energies))
+
+
+def certified_length(what: str, model: SpectrumModel, z: complex, steps, cert: float,
+                     n_max: int | None, first: float, last: int | float = math.inf) -> FockVector:
+    """The closed-form state c_n = sqrt(t_n / sum_k t_k) label_phases(z)_n, normalized by the
+    bands it keeps, once it passes FockVector.certified(what, cert).  steps(top) gives
+    log rho_0 .. log rho_{top-1}, the ratios t_{n+1} / t_n of the band masses, which never
+    grow past the peak.  The bands are 0..n_max or, without n_max, the fewest n >= 3 where
+    the geometric bound t_n rho_n / (1 - rho_n) on the mass past band n is below LENGTH_EPS
+    of the mass of bands 0..n and the certificate passes.  The scan doubles from ``first``
+    bands; at ``last``, a table's last usable level, the certificate decides, and at
+    SIZE_CEILING it refuses.
     """
+    def build(n: int, log_t: np.ndarray) -> FockVector:
+        coeffs = np.exp(0.5 * (log_t - _log_sum(log_t))) * label_phases(model, z, n)
+        return FockVector(model, coeffs).certified(what, cert)
+
     if n_max is not None:
         within_ceiling(n_max)
         return build(n_max, np.concatenate(([0.0], np.cumsum(steps(n_max)))))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import specfun
 from .errors import ConvergenceError, DomainError
-from .fockspace import FockVector, certified_length
+from .fockspace import FockVector, _log_sum, certified_length
 from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SpectrumModel
 from .tolerances import GK_TAIL_CERT
 
@@ -26,12 +26,6 @@ from .tolerances import GK_TAIL_CERT
 def _log_ratios(model: SpectrumModel, r: float, top: int) -> np.ndarray:
     """log r^2 - log E_n, n = 1..top: the log ratios of the series terms r^{2n} / E(n)."""
     return (2.0 * math.log(r) if r else -math.inf) - np.log(model.energies(top)[1:])
-
-
-def _log_sum(terms: np.ndarray) -> float:
-    """log sum_n e^{terms_n}."""
-    m = terms.max()
-    return float(m + math.log(np.exp(terms - m).sum()))
 
 
 def gk_log_normalization(model: SpectrumModel, r: float, n_max: int | None = None) -> float:
@@ -104,17 +98,10 @@ def gk_state(model: SpectrumModel, z: complex, *, n_max: int | None = None) -> G
             raise DomainError(
                 f"|z|^2 = {r * r:.6g} reaches the series radius {radius:.6g}; state diverges"
             )
-
-    def build(n: int, log_t: np.ndarray) -> FockVector:
-        ns = np.arange(n + 1)
-        phase = np.exp(1j * (ns * np.angle(z) - model.alpha * model.energies(n)))
-        coeffs = np.exp(0.5 * (log_t - _log_sum(log_t))) * phase
-        return FockVector(model, coeffs).certified("GK state", GK_TAIL_CERT)
-
     # the terms spread like a Poisson law on linear levels
     first = (r * r + 14.0 * r if model.kind == HARMONIC else r + 10.0 * math.sqrt(r)) + 32.0
-    vector = certified_length("GK state", functools.partial(_log_ratios, model, r), build, n_max,
-                              first, model.last_level - 1)
+    vector = certified_length("GK state", model, z, functools.partial(_log_ratios, model, r),
+                              GK_TAIL_CERT, n_max, first, model.last_level - 1)
     return GKState(z=z, vector=vector)
 
 

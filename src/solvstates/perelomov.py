@@ -20,8 +20,8 @@ drifted numbers; one pass evaluates it for bands 0..n at one radius.  For
 the well family the same states live on the unit disk via
 zeta = z tanh|z| / |z|, where the overlap kernel and the resolving measure
 are elementary.
-The closed-form states sum the log ratios of their band masses; their automatic
-n_max is fockspace.certified_length's, which refuses past SIZE_CEILING bands.
+The closed-form states are the log ratios of their band masses; fockspace.certified_length
+normalizes, phases, sizes (up to SIZE_CEILING bands) and certifies them, as it does gk's.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import specfun
 from .errors import ConvergenceError, DomainError, TruncationError
-from .fockspace import FockVector, certified_length, within_ceiling
+from .fockspace import FockVector, certified_length, label_phases, within_ceiling
 from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SpectrumModel
 from .tolerances import (FLOW_BAND_CAP, FLOW_GATE, FLOW_STEP_CAP, KERNEL_TOL,
                          SERIES_ROUNDING, SERIES_TOL, TAIL_CERT)
@@ -346,6 +346,7 @@ def cn_ode(model: SpectrumModel, r_target: float, n_max: int) -> DisplacementCoe
     rho = min(r, 1), so below r = 1 the bands c_n sqrt(E_1 ... E_n) do not shrink with r^n
     (c_n = 1/n! at r = 0); from r = 1 on y~ is y.  N doubles from 2 n_max + 4 until two
     truncations agree to FLOW_GATE on every band 0..n_max; a band of y~ that underflows is refused.
+    Where that reaches a table's last level L > 2 n_max + 1, N starts from L // 2: its double fits.
     """
     if r_target > 5.0:
         raise DomainError("r_target above 5 is outside the supported range")
@@ -353,7 +354,9 @@ def cn_ode(model: SpectrumModel, r_target: float, n_max: int) -> DisplacementCoe
         raise DomainError("r_target must be nonnegative")
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    y = _certified_flow(model, r_target, min(r_target, 1.0), 2 * n_max + 4, n_max + 1)[:n_max + 1]
+    end, first = model.last_level, 2 * n_max + 4
+    first = end // 2 if 2 * n_max + 1 < end <= first else first
+    y = _certified_flow(model, r_target, min(r_target, 1.0), first, n_max + 1)[:n_max + 1]
     if not np.all(np.abs(y) >= np.finfo(float).tiny):
         raise ConvergenceError(
             f"band {int(np.argmin(np.abs(y)))} of the flow underflows at r={r_target:.4g}")
@@ -380,50 +383,36 @@ def plane_to_disk(z: complex) -> complex:
     return z * math.tanh(r) / r
 
 
-def _state_phases(model: SpectrumModel, z: complex, n_top: int) -> np.ndarray:
-    energies = model.energies(n_top)
-    return np.exp(1j * (np.arange(n_top + 1) * np.angle(z) - model.alpha * energies))
-
-
-def _closed_state(model: SpectrumModel, label: complex, log_rho2: float, log_lead: float,
-                  first: float, n_max: int | None) -> FockVector:
-    """The closed-form state at ``label``: |c_n|^2 = e^{log_lead} prod_{k <= n} rho_k with
-    rho_k = e^{log_rho2} / k on harmonic and e^{log_rho2} (k + nu) / k otherwise, on bands
-    0..n_max or on those fockspace.certified_length picks, scanning from ``first``
-    bands; either way they are refused when they miss TAIL_CERT of the mass."""
+def _closed_state(model: SpectrumModel, label: complex, log_rho2: float, first: float,
+                  n_max: int | None) -> FockVector:
+    """The closed-form state at ``label`` from fockspace.certified_length, scanning from ``first``
+    bands: |c_n|^2 in proportion to prod_{k <= n} rho_k with rho_k = e^{log_rho2} / k on
+    harmonic and e^{log_rho2} (k + nu) / k otherwise."""
     def ratios(top: int) -> np.ndarray:
         ks = np.arange(1.0, top + 1.0)
         return log_rho2 + (np.log1p(model.nu / ks) if model.kind == POSCHL_TELLER else -np.log(ks))
 
-    def build(n: int, log_t: np.ndarray) -> FockVector:
-        log_t = log_t + log_lead
-        # the prefactor normalizes the whole series: 1 - sum |c_n|^2 is the mass left out
-        lost = 1.0 - math.fsum(np.exp(log_t).tolist())
-        if not lost < TAIL_CERT:
-            raise TruncationError(f"bands 0..{n} miss {lost:.3e} of the closed-form mass",
-                                  suggested_n_max=2 * n + 16)
-        return FockVector(model, np.exp(0.5 * log_t) * _state_phases(model, label, n))
-
-    return certified_length("displacement state", ratios, build, n_max, first, model.last_level)
+    return certified_length("displacement state", model, label, ratios, TAIL_CERT, n_max, first,
+                            model.last_level)
 
 
-def _disk_state(model: SpectrumModel, label: complex, log_rho: float, log_1m_rho2: float,
+def _disk_state(model: SpectrumModel, label: complex, log_rho: float,
                 n_max: int | None) -> FockVector:
-    """The nu-type state at disk radius rho, from log rho and log(1 - rho^2); the first scan
-    covers its negative binomial masses, mean (nu + 1) rho^2 / (1 - rho^2), tail n^nu rho^{2n}."""
+    """The nu-type state at disk radius rho, from log rho; the first scan covers its negative
+    binomial masses, mean (nu + 1) rho^2 / (1 - rho^2), tail n^nu rho^{2n}."""
     nu, q = model.nu, -2.0 * log_rho
-    first = ((nu + 1.0) * math.exp(-q - log_1m_rho2) + (36.0 + nu * math.log1p(1.0 / q)) / q
-             + 32.0 if q else math.inf)
-    return _closed_state(model, label, -q, (nu + 1.0) * log_1m_rho2, first, n_max)
+    first = ((nu + 1.0) * math.exp(-q) / -math.expm1(-q)
+             + (36.0 + nu * math.log1p(1.0 / q)) / q + 32.0 if q else math.inf)
+    return _closed_state(model, label, -q, first, n_max)
 
 
 def perelomov_state(model: SpectrumModel, z: complex, *, n_max: int | None = None) -> FockVector:
     """Normalized displacement state, coefficients z^n e^{-i alpha E_n} / sqrt(F_n), alpha
     the model's.
 
-    The closed prefactor makes the 2-norm equal 1 without renormalization for
-    the harmonic and trigonometric-well families, so an explicit n_max is
-    refused when bands 0..n_max miss TAIL_CERT of that mass.  A tabulated
+    On the harmonic and trigonometric-well families fockspace.certified_length builds it
+    from the closed form's mass ratios alone, normalized by the bands it keeps, and certifies
+    its tail bound below TAIL_CERT; the closed prefactor is cn_closed's.  A tabulated
     spectrum's state is the displacement flow y(|z|) times the phases,
     certified by doubling from 24 bands and by a tail bound below TAIL_CERT:
     without n_max, on the bands where two truncations agree; with n_max, on
@@ -434,29 +423,25 @@ def perelomov_state(model: SpectrumModel, z: complex, *, n_max: int | None = Non
     if not math.isfinite(r):
         raise DomainError(f"label z = {z} has no finite modulus")
     if model.kind == POSCHL_TELLER:
-        # log(1 - tanh^2 r) = -2 log cosh r, finite also where tanh r rounds to 1
-        log_rho = math.log(math.tanh(r)) if r else -math.inf
-        return _disk_state(model, z, log_rho, -2.0 * _log_cosh(r), n_max)
+        return _disk_state(model, z, math.log(math.tanh(r)) if r else -math.inf, n_max)
     if model.kind == HARMONIC or r == 0.0:  # a table's state at 0 is band 0 alone, too
         log_r2 = 2.0 * math.log(r) if r else -math.inf
-        return _closed_state(model, z, log_r2, -r * r, r * r + 14.0 * r + 32.0, n_max)
+        return _closed_state(model, z, log_r2, r * r + 14.0 * r + 32.0, n_max)
     within_ceiling(n_max)
     stop = None if n_max is None else n_max + 1
     y = _certified_flow(model, r, 1.0, _FLOW_FIRST, stop)[:stop]
-    return FockVector(model, y * _state_phases(model, z, y.size - 1)).certified("tabulated state")
+    return FockVector(model, y * label_phases(model, z, y.size - 1)).certified("tabulated state")
 
 
 def disk_coefficients(model: SpectrumModel, zeta: complex, *,
                       n_max: int | None = None) -> FockVector:
     """State labeled by a disk point: (1-|z|^2)^{(nu+1)/2} z^n sqrt(G_n) e^{-i alpha E_n},
-    alpha the model's; its bands are certified by their mass, as an explicit n_max is in
-    perelomov_state."""
+    alpha the model's; built and certified as perelomov_state's closed forms are."""
     if model.kind != POSCHL_TELLER:
         raise DomainError("the disk picture needs a nu-type spectrum")
     zeta = DiskPoint(zeta).zeta
     rho = abs(zeta)
-    return _disk_state(model, zeta, math.log(rho) if rho else -math.inf, math.log1p(-rho * rho),
-                       n_max)
+    return _disk_state(model, zeta, math.log(rho) if rho else -math.inf, n_max)
 
 
 # ---------------------------------------------------------------------------

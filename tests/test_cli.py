@@ -467,6 +467,43 @@ def test_commands_run_without_mpmath(argv):
     assert done.returncode == 0, done.stderr
 
 
+# seconds a closed-form state at a large label may take in a fresh interpreter; each
+# returns in well under one, where the length scan once rebuilt the state at every
+# candidate band count and did not return at all
+_LARGE_LABEL_BOUND_S = 20
+
+
+@pytest.mark.parametrize("model,r", [("harmonic", r) for r in (200, 250, 300, 700, 1000)]
+                         + [("pt:3e4,3e4", r) for r in (0.5, 1, 2)])
+def test_closed_form_states_at_large_labels_return(model, r):
+    code = ("import sys\n"
+            "from solvstates import SpectrumModel, perelomov_state\n"
+            "m = (SpectrumModel.harmonic() if sys.argv[1] == 'harmonic'\n"
+            "     else SpectrumModel.poschl_teller(3e4, 3e4))\n"
+            "v = perelomov_state(m, float(sys.argv[2]))\n"
+            "assert v.tail_bound() < 1e-10\n"
+            "print(v.n_max)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code, model,
+                           str(r)], env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=_LARGE_LABEL_BOUND_S)
+    assert done.returncode == 0, done.stderr
+    # the bulk of the harmonic state sits at n = r^2, well inside its bands
+    assert model != "harmonic" or int(done.stdout) > r * r
+
+
+def test_explicit_n_max_past_the_bulk_is_a_state():
+    # the harmonic state at |z| = 300 holds its mass at n = 90,000 +- 300: 120,001 bands
+    # hold all of it, and the bands past the bulk underflow to 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "solvstates.cli",
+                           "state", "--family", "perelomov", "--model", "harmonic", "--z=300,0",
+                           "--nmax", "120000"], env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=_LARGE_LABEL_BOUND_S)
+    assert done.returncode == 0, done.stderr
+
+
 def _run_quiet(argv):
     """Exit code of main(argv), with SystemExit read as its code; output is dropped, since
     an automatic length may print a state of 10^5 bands and more."""

@@ -18,7 +18,7 @@ from solvstates import fockspace, perelomov
 from solvstates.gazeau_klauder import gk_state
 from solvstates.intelligent import (GISParameters, gis_coefficients, gis_disk_expansion,
                                     gis_state)
-from solvstates.tolerances import SIZE_CEILING
+from solvstates.tolerances import SIZE_CEILING, TAIL_CERT
 
 # the banded core against dense matrices: one model per spectrum kind, with
 # a nonzero phase twist and a table long enough for the largest truncation
@@ -616,7 +616,8 @@ def test_automatic_length_refuses_at_the_size_ceiling():
         return np.zeros(top)  # equal masses: the bound never passes
 
     with pytest.raises(TruncationError, match=f"size ceiling of {SIZE_CEILING} leaves") as err:
-        fockspace.certified_length("flat state", steps, None, None, 40)
+        fockspace.certified_length("flat state", SpectrumModel.harmonic(), 1.0, steps, TAIL_CERT,
+                                   None, 40)
     assert err.value.suggested_n_max is None
     assert scanned == [40 * 2 ** k for k in range(15)] + [SIZE_CEILING]
 

@@ -219,8 +219,9 @@ def test_auto_n_max_extends_a_short_scan_to_the_same_cut(monkeypatch, first):
     want = {(i, r): gk.gk_state(model, r).vector
             for i, model in enumerate(_SCAN_MODELS) for r in _SCAN_RADII}
     length = gk.certified_length
-    monkeypatch.setattr(gk, "certified_length", lambda what, steps, build, n_max, top, last:
-                        length(what, steps, build, n_max, first, last))
+    monkeypatch.setattr(gk, "certified_length",
+                        lambda what, model, z, steps, cert, n_max, top, last:
+                        length(what, model, z, steps, cert, n_max, first, last))
     for (i, r), vector in want.items():
         got = gk.gk_state(_SCAN_MODELS[i], r).vector
         assert np.array_equal(got.coeffs, vector.coeffs), (_SCAN_MODELS[i], r)

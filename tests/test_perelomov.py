@@ -185,6 +185,23 @@ def test_ode_refuses_at_the_end_of_a_table(custom_table):
         pe.cn_ode(short, 0.5, 14)
 
 
+def test_ode_starts_from_half_a_table_its_first_truncation_would_pass(custom_table):
+    # 2 n_max + 4 = 40 bands pass the 40-level table's end at n_max = 18: the doubling starts
+    # from truncation 19, whose double 38 fits, and the pair 38 / 39 certifies bands 0..18
+    for r in (0.1, 1.0):
+        got = pe.cn_ode(custom_table, r, 18).values
+        values, ok, _, _ = pe._series_bands(custom_table, 18, r, pe._SERIES_J_CAP)
+        settled = int(np.cumprod(ok).sum())  # the series has room for every band only near 0
+        assert settled == (19 if r < 0.5 else 6)
+        assert np.max(np.abs(got[:settled] - values[:settled]) / values[:settled]) <= 1e-13
+    # from n_max = 19 on, truncation 19 no longer reaches past the bands asked for
+    for n_max in (19, 20):
+        with pytest.raises(TruncationError, match="not certified by N=39: no pair of truncations "
+                                                  "covers the bands asked for; the energy table "
+                                                  "ends at level 39"):
+            pe.cn_ode(custom_table, 1.0, n_max)
+
+
 @pytest.mark.parametrize("name", ["harmonic", "well", "pt22", "custom"])
 @pytest.mark.parametrize("r", [0.0, 1e-4, 1e-3, 0.0011, 0.01])
 def test_ode_runs_the_flow_at_every_radius(all_models, name, r):
@@ -239,8 +256,11 @@ def test_log_cosh_keeps_its_relative_accuracy_as_r_goes_to_zero():
             want = float(mpmath.log1p(2 * mpmath.sinh(mpmath.mpf(r) / 2) ** 2))
         assert pe._log_cosh(r) == pytest.approx(want, rel=1e-15, abs=0.0), r
     strong = SpectrumModel.poschl_teller(9.074316606177094e119, 1.0316930944780123)
-    with pytest.raises(TruncationError, match="miss 1.000e[+]00 of the closed-form mass"):
+    # its band masses still grow at band 653: no tail bound certifies them
+    with pytest.raises(TruncationError, match="state tail bound inf not certified below 1e-10 "
+                                              "at n_max=653") as err:
         pe.perelomov_state(strong, complex(-6.870216817740281e-28, 2.7e-230), n_max=653)
+    assert err.value.suggested_n_max == 1322
 
 
 def test_harmonic_weights_are_poissonian(harmonic):
@@ -289,22 +309,27 @@ def test_plane_and_disk_routes_give_same_state(pt22):
     a = pe.perelomov_state(pt22, z, n_max=120)
     b = pe.disk_coefficients(pt22, pe.plane_to_disk(z), n_max=120)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
-    # bands 0..60 miss 1.6e-6 of the mass, on both routes
-    with pytest.raises(TruncationError, match="miss 1.56"):
-        pe.perelomov_state(pt22, z, n_max=60)
-    with pytest.raises(TruncationError, match="miss 1.56"):
-        pe.disk_coefficients(pt22, pe.plane_to_disk(z), n_max=60)
+    # bands 0..60 leave out 1.6e-6 of the mass: the same tail bound refuses both routes
+    for build in (lambda: pe.perelomov_state(pt22, z, n_max=60),
+                  lambda: pe.disk_coefficients(pt22, pe.plane_to_disk(z), n_max=60)):
+        with pytest.raises(TruncationError, match=r"tail bound 1\.\d+e-06 not certified below "
+                                                  "1e-10 at n_max=60"):
+            build()
 
 
-def test_explicit_n_max_is_certified_by_the_lost_mass(harmonic, pt22):
-    # the closed prefactor normalizes the whole series: 1 - sum |c_n|^2 is the dropped mass
-    with pytest.raises(TruncationError, match=r"bands 0..30 miss 7.9\d+e-09") as err:
+def test_explicit_n_max_is_certified_by_the_tail_bound(harmonic, pt22):
+    # bands 0..30 of harmonic at r = 3 leave out 7.9e-9 of the mass
+    with pytest.raises(TruncationError, match=r"displacement state tail bound \d\.\d+e-08 not "
+                                              "certified below 1e-10 at n_max=30") as err:
         pe.perelomov_state(harmonic, 3.0, n_max=30)
     assert err.value.suggested_n_max == 76
     state = pe.perelomov_state(harmonic, 3.0, n_max=40)
-    assert 1.0 - math.fsum(np.abs(state.coeffs) ** 2) < 1e-10
+    assert state.tail_bound() < 1e-10
+    # the closed prefactor, summed over the same bands, confirms the mass the state keeps
+    kept = math.fsum(pe.cn_closed(harmonic, 40, 3.0).f_values() ** -1.0 * 9.0 ** np.arange(41))
+    assert 1.0 - kept < 1e-10
     # the disk picture's explicit n_max is certified the same way
-    with pytest.raises(TruncationError, match="bands 0..10 miss"):
+    with pytest.raises(TruncationError, match="tail bound .* at n_max=10"):
         pe.disk_coefficients(pt22, 0.4 + 0.3j, n_max=10)
 
 
@@ -453,8 +478,9 @@ def test_auto_state_refuses_at_the_size_ceiling(pt22):
         with pytest.raises(TruncationError, match=f"size ceiling of {SIZE_CEILING} leaves") as err:
             build()
         assert err.value.suggested_n_max is None
-    # an explicit n_max is refused by its mass: bands 0..60 hold 1.6e-12 of it at r = 5
-    with pytest.raises(TruncationError, match="bands 0..60 miss 1.000e\\+00"):
+    # an explicit n_max is refused by its tail bound: bands 0..60 hold 1.6e-12 of the mass
+    # at r = 5, and their masses still grow
+    with pytest.raises(TruncationError, match="tail bound inf not certified below 1e-10 at n_max=60"):
         pe.perelomov_state(pt22, 5.0, n_max=60)
 
 
