@@ -12,7 +12,7 @@ from .errors import (ConvergenceError, DomainError, LambdaRejected,
 from .spectrum import SpectrumModel
 from .fockspace import (FockVector, LadderRep, UncertaintyReport, build_ladder,
                         eigenvalue_residual, f_operator, gis_recurrence_oracle,
-                        quadratures, uncertainty)
+                        uncertainty)
 from .gazeau_klauder import (GKState, RadialMeasure, action_identity,
                              bargmann_eval, evolve, gk_normalization,
                              gk_normalization_closed, gk_state,

@@ -1,4 +1,4 @@
-"""Truncated number-basis workspace: ladder operators, quadratures, uncertainty reports.
+"""Truncated number-basis workspace: ladder operators, uncertainty reports.
 
 Every state lives in the span of the first ``n_max + 1`` eigenvectors of a
 :class:`~solvstates.spectrum.SpectrumModel`.  The ladder operators carry the
@@ -13,8 +13,7 @@ component except the top band, which a truncated a+ cannot reach.
 Both ladder operators live on one band, so a :class:`LadderRep` stores only
 that band and the H and G diagonals.  Every moment comes from two complex
 band sums, <a-> and <a-^2>, and real sums over |c|^2, O(n) in time and
-memory; dense matrices exist only on request, through ``a_minus`` /
-``a_plus`` and :func:`quadratures`.
+memory.  The one dense matrix left is F, built on request by :func:`f_operator`.
 
 Every state the package returns or reads moments from passes
 :meth:`FockVector.certified` (tail bound over mass below TAIL_CERT, else
@@ -247,19 +246,6 @@ class LadderRep:
     h_diag: np.ndarray
     g_diag: np.ndarray
 
-    @property
-    def a_minus(self) -> np.ndarray:
-        """Dense (n_max+1)^2 lowering matrix, built on each access."""
-        out = np.zeros((self.n_max + 1, self.n_max + 1), dtype=complex)
-        idx = np.arange(self.n_max)
-        out[idx, idx + 1] = self.lower_band
-        return out
-
-    @property
-    def a_plus(self) -> np.ndarray:
-        """Dense (n_max+1)^2 raising matrix, built on each access."""
-        return self.a_minus.conj().T.copy()
-
 
 def build_ladder(model: SpectrumModel, n_max: int) -> LadderRep:
     """Band of a- plus the H, G diagonals on the first ``n_max + 1`` levels."""
@@ -282,27 +268,16 @@ def build_ladder(model: SpectrumModel, n_max: int) -> LadderRep:
     )
 
 
-def quadratures(rep: LadderRep):
-    """Return (X, P, H, G) as dense matrices.
-
-    X = (a+ + a-)/sqrt(2), P = i (a+ - a-)/sqrt(2); then [X, P] = i G on all
-    components below the truncation band.
-    """
-    a_minus = rep.a_minus
-    a_plus = a_minus.conj().T
-    x = (a_plus + a_minus) * _INV_RT2
-    p = 1j * (a_plus - a_minus) * _INV_RT2
-    h = np.diag(rep.h_diag.astype(complex))
-    g = np.diag(rep.g_diag.astype(complex))
-    return x, p, h, g
-
-
 def f_operator(rep: LadderRep, state: FockVector) -> np.ndarray:
-    """Symmetrized covariance operator F = {X - <X>, P - <P>} for the state."""
+    """Dense symmetrized covariance operator F = {X - <X>, P - <P>} for the state,
+    X = (a+ + a-)/sqrt2 and P = i (a+ - a-)/sqrt2."""
     vec, mass, _ = _prepare(rep, state)
     a1 = _band_sums(rep, vec, mass)[0]
     mx, mp = _ROOT2 * a1.real, _ROOT2 * a1.imag
-    x, p, _, _ = quadratures(rep)
+    a_minus = np.diag(rep.lower_band, 1)
+    a_plus = a_minus.conj().T
+    x = (a_plus + a_minus) * _INV_RT2
+    p = 1j * (a_plus - a_minus) * _INV_RT2
     dx = x - mx * np.eye(rep.n_max + 1)
     dp = p - mp * np.eye(rep.n_max + 1)
     return dx @ dp + dp @ dx
@@ -470,7 +445,7 @@ def gis_recurrence_oracle(rep: LadderRep, z: complex, lam: complex) -> FockVecto
         raise LambdaRejected(lam, LambdaRejected.LAMBDA_MINUS_ONE)
     if lam.real <= 0:
         raise LambdaRejected(lam, LambdaRejected.NONPOSITIVE_REAL_PART)
-    lower = rep.lower_band  # lower[m] = a_minus[m, m+1]
+    lower = rep.lower_band  # lower[m] = a-[m, m+1]
     # Python complex scalars: the loop is O(n_max) and numpy scalars would dominate it
     up = ((1.0 + lam) * lower).tolist()
     # the a+ entry feeding component m is conj(lower[m-1])

@@ -320,11 +320,13 @@ def gis_disk_expansion(
     The Taylor coefficients t_n of (1 + s zeta)^{a+} (1 - s zeta)^{a-}
     (which equal (2s)^n P_n^{(a+ - n, a- - n)}(0), the Jacobi form the
     tests use as the oracle) follow from the first-order equation
-    (1 - s^2 zeta^2) Phi' = [(a+ - a-) s - (a+ + a-) s^2 zeta] Phi as
+    (1 - s^2 zeta^2) Phi' = [(a+ - a-) s - (a+ + a-) s^2 zeta] Phi.  With
+    (a+ - a-) s = 2 zeta_prime / (lam + 1) and a+ + a- = -(nu + 1) that is
 
-    (n+1) t_{n+1} = (a+ - a-) s t_n + (n - 1 - a+ - a-) s^2 t_{n-1},
+    (n+1) t_{n+1} = (2 zeta_prime / (lam + 1)) t_n + (n + nu) s^2 t_{n-1},
 
-    t_0 = 1; lam = 1 gives t_n = zeta_prime^n / n!.  Dividing by the disk
+    t_0 = 1, which divides by nothing that vanishes: at lam = 1, s = 0 and
+    t_n = zeta_prime^n / n!, the disk function exp(zeta zeta_prime).  Dividing by the disk
     monomial weights sqrt(Gamma(nu+1+n) / (n! Gamma(nu+1))) and attaching
     the e^{-i alpha E_n} phases of the model's alpha (0 on the default
     model) yields the state, normalized here.
@@ -338,19 +340,11 @@ def gis_disk_expansion(
         raise DomainError("model strength disagrees with nu")
     lam = complex(lam)
     zp = complex(zeta_prime)
-    taylor = [1.0 + 0.0j]
-    if lam == 1:
-        for n in range(n_max):
-            taylor.append(taylor[n] * zp / (n + 1))
-    else:
-        s, _ = _branch_root(lam)
-        ap, am = _disk_exponents(nu, zp, lam)
-        first, second = (ap - am) * s, s * s
-        previous = 0.0
-        for n in range(n_max):
-            nxt = (first * taylor[n] + (n - 1 - ap - am) * second * previous) / (n + 1)
-            previous = taylor[n]
-            taylor.append(nxt)
+    first, second = 2.0 * zp / (lam + 1.0), (lam - 1.0) / (lam + 1.0)  # second = s^2
+    taylor, previous = [1.0 + 0.0j], 0.0
+    for n in range(n_max):
+        taylor.append((first * taylor[n] + (n + nu) * second * previous) / (n + 1))
+        previous = taylor[n]
     weights = np.exp(-0.5 * _log_gamma_ratio(nu, n_max))
     phases = np.exp(-1j * model.alpha * model.energies(n_max))
     return FockVector(model, np.array(taylor) * weights * phases).normalized().certified(

@@ -39,11 +39,6 @@ from .spectrum import CUSTOM, HARMONIC, POSCHL_TELLER, SpectrumModel
 from .tolerances import (FLOW_BAND_CAP, FLOW_GATE, FLOW_STEP_CAP, KERNEL_TOL,
                          SERIES_ROUNDING, SERIES_TOL, TAIL_CERT)
 
-METHOD_SERIES = "series"
-METHOD_ODE = "ode"
-METHOD_CLOSED = "closed"
-_METHODS = (METHOD_SERIES, METHOD_ODE, METHOD_CLOSED)
-
 _SERIES_J_CAP = 160
 # top band of a tabulated state's first flow truncation
 _FLOW_FIRST = 24
@@ -55,13 +50,9 @@ class DisplacementCoeffs:
     """Radial coefficients c_0(r) .. c_n_max(r) from one computation route."""
 
     model: SpectrumModel
-    r: float
     values: np.ndarray
-    method: str
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise DomainError(f"unknown method tag {self.method!r}")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     @property
@@ -244,7 +235,7 @@ def cn_closed(model: SpectrumModel, n_max: int, r: float) -> DisplacementCoeffs:
     else:
         raise DomainError("no closed displacement coefficients for tabulated spectra")
     steps = np.concatenate(([1.0], ratio / np.arange(1.0, n_max + 1.0)))
-    return DisplacementCoeffs(model, r, math.exp(lead) * np.cumprod(steps), METHOD_CLOSED)
+    return DisplacementCoeffs(model, math.exp(lead) * np.cumprod(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +301,8 @@ def _flow(model: SpectrumModel, r: float, rho: float, top: int) -> np.ndarray:
 def _certified_flow(model: SpectrumModel, r: float, rho: float, first: int, bands: int | None):
     """The flow's y~ on bands 0..N for N = first, 2 first, ... up to the band cap or table's end.
 
+    Where ``first`` reaches that cap, N starts from cap // 2 instead, or from bands - 1 if
+    that is larger (the first truncation that holds the bands asked for), and from 1 at least.
     Returns the certified bands: the leading bands on which a truncation
     agrees with the one before it to FLOW_GATE, band by band, at the first
     truncation where they number at least ``bands``, or, with bands None (and rho = 1),
@@ -319,7 +312,8 @@ def _certified_flow(model: SpectrumModel, r: float, rho: float, first: int, band
     """
     end = model.last_level
     cap = min(FLOW_BAND_CAP, end)
-    top, agreed, y = min(first, cap), None, None
+    top = first if first < cap else max(cap // 2, (bands or 0) - 1, 1)
+    agreed, y = None, None
     # a pair of truncations agrees on at most the smaller one's bands
     while top < cap and (bands or 0) <= cap:
         before = _flow(model, r, rho, top) if y is None else y
@@ -344,9 +338,9 @@ def cn_ode(model: SpectrumModel, r_target: float, n_max: int) -> DisplacementCoe
     In y_n = r^n c_n sqrt(E_1 ... E_n) the coefficient ODE is y' = S y, y(0) = e_0, with S
     truncated to bands 0..N and no closure at the top band.  The flow runs on y~_n = y_n / rho^n,
     rho = min(r, 1), so below r = 1 the bands c_n sqrt(E_1 ... E_n) do not shrink with r^n
-    (c_n = 1/n! at r = 0); from r = 1 on y~ is y.  N doubles from 2 n_max + 4 until two
+    (c_n = 1/n! at r = 0); from r = 1 on y~ is y.  N doubles from 2 n_max + 4 (or, where that
+    reaches the band cap or a table's last level, as _certified_flow starts) until two
     truncations agree to FLOW_GATE on every band 0..n_max; a band of y~ that underflows is refused.
-    Where that reaches a table's last level L > 2 n_max + 1, N starts from L // 2: its double fits.
     """
     if r_target > 5.0:
         raise DomainError("r_target above 5 is outside the supported range")
@@ -354,15 +348,13 @@ def cn_ode(model: SpectrumModel, r_target: float, n_max: int) -> DisplacementCoe
         raise DomainError("r_target must be nonnegative")
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    end, first = model.last_level, 2 * n_max + 4
-    first = end // 2 if 2 * n_max + 1 < end <= first else first
-    y = _certified_flow(model, r_target, min(r_target, 1.0), first, n_max + 1)[:n_max + 1]
+    y = _certified_flow(model, r_target, min(r_target, 1.0), 2 * n_max + 4, n_max + 1)[:n_max + 1]
     if not np.all(np.abs(y) >= np.finfo(float).tiny):
         raise ConvergenceError(
             f"band {int(np.argmin(np.abs(y)))} of the flow underflows at r={r_target:.4g}")
     log_c = (np.log(np.abs(y)) - 0.5 * model.log_products(n_max)
              - np.arange(n_max + 1) * math.log(max(r_target, 1.0)))
-    return DisplacementCoeffs(model, r_target, np.sign(y) * np.exp(log_c), METHOD_ODE)
+    return DisplacementCoeffs(model, np.sign(y) * np.exp(log_c))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -34,12 +37,23 @@ def well():
     return SpectrumModel.square_well()
 
 
+def _table_levels(count):
+    # strictly increasing, zero ground level, mildly irregular gaps; a longer table
+    # draws more of the same stream, so its first levels are the shorter one's
+    rng = np.random.default_rng(20260814)
+    gaps = 1.0 + 0.35 * rng.random(count - 1)
+    return np.concatenate(([0.0], np.cumsum(gaps)))
+
+
 @pytest.fixture(scope="session")
 def custom_table():
-    # strictly increasing, zero ground level, mildly irregular gaps
-    rng = np.random.default_rng(20260814)
-    gaps = 1.0 + 0.35 * rng.random(39)
-    return SpectrumModel.custom(np.concatenate(([0.0], np.cumsum(gaps))))
+    return SpectrumModel.custom(_table_levels(40))
+
+
+@pytest.fixture(scope="session")
+def long_table():
+    """custom_table continued to 240 levels: an oracle for what its end cuts off."""
+    return SpectrumModel.custom(_table_levels(240))
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +65,19 @@ def all_models(harmonic, pt22, pt_soft, well, custom_table):
         "well": well,
         "custom": custom_table,
     }
+
+
+@pytest.fixture(scope="session")
+def dense_lowering():
+    """Builds the dense twisted lowering matrix, a-[n-1, n] = sqrt(E_n) e^{i alpha (E_n - E_{n-1})}
+    on bands 0..n_max, one entry at a time from the model's levels and alpha alone: an oracle
+    for the ladder's band that does not read it."""
+    def build(model, n_max):
+        energies = model.energies(n_max).tolist()
+        a = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        for n in range(1, n_max + 1):
+            twist = cmath.exp(1j * model.alpha * (energies[n] - energies[n - 1]))
+            a[n - 1, n] = math.sqrt(energies[n]) * twist
+        return a
+
+    return build

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from solvstates import (ConvergenceError, DomainError, FockVector, SpectrumModel,
                         TruncationError, build_ladder, eigenvalue_residual, f_operator,
-                        gis_recurrence_oracle, quadratures, uncertainty)
+                        gis_recurrence_oracle, uncertainty)
 from solvstates import fockspace, perelomov
 from solvstates.gazeau_klauder import gk_state
 from solvstates.intelligent import (GISParameters, gis_coefficients, gis_disk_expansion,
@@ -30,38 +30,30 @@ BANDED_MODELS = {
 }
 
 
-def dense_lowering(model, n_max):
-    a = np.zeros((n_max + 1, n_max + 1))
-    for n in range(1, n_max + 1):
-        a[n - 1, n] = math.sqrt(model.energy(n))
-    return a
+def dense_quadratures(a):
+    """X = (a+ + a-)/sqrt2, P = i (a+ - a-)/sqrt2 from a dense lowering matrix a."""
+    return (a.conj().T + a) / math.sqrt(2.0), 1j * (a.conj().T - a) / math.sqrt(2.0)
 
 
-def test_lowering_matrix_entries(pt22):
-    rep = build_ladder(pt22, 12)
-    assert np.allclose(rep.a_minus, dense_lowering(pt22, 12), atol=0)
+def test_lowering_matrix_entries(pt22, dense_lowering):
+    for model in (pt22, pt22.with_alpha(0.37)):
+        want = np.diag(dense_lowering(model, 12), 1)
+        assert np.all(np.abs(build_ladder(model, 12).lower_band - want) <= 4e-16 * np.abs(want))
 
 
-def test_number_operator_diagonal(pt_soft):
-    rep = build_ladder(pt_soft, 15)
-    num = rep.a_minus.conj().T @ rep.a_minus
+def test_number_operator_diagonal(pt_soft, dense_lowering):
+    a = dense_lowering(pt_soft, 15)
+    num = a.conj().T @ a
     want = np.diag([pt_soft.energy(n) for n in range(16)])
     assert np.max(np.abs(num - want)) < 1e-12
 
 
-def test_commutator_reproduces_gaps(well):
-    rep = build_ladder(well, 15)
-    a = rep.a_minus
+def test_commutator_reproduces_gaps(well, dense_lowering):
+    a = dense_lowering(well, 15)
     comm = a @ a.conj().T - a.conj().T @ a
     gaps = np.diag(np.diff(well.energies(16)))
     # the last diagonal entry is the truncation artifact
     assert np.max(np.abs((comm - gaps)[:-1, :-1])) < 1e-12
-
-
-def test_quadratures_hermitian(pt22):
-    rep = build_ladder(pt22, 20)
-    for op in quadratures(rep):
-        assert np.max(np.abs(op - op.conj().T)) < 1e-12
 
 
 def test_ladder_needs_one_spare_level(custom_table):
@@ -175,11 +167,12 @@ def test_eigenvalue_residual_flags_non_eigenstate(pt22):
     assert eigenvalue_residual(rep, probe, 0.5) > 1e-3
 
 
-def test_uncertainty_against_dense_matrices(pt22):
+def test_uncertainty_against_dense_matrices(pt22, dense_lowering):
     rep = build_ladder(pt22, 30)
     state = FockVector(pt22, (0.4 ** np.arange(31)) * np.exp(0.2j * np.arange(31)))
     state = state.normalized()
-    x_op, p_op, h_op, g_op = quadratures(rep)
+    x_op, p_op = dense_quadratures(dense_lowering(pt22, 30))
+    g_op = np.diag(np.diff(pt22.energies(31)))
     c = state.coeffs
     mean = lambda op: (c.conj() @ op @ c).real
     rep_out = uncertainty(rep, state)
@@ -237,11 +230,10 @@ def test_refusal_suggests_no_level_past_a_table_end(custom_table):
         assert err.value.suggested_n_max == suggested
 
 
-def test_recurrence_oracle_satisfies_defining_relation(pt22):
+def test_recurrence_oracle_satisfies_defining_relation(pt22, dense_lowering):
     z, lam = 1.0, 2.0
-    rep = build_ladder(pt22, 60)
-    vec = gis_recurrence_oracle(rep, z, lam)
-    a = rep.a_minus[: vec.n_max + 1, : vec.n_max + 1]
+    vec = gis_recurrence_oracle(build_ladder(pt22, 60), z, lam)
+    a = dense_lowering(pt22, vec.n_max)
     op = (1.0 + lam) * a + (1.0 - lam) * a.conj().T
     resid = op @ vec.coeffs - 2.0 * z * vec.coeffs
     # rows near the truncation edge feel the missing band
@@ -263,13 +255,11 @@ def spread_state(model, n_max):
 
 @pytest.mark.parametrize("name", sorted(BANDED_MODELS))
 @pytest.mark.parametrize("n_max", [12, 90, 400])
-def test_banded_uncertainty_matches_dense_moments(name, n_max):
+def test_banded_uncertainty_matches_dense_moments(name, n_max, dense_lowering):
     model = BANDED_MODELS[name]
     rep = build_ladder(model, n_max)
     state = spread_state(model, n_max)
-    a = rep.a_minus
-    x = (a.conj().T + a) / math.sqrt(2.0)
-    p = 1j * (a.conj().T - a) / math.sqrt(2.0)
+    x, p = dense_quadratures(dense_lowering(model, n_max))
     c = state.coeffs
     mean = lambda op: complex(c.conj() @ op @ c).real
     mx, mp = mean(x), mean(p)
@@ -293,22 +283,23 @@ def test_banded_uncertainty_matches_dense_moments(name, n_max):
 
 @pytest.mark.parametrize("name", sorted(BANDED_MODELS))
 @pytest.mark.parametrize("drop", [1, 2, 5])
-def test_banded_residual_matches_dense(name, drop):
+def test_banded_residual_matches_dense(name, drop, dense_lowering):
     model = BANDED_MODELS[name]
     rep = build_ladder(model, 90)
     state = spread_state(model, 60)
     z = 0.8 - 0.4j
     c = state.padded(90).coeffs
-    want = np.linalg.norm((rep.a_minus @ c - z * c)[: 91 - drop])
+    want = np.linalg.norm((dense_lowering(model, 90) @ c - z * c)[: 91 - drop])
     assert eigenvalue_residual(rep, state, z, drop=drop) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("name", sorted(BANDED_MODELS))
-def test_banded_oracle_matches_dense_substitution(name):
+def test_banded_oracle_matches_dense_substitution(name, dense_lowering):
     model = BANDED_MODELS[name]
     z, lam = 0.9 + 0.3j, 2.0 - 0.5j
     rep = build_ladder(model, 60)
-    a_minus, a_plus = rep.a_minus, rep.a_plus
+    a_minus = dense_lowering(model, 60)
+    a_plus = a_minus.conj().T
     d = [1.0 + 0.0j]
     for m in range(60):
         back = (1.0 - lam) * a_plus[m, m - 1] * d[m - 1] if m else 0.0
@@ -346,12 +337,13 @@ MOMENT_MODELS = {
 }
 
 
-def dense_moments(rep, coeffs):
+def dense_moments(rep, coeffs, dense_lowering):
     """The six report moments from dense X, P, G, with their largest imaginary part."""
     c = np.zeros(rep.n_max + 1, dtype=complex)
     c[: coeffs.size] = coeffs
     c = c / np.linalg.norm(c)
-    x, p, _, g = quadratures(rep)
+    x, p = dense_quadratures(dense_lowering(rep.model, rep.n_max))
+    g = np.diag(np.diff(rep.model.energies(rep.n_max + 1)))
     mean = lambda op: complex(c.conj() @ op @ c)
     raw = [mean(x), mean(p), mean(x @ x), mean(p @ p), mean(g)]
     mx, mp = raw[0].real, raw[1].real
@@ -362,8 +354,8 @@ def dense_moments(rep, coeffs):
     return want, max(abs(value.imag) for value in raw)
 
 
-def assert_moments_match_dense(rep, state):
-    want, imag = dense_moments(rep, state.coeffs)
+def assert_moments_match_dense(rep, state, dense_lowering):
+    want, imag = dense_moments(rep, state.coeffs, dense_lowering)
     assert imag < 1e-10
     got = uncertainty(rep, state)
     for field, value in zip(("mean_x", "mean_p", "var_x", "var_p", "mean_g", "mean_f"), want):
@@ -373,19 +365,21 @@ def assert_moments_match_dense(rep, state):
 @pytest.mark.parametrize("name", sorted(MOMENT_MODELS))
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
 @pytest.mark.parametrize("n_max, n_state", [(12, 12), (60, 60), (60, 40)])
-def test_band_sum_moments_match_dense_matrices(name, alpha, n_max, n_state):
+def test_band_sum_moments_match_dense_matrices(name, alpha, n_max, n_state, dense_lowering):
     # (60, 40): a state shorter than its ladder is padded with zeros
     model = MOMENT_MODELS[name].with_alpha(alpha)
-    assert_moments_match_dense(build_ladder(model, n_max), spread_state(model, n_state))
+    assert_moments_match_dense(build_ladder(model, n_max), spread_state(model, n_state),
+                               dense_lowering)
 
 
 @pytest.mark.parametrize("name", ["harmonic", "pt"])
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
-def test_band_sum_moments_of_lowering_eigenstates(name, alpha):
+def test_band_sum_moments_of_lowering_eigenstates(name, alpha, dense_lowering):
     model = MOMENT_MODELS[name]
     for z in (0.5, 2.0 * cmath.exp(0.9j)):
         vector = gk_state(model.with_alpha(alpha), z).vector
-        assert_moments_match_dense(build_ladder(vector.model, vector.n_max), vector)
+        assert_moments_match_dense(build_ladder(vector.model, vector.n_max), vector,
+                                   dense_lowering)
 
 
 def test_moments_refuse_a_state_from_another_model(pt22):
@@ -398,26 +392,27 @@ def test_moments_refuse_a_state_from_another_model(pt22):
 
 
 @pytest.mark.parametrize("name", sorted(MOMENT_MODELS))
-def test_band_sum_moments_of_gis_states(name):
+def test_band_sum_moments_of_gis_states(name, dense_lowering):
     model = MOMENT_MODELS[name]
     for z, lam in ((1.0, 2.0), (2.0j, cmath.exp(1j * math.pi / 6)), (0.7 - 0.4j, 0.5 + 0.5j)):
         state = gis_state(model.with_alpha(0.3), GISParameters(z, lam))
-        assert_moments_match_dense(build_ladder(state.model, state.n_max), state)
+        assert_moments_match_dense(build_ladder(state.model, state.n_max), state, dense_lowering)
 
 
 @pytest.mark.parametrize("name", sorted(MOMENT_MODELS))
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
 @pytest.mark.parametrize("n_max", [2, 3, 25])
-def test_band_sums_match_dense_ladder_products(name, alpha, n_max):
+def test_band_sums_match_dense_ladder_products(name, alpha, n_max, dense_lowering):
     # n_max = 2 leaves <a-^2> a single term; no state that short certifies its tail
-    rep = build_ladder(MOMENT_MODELS[name].with_alpha(alpha), n_max)
+    model = MOMENT_MODELS[name].with_alpha(alpha)
+    rep = build_ladder(model, n_max)
     rng = np.random.default_rng(n_max)
     c = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
-    a = rep.a_minus
+    a = dense_lowering(model, n_max)
     ad = a.conj().T
     mass = float(np.vdot(c, c).real)
     want = [complex(c.conj() @ op @ c) / mass
-            for op in (a, a @ a, ad @ a + a @ ad, np.diag(rep.g_diag))]
+            for op in (a, a @ a, ad @ a + a @ ad, np.diag(np.diff(model.energies(n_max + 1))))]
     got = fockspace._band_sums(rep, c, mass)
     for value, expect in zip(got, want):
         assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect)), (value, expect)

@@ -154,11 +154,10 @@ def test_moments_meet_the_exact_oracles(all_models, name):
             assert report.var_p == pytest.approx(1.0 / (2.0 * lam.real), rel=1e-12)
 
 
-def test_defining_relation_holds(pt22):
+def test_defining_relation_holds(pt22, dense_lowering):
     z, lam = 1.0 + 0.5j, 1.5
     state = it.gis_state(pt22, it.GISParameters(z, lam))
-    rep = build_ladder(pt22, state.n_max)
-    a = rep.a_minus
+    a = dense_lowering(pt22, state.n_max)
     op = (1.0 + lam) * a + (1.0 - lam) * a.conj().T
     resid = op @ state.coeffs - 2.0 * z * state.coeffs
     assert np.max(np.abs(resid[:-2])) < 1e-9

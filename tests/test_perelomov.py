@@ -176,16 +176,22 @@ def test_ode_refuses_at_the_band_cap(pt22):
         pe.cn_ode(pt22, 3.0, 10)
 
 
-def test_ode_refuses_at_the_end_of_a_table(custom_table):
+def test_ode_refuses_at_the_end_of_a_table(custom_table, long_table):
     short = SpectrumModel.custom(custom_table.table[:30])
     with pytest.raises(TruncationError, match="not certified by N=29: its last two truncations "
                                               "agree on .* the energy table ends at level 29"):
         pe.cn_ode(short, 3.0, 8)
+    # 2 n_max + 4 = 32 bands pass the end at n_max = 14: truncations 14, 28 and 29 certify
+    # bands 0..14, as the table's 240-level continuation gives them
+    got, want = pe.cn_ode(short, 0.5, 14).values, pe.cn_ode(long_table, 0.5, 14).values
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    with pytest.raises(TruncationError, match="N=29: its last two truncations agree on 12 "):
+        pe.cn_ode(short, 0.5, 15)
     with pytest.raises(TruncationError, match="N=29: no pair of truncations covers the bands asked for"):
-        pe.cn_ode(short, 0.5, 14)
+        pe.cn_ode(short, 0.5, 29)
 
 
-def test_ode_starts_from_half_a_table_its_first_truncation_would_pass(custom_table):
+def test_ode_starts_from_half_a_table_its_first_truncation_would_pass(custom_table, long_table):
     # 2 n_max + 4 = 40 bands pass the 40-level table's end at n_max = 18: the doubling starts
     # from truncation 19, whose double 38 fits, and the pair 38 / 39 certifies bands 0..18
     for r in (0.1, 1.0):
@@ -194,17 +200,21 @@ def test_ode_starts_from_half_a_table_its_first_truncation_would_pass(custom_tab
         settled = int(np.cumprod(ok).sum())  # the series has room for every band only near 0
         assert settled == (19 if r < 0.5 else 6)
         assert np.max(np.abs(got[:settled] - values[:settled]) / values[:settled]) <= 1e-13
-    # from n_max = 19 on, truncation 19 no longer reaches past the bands asked for
-    for n_max in (19, 20):
-        with pytest.raises(TruncationError, match="not certified by N=39: no pair of truncations "
-                                                  "covers the bands asked for; the energy table "
+    # from n_max = 19 on the flow starts from n_max, the first truncation holding the bands asked
+    # for: the pair 19 / 39 certifies bands 0..19, as the table's 240-level continuation gives them
+    for r in (0.1, 1.0):
+        got, want = pe.cn_ode(custom_table, r, 19).values, pe.cn_ode(long_table, r, 19).values
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        # the pair 20 / 39 agrees on fewer bands than the 21 asked for
+        with pytest.raises(TruncationError, match=r"not certified by N=39: its last two truncations "
+                                                  r"agree on \d+ leading bands; the energy table "
                                                   "ends at level 39"):
-            pe.cn_ode(custom_table, 1.0, n_max)
+            pe.cn_ode(custom_table, r, 20)
 
 
 @pytest.mark.parametrize("name", ["harmonic", "well", "pt22", "custom"])
 @pytest.mark.parametrize("r", [0.0, 1e-4, 1e-3, 0.0011, 0.01])
-def test_ode_runs_the_flow_at_every_radius(all_models, name, r):
+def test_ode_runs_the_flow_at_every_radius(all_models, long_table, name, r):
     # below r = 1 the flow carries y_n / r^n = c_n sqrt(E_1 ... E_n), which does not
     # underflow as r goes to 0 (y_n itself did: on harmonic at r = 0.0011, from n_max = 83)
     model = all_models[name]
@@ -217,13 +227,20 @@ def test_ode_runs_the_flow_at_every_radius(all_models, name, r):
     got = pe.cn_ode(model, r, 8).values
     series = np.array([pe.cn_series(model, n, r) for n in range(9)])
     assert np.max(np.abs(got - series) / series) <= 1e-12
-    # n_max = 29 asks for a first truncation of 62 bands, past the 40-level table's end;
-    # the series, with room for four terms on band 29, still gives those bands near r = 0
+    # n_max = 29 asks for a first truncation of 62 bands, past the 40-level table's end, so the
+    # flow starts from 29: the pair 29 / 39 certifies bands 0..29 up to r = 1e-4, as the table's
+    # 240-level continuation and the series, with room for four terms on band 29, give them
+    if r <= 1e-4:
+        got = pe.cn_ode(model, r, 29).values
+        series = np.array([pe.cn_series(model, n, r) for n in range(30)])
+        for want in (pe.cn_ode(long_table, r, 29).values, series):
+            assert np.max(np.abs(got - want) / want) <= 1e-12
+    else:
+        with pytest.raises(TruncationError, match="N=39: its last two truncations agree on 29 "):
+            pe.cn_ode(model, r, 29)
     with pytest.raises(TruncationError, match="no pair of truncations covers the bands asked "
                                               "for; the energy table ends at level 39"):
-        pe.cn_ode(model, r, 29)
-    if r <= 1e-4:
-        assert all(math.isfinite(pe.cn_series(model, n, r)) for n in range(30))
+        pe.cn_ode(model, r, 39)
     # band 30 has room for three terms: the lowest such band refuses
     with pytest.raises(TruncationError, match=r"band-30 series \(room for 3 terms\)"):
         pe.cn_series(model, 30, r)
@@ -516,13 +533,25 @@ def test_tabulated_state_refusals(custom_table):
         # three bands cannot certify a tail
         (custom_table, 0.3, 2, "tabulated state tail bound inf not certified below 1e-10 at n_max=2",
          20),
-        (twelve, 0.3, None, "not certified by N=11: no pair of truncations covers the bands asked for",
-         None),
+        (twelve, 0.5, None, "not certified by N=11: its last two truncations agree on 7 ", None),
+        # two levels leave no pair of truncations at all
+        (SpectrumModel.custom(custom_table.table[:2]), 0.3, None,
+         "not certified by N=1: no pair of truncations covers the bands asked for", None),
     ]
     for model, z, n_max, message, suggested in refusals:
         with pytest.raises(TruncationError, match=message) as err:
             pe.perelomov_state(model, z, n_max=n_max)
         assert err.value.suggested_n_max == suggested
+
+
+def test_short_table_state_starts_from_half_its_table(custom_table, long_table):
+    # 24 bands pass a twelve-level table's end: truncations 5, 10 and 11 certify bands 0..7,
+    # as the table's 240-level continuation gives them
+    assert np.array_equal(long_table.table[:40], custom_table.table)
+    state = pe.perelomov_state(SpectrumModel.custom(custom_table.table[:12]), 0.3)
+    want = pe.perelomov_state(long_table, 0.3, n_max=7)
+    assert state.n_max == 7 and state.tail_bound() < 1e-10
+    assert np.max(np.abs(state.coeffs - want.coeffs)) <= 1e-12
 
 
 def test_harmonic_amplitude_logs_match_mpmath(harmonic):

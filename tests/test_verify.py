@@ -229,6 +229,42 @@ def test_ladder_identities_are_measured_against_the_level_size(capsys, tmp_path,
     assert all(c["status"] == "PASS" for c in doc["cases"])
 
 
+_LADDER_MODELS = {
+    "harmonic": SpectrumModel.harmonic(),
+    "well": SpectrumModel.square_well(),
+    "pt27_31": SpectrumModel.poschl_teller(2.7, 3.1),
+    "pt22_twisted": SpectrumModel.poschl_teller(2.0, 2.0, alpha=0.37),
+    "table141": SpectrumModel.custom([0.5 * n * (n + 3) + 0.01 * (n % 3) for n in range(141)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LADDER_MODELS))
+def test_ladder_residuals_equal_their_dense_recomputation(name, dense_lowering):
+    # the band identities against the truncated dense products they stand for
+    model = _LADDER_MODELS[name]
+    n_max = min(40, model.last_level - 1)
+    a = dense_lowering(model, n_max)
+    ad = a.conj().T
+    energies = model.energies(n_max)
+    scale = np.maximum(1.0, energies)
+    comm = a @ ad - ad @ a - np.diag(np.diff(model.energies(n_max + 1)))
+    x, p = (ad + a) / np.sqrt(2.0), 1j * (ad - a) / np.sqrt(2.0)
+    c = 0.5 ** np.arange(n_max + 1)
+    c = c / np.linalg.norm(c)
+    mx, mp = (c @ x @ c).real, (c @ p @ c).real
+    dx, dp = x - mx * np.eye(n_max + 1), p - mp * np.eye(n_max + 1)
+    f = dx @ dp + dp @ dx
+    want = {
+        "ladder.number_operator": np.max(np.abs(ad @ a - np.diag(energies)) / scale[:, None]),
+        "ladder.commutator_gaps": np.max(np.abs(comm[:-1, :-1]) / scale[:-1, None]),
+        "ladder.hermiticity": max(np.max(np.abs(op - op.conj().T)) for op in (x, p, f)),
+    }
+    bound = {"ladder.hermiticity": 1e-15 * scale[-1]}
+    for case in run_suite("ladder", model).cases:
+        assert case.status == "PASS", case
+        assert abs(case.residual - want[case.name]) <= bound.get(case.name, 1e-15), case
+
+
 @pytest.mark.parametrize("levels", ["cube", "pt22"])
 def test_ladder_identities_still_fail_on_a_perturbed_band(monkeypatch, levels):
     model = (SpectrumModel.custom([float(n ** 3) for n in range(120)]) if levels == "cube"
